@@ -34,6 +34,7 @@ from .circuits import (
     CircuitSpec,
     CompiledCircuit,
     ModulationMode,
+    MonitorReading,
     StageSnapshot,
     Topology,
     build_circuit,
@@ -57,6 +58,7 @@ from .metrology import (
     enhancement_and_resources,
     loss_tolerance_scan,
     mixture_angles,
+    operating_point,
     output_noise,
     probe_photon_number,
     signal_slope,
@@ -75,7 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CircuitSpec", "CompiledCircuit", "ComparisonReport", "ConsistencyError",
     "FockConfig", "GaussianMap", "GaussianState", "LossTolerancePoint",
-    "MixtureAngle", "ModulationMode", "NumericalError", "PaGain",
+    "MixtureAngle", "ModulationMode", "MonitorReading", "NumericalError", "PaGain",
     "ResourceSummary", "ScenarioParseError", "SnrReport", "SplitterSpec",
     "StageSnapshot", "Topology", "TruncationError", "ValidationError",
     "apply_map", "beam_splitter", "build_circuit", "build_degenerate_sui",
@@ -84,7 +86,7 @@ __all__ = [
     "displace", "displacement_map", "dsui_output_noise", "dsui_snr",
     "enhancement_and_resources", "evaluate_circuit", "identity_map",
     "loss_channel", "loss_tolerance_scan", "mixture_angles", "monitor_stats",
-    "output_noise", "phase_shifter", "probe_photon_number",
+    "operating_point", "output_noise", "phase_shifter", "probe_photon_number",
     "quadrature_stats", "signal_slope", "simulate_fock",
     "single_mode_squeezer", "snr_numeric", "split_snr", "stage_snapshots",
     "su2_snr", "sui_output_noise", "sui_snr_amplitude", "sui_snr_optimum",

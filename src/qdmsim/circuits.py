@@ -22,6 +22,10 @@ mode the modulators become a pure mean-field displacement, first order in
 topologies the displacement uses the dark-port coupling sqrt(R) of the
 T ~ 1 limit, which is the regime the closed-form results describe.
 
+Slopes: evaluation carries d mean/d(delta, eps) forward with the state,
+seeded by the op that carries the modulation (``CircuitOp.carrier``), so
+one evaluation gives every monitor's mean, variance and exact slopes.
+
 Sign note: with the sign conventions above, the Mach-Zehnder dark-port
 mean under phase modulation is <Y> = -2 alpha delta sqrt(TR).  Published
 treatments usually quote the magnitude 2 alpha delta sqrt(TR); only the
@@ -33,8 +37,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,11 +59,14 @@ from .gaussian import (
     apply_map,
     displacement_map,
     quadrature_stats,
-    vacuum_state,
 )
 
 #: Small-modulation guard for the linearized treatment.
 LINEAR_MOD_LIMIT = 0.1
+#: ``CircuitOp.carrier`` of a physical modulator: it acts on the mode's own mean.
+OWN_FIELD = "own_field"
+#: Multiplication by i in quadrature space (the rotation generator).
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 class Topology(str, Enum):
@@ -128,11 +136,18 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class CircuitOp:
-    """One placed element: kind, target modes and scalar parameters."""
+    """One placed element: kind, target modes and scalar parameters.
+
+    ``carrier`` marks the op that applies the modulation e^{i delta - eps}
+    and names the field it multiplies: :data:`OWN_FIELD` for a physical
+    modulator, the constant arm amplitude for a linearized displacement,
+    ``None`` for every other op.
+    """
 
     kind: str
     modes: tuple[int, ...]
     params: tuple[float, ...]
+    carrier: complex | str | None = None
 
 
 @dataclass(frozen=True)
@@ -178,28 +193,64 @@ def _op_to_map(op: CircuitOp) -> GaussianMap:
     raise ValidationError(f"unknown circuit op kind {op.kind!r}")
 
 
+def _tangent_source(op: CircuitOp, gmap: GaussianMap, state: GaussianState) -> np.ndarray | None:
+    """d(output mean)/d(delta, eps) that ``op`` itself adds on its mode.
+
+    The modulation multiplies a field v by e^{i delta - eps}, whose
+    derivatives at zero are i v and -v, in quadratures J v and -v.  For a
+    physical modulator v is the mode's mean after the op: the derivatives
+    of the rotation and of the e^{-2 eps} loss at eps -> 0+.
+    """
+    if op.carrier is None:
+        return None
+    if op.carrier == OWN_FIELD:
+        sl = slice(2 * op.modes[0], 2 * op.modes[0] + 2)
+        field = gmap.linear @ state.mean[sl] + gmap.displacement
+    else:
+        field = np.array([2.0 * op.carrier.real, 2.0 * op.carrier.imag])
+    return np.column_stack((_J @ field, -field))
+
+
 def evaluate_circuit(circuit: CompiledCircuit, upto: int | None = None) -> GaussianState:
     """Run the compiled circuit on vacuum inputs; optionally only the first
-    ``upto`` ops (used for stage snapshots)."""
-    state = vacuum_state(circuit.n_modes)
+    ``upto`` ops (used for stage snapshots).  The state's tangent holds
+    d mean/d(delta, eps) at the circuit's modulation depths."""
+    dim = 2 * circuit.n_modes
+    state = GaussianState(np.zeros(dim), np.eye(dim), np.zeros((dim, 2)))
     ops = circuit.ops if upto is None else circuit.ops[:upto]
     for op in ops:
-        state = apply_map(state, _op_to_map(op), op.modes)
+        gmap = _op_to_map(op)
+        state = apply_map(state, gmap, op.modes, _tangent_source(op, gmap, state))
     return state
 
 
-def monitor_stats(circuit: CompiledCircuit) -> dict[str, tuple[float, float]]:
-    """(mean, variance) of every monitored quadrature."""
+class MonitorReading(NamedTuple):
+    """A monitored quadrature at the evaluated operating point: mean,
+    variance and the slopes of the mean in delta and epsilon."""
+
+    mean: float
+    var: float
+    slope_delta: float
+    slope_epsilon: float
+
+
+def monitor_stats(circuit: CompiledCircuit) -> dict[str, MonitorReading]:
+    """Every monitored quadrature, read from one evaluation."""
     state = evaluate_circuit(circuit)
-    return {
-        mon.label: quadrature_stats(state, mon.mode, mon.angle)
-        for mon in circuit.monitors
-    }
+    readings = {}
+    for mon in circuit.monitors:
+        mean, var = quadrature_stats(state, mon.mode, mon.angle)
+        direction = np.array([math.cos(mon.angle), math.sin(mon.angle)])
+        slope_d, slope_e = direction @ state.tangent[2 * mon.mode : 2 * mon.mode + 2]
+        readings[mon.label] = MonitorReading(mean, var, float(slope_d), float(slope_e))
+    return readings
 
 
-def _modulation_displacement(arm_mean: complex, delta: float, epsilon: float) -> complex:
-    # first order of e^{-eps} e^{i delta} acting on the arm's mean field
-    return (1j * delta - epsilon) * arm_mean
+def _modulation_op(spec: CircuitSpec, mode: int, arm_mean: complex) -> CircuitOp:
+    """Linearized modulators: the displacement (i delta - eps) arm_mean, the
+    first order of e^{i delta - eps} acting on the arm's mean field."""
+    shift = (1j * spec.delta - spec.epsilon) * arm_mean
+    return CircuitOp("displace", (mode,), (shift.real, shift.imag), arm_mean)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -221,25 +272,22 @@ def _mzi_block(
     spec: CircuitSpec,
     a_mode: int,
     b_mode: int,
-    linearized_coupling: float | None = None,
+    elide_linearized: bool = False,
 ) -> list[CircuitOp]:
     """Ops for the two-splitter Mach-Zehnder with modulators in arm B.
 
-    ``linearized_coupling`` switches to the displacement-only encoding: the
-    modulators act on the arm-B mean field ``-coupling * alpha`` and the
+    ``elide_linearized`` makes the linearized encoding displacement-only:
+    the modulators act on the arm-B mean field ``-sqrt(R) alpha`` and the
     splitters are elided (used for the amplifier topologies, where the
-    closed forms take the very unbalanced limit and the arm coupling is
-    sqrt(R)).
+    closed forms take the very unbalanced limit).
     """
-    if linearized_coupling is not None:
-        arm_mean = -linearized_coupling * spec.alpha
-        shift = _modulation_displacement(arm_mean, spec.delta, spec.epsilon)
-        return [_displace_op(b_mode, shift)]
+    if elide_linearized and spec.modulation_mode is ModulationMode.LINEARIZED:
+        return [_modulation_op(spec, b_mode, -math.sqrt(spec.splitters[0].R) * spec.alpha)]
 
     t1, t2 = spec.splitters[0], spec.splitters[1]
     ops = [CircuitOp("beam_splitter", (a_mode, b_mode), (t1.T,))]
     if spec.modulation_mode is ModulationMode.EXACT:
-        ops.append(CircuitOp("phase_shifter", (b_mode,), (spec.mzi_phi + spec.delta,)))
+        ops.append(CircuitOp("phase_shifter", (b_mode,), (spec.mzi_phi + spec.delta,), OWN_FIELD))
         if spec.epsilon != 0.0:
             ops.append(
                 CircuitOp("loss_channel", (b_mode,), (math.exp(-2.0 * spec.epsilon),))
@@ -247,8 +295,7 @@ def _mzi_block(
     else:
         ops.append(CircuitOp("phase_shifter", (b_mode,), (spec.mzi_phi,)))
         arm_mean = -math.sqrt(t1.R) * spec.alpha * cmath.exp(1j * spec.mzi_phi)
-        shift = _modulation_displacement(arm_mean, spec.delta, spec.epsilon)
-        ops.append(_displace_op(b_mode, shift))
+        ops.append(_modulation_op(spec, b_mode, arm_mean))
     # second splitter: same element with the mode roles swapped
     ops.append(CircuitOp("beam_splitter", (b_mode, a_mode), (t2.T,)))
     return ops
@@ -279,11 +326,11 @@ def build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
     t3 = spec.splitters[0]
     ops = [_displace_op(0, spec.alpha)]
     if spec.modulation_mode is ModulationMode.EXACT:
-        ops.append(CircuitOp("phase_shifter", (0,), (spec.delta,)))
+        ops.append(CircuitOp("phase_shifter", (0,), (spec.delta,), OWN_FIELD))
         if spec.epsilon != 0.0:
             ops.append(CircuitOp("loss_channel", (0,), (math.exp(-2.0 * spec.epsilon),)))
     else:
-        ops.append(_displace_op(0, _modulation_displacement(spec.alpha, spec.delta, spec.epsilon)))
+        ops.append(_modulation_op(spec, 0, spec.alpha))
     ops.append(CircuitOp("beam_splitter", (0, 1), (t3.T,)))
     monitors = (Monitor("phase", 0, math.pi / 2), Monitor("amplitude", 1, 0.0))
     ops.extend(_detection_loss_ops(spec, (0, 1)))
@@ -325,17 +372,9 @@ def build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
     _require(spec.topology is Topology.NESTED_SUI, "spec topology mismatch")
     _sui_common_checks(spec, "nested amplifier interferometer")
     g1, g2 = spec.gains
-    coupling = (
-        math.sqrt(spec.splitters[0].R)
-        if spec.modulation_mode is ModulationMode.LINEARIZED
-        else None
-    )
     ops = [_displace_op(2, spec.alpha)]
     ops.append(CircuitOp("two_mode_squeezer", (0, 1), (g1.G, g1.phase)))
-    if coupling is not None:
-        ops.extend(_mzi_block(spec, a_mode=2, b_mode=1, linearized_coupling=coupling))
-    else:
-        ops.extend(_mzi_block(spec, a_mode=2, b_mode=1))
+    ops.extend(_mzi_block(spec, a_mode=2, b_mode=1, elide_linearized=True))
     ops.append(CircuitOp("phase_shifter", (0,), (spec.phi,)))
     ops.append(CircuitOp("two_mode_squeezer", (0, 1), (g2.G, g2.phase)))
     monitors = (Monitor("phase", 0, math.pi / 2), Monitor("amplitude", 1, 0.0))
@@ -359,15 +398,7 @@ def build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
     stage_bounds = [("input", 1)]
     ops.append(CircuitOp("single_mode_squeezer", (0,), (g1.G, g1.phase)))
     stage_bounds.append(("after_first_amplifier", 2))
-    if spec.modulation_mode is ModulationMode.LINEARIZED:
-        ops.extend(
-            _mzi_block(
-                spec, a_mode=1, b_mode=0,
-                linearized_coupling=math.sqrt(spec.splitters[0].R),
-            )
-        )
-    else:
-        ops.extend(_mzi_block(spec, a_mode=1, b_mode=0))
+    ops.extend(_mzi_block(spec, a_mode=1, b_mode=0, elide_linearized=True))
     stage_bounds.append(("after_encoding", len(ops)))
     ops.append(CircuitOp("single_mode_squeezer", (0,), (g2.G, g2.phase)))
     stage_bounds.append(("output", len(ops)))
@@ -390,10 +421,6 @@ _BUILDERS = {
 
 def build_circuit(spec: CircuitSpec) -> CompiledCircuit:
     return _BUILDERS[spec.topology](spec)
-
-
-def with_modulations(spec: CircuitSpec, delta: float, epsilon: float) -> CircuitSpec:
-    return replace(spec, delta=delta, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from itertools import product
 
 from .circuits import Topology, build_circuit, stage_snapshots
@@ -23,6 +24,8 @@ from .metrology import (
     channel_report,
     dsui_output_noise,
     dsui_snr,
+    operating_point,
+    probe_photon_number,
     split_snr,
     su2_snr,
     sui_output_noise,
@@ -51,14 +54,11 @@ def _monitor_labels(spec, options: RunOptions) -> list[str]:
 
 def _analytic_counterparts(spec) -> dict:
     """Closed-form values matching the topology, for side-by-side reporting."""
-    i_ps = None
-    out: dict = {}
+    i_ps = probe_photon_number(spec)
     if spec.topology is Topology.DIRECT_HOMODYNE:
-        i_ps = abs(spec.alpha) ** 2
         snr_d, snr_e = split_snr(spec.splitters[0].T, i_ps, spec.delta, spec.epsilon)
         out = {"phase_snr": snr_d, "amplitude_snr": snr_e, "noise": 1.0}
     elif spec.topology is Topology.MZI:
-        i_ps = spec.splitters[0].R * abs(spec.alpha) ** 2
         T = spec.splitters[0].T
         snr_d = su2_snr(T, i_ps, spec.delta)
         snr_e = su2_snr(T, i_ps, spec.epsilon)
@@ -67,7 +67,6 @@ def _analytic_counterparts(spec) -> dict:
             snr_d, snr_e = snr_d * t3, snr_e * (1.0 - t3)
         out = {"phase_snr": snr_d, "amplitude_snr": snr_e, "noise": 1.0}
     elif spec.topology is Topology.NESTED_SUI:
-        i_ps = spec.splitters[0].R * abs(spec.alpha) ** 2
         g1, g2 = spec.gains
         out = {
             "phase_snr": sui_snr_phase(g1, g2, i_ps, spec.delta, spec.phi),
@@ -75,7 +74,6 @@ def _analytic_counterparts(spec) -> dict:
             "noise": sui_output_noise(g1, g2, spec.phi),
         }
     else:
-        i_ps = spec.splitters[0].R * abs(spec.alpha) ** 2
         g1, g2 = spec.gains
         snr_x, snr_y = dsui_snr(g1, i_ps, spec.delta, spec.epsilon, g2.phase)
         noise_x, noise_y = dsui_output_noise(g1, g2)
@@ -88,13 +86,6 @@ def _analytic_counterparts(spec) -> dict:
     out["i_ps"] = i_ps
     return out
 
-_SNR_KEY_BY_LABEL = {
-    "phase": "phase_snr",
-    "amplitude": "amplitude_snr",
-    "mix_minus": "mix_minus_snr",
-    "mix_plus": "mix_plus_snr",
-}
-
 
 def _relative_error(numeric: float, analytic: float) -> float:
     if analytic == 0.0:
@@ -104,37 +95,24 @@ def _relative_error(numeric: float, analytic: float) -> float:
 
 def _cmd_run(args) -> int:
     spec, options = load_scenario(args.scenario)
-    labels = _monitor_labels(spec, options)
-    reports = {label: channel_report(spec, label) for label in labels}
+    readings = operating_point(spec)
+    labels = list(readings if options.outputs is None else options.outputs)
+    reports = {label: channel_report(spec, label, readings) for label in labels}
     analytic = _analytic_counterparts(spec)
     rel = {}
     for label, rep in reports.items():
-        key = _SNR_KEY_BY_LABEL[label]
+        key = f"{label}_snr"
         if key in analytic:
             rel[key] = _relative_error(rep.snr, analytic[key])
     document = {
         "spec": spec_to_dict(spec),
         "outputs": labels,
         "seed": options.seed,
-        "reports": {
-            label: {
-                "quadrature": rep.quadrature,
-                "parameter": rep.parameter,
-                "value": rep.value,
-                "signal_slope": rep.signal_slope,
-                "signal": rep.signal,
-                "noise_var": rep.noise_var,
-                "snr": rep.snr,
-                "i_ps": rep.i_ps,
-                "enhancement": rep.enhancement,
-            }
-            for label, rep in reports.items()
-        },
+        "reports": {label: asdict(rep) for label, rep in reports.items()},
         "analytic": analytic,
         "relative_error": rel,
     }
-    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=True)
-    _write_output(args.out, text + "\n")
+    _write_json(args.out, document)
     return EXIT_OK
 
 
@@ -155,8 +133,9 @@ def _sweep_row(payload):
     for name, value in zip(axes_names, values):
         spec = apply_axis_value(spec, name, value)
     row = list(values)
+    readings = operating_point(spec)
     for label in labels:
-        rep = channel_report(spec, label)
+        rep = channel_report(spec, label, readings)
         row.extend([rep.noise_var, rep.snr, rep.enhancement])
     return row
 
@@ -183,7 +162,7 @@ def _cmd_sweep(args) -> int:
     fmt = args.format or options.fmt or "csv"
     if fmt == "json":
         records = [dict(zip(header, row)) for row in rows]
-        _write_output(args.out, json.dumps(records, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, records)
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -207,7 +186,7 @@ def _cmd_export_states(args) -> int:
         }
         for snap in snapshots
     ]
-    _write_output(args.out, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, document)
     return EXIT_OK
 
 
@@ -233,6 +212,21 @@ def _cmd_validate(args) -> int:
             f"engines deviate by {report.max_abs_deviation:.3e} > {report.tolerance:.1e}"
         )
     return EXIT_OK
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float, nested or not, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _write_json(path, document) -> None:
+    """Write strict JSON: NaN and infinities become null, never bare tokens."""
+    text = json.dumps(_finite_or_null(document), indent=2, sort_keys=True, allow_nan=False)
+    _write_output(path, text + "\n")
 
 
 def _write_output(path, text: str) -> None:

@@ -8,14 +8,14 @@ for splitters, photon difference for non-degenerate amplifiers), which is
 exact and keeps the work per block tiny.  Loss couples the mode to a fresh
 vacuum ancilla through a beam splitter; the ancilla is simply kept in the
 (pure) joint state, so tracing out happens implicitly when monitored-mode
-moments are evaluated.
+moments are evaluated.  A run keeps the unitaries it builds (41 MB each for
+two modes at cutoff 40) for its own repeated elements only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,19 +76,16 @@ def _expm_blocked(generator: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return unitary
 
 
-@lru_cache(maxsize=64)
 def _displacement_unitary(re: float, im: float, d: int) -> np.ndarray:
     a = _destroy(d)
     alpha = complex(re, im)
     return _expm_antihermitian(alpha * a.conj().T - alpha.conjugate() * a)
 
 
-@lru_cache(maxsize=64)
 def _phase_unitary(phi: float, d: int) -> np.ndarray:
     return np.diag(np.exp(1j * phi * np.arange(d)))
 
 
-@lru_cache(maxsize=64)
 def _bs_unitary(T: float, d: int) -> np.ndarray:
     a = _destroy(d)
     eye = np.eye(d)
@@ -101,7 +98,6 @@ def _bs_unitary(T: float, d: int) -> np.ndarray:
     return _expm_blocked(generator, labels)
 
 
-@lru_cache(maxsize=64)
 def _tms_unitary(G: float, pump_phase: float, d: int) -> np.ndarray:
     a = _destroy(d)
     eye = np.eye(d)
@@ -117,7 +113,6 @@ def _tms_unitary(G: float, pump_phase: float, d: int) -> np.ndarray:
     return _expm_blocked(generator, labels)
 
 
-@lru_cache(maxsize=64)
 def _sms_unitary(G: float, theta: float, d: int) -> np.ndarray:
     a = _destroy(d)
     r = math.acosh(G)
@@ -126,6 +121,18 @@ def _sms_unitary(G: float, theta: float, d: int) -> np.ndarray:
     generator = (r / 2.0) * (phase * adag2 - np.conj(phase) * a @ a)
     labels = np.arange(d) % 2  # parity conserved
     return _expm_blocked(generator, labels)
+
+
+#: Unitary builder per op kind, called as builder(*op.params, cutoff).  Loss
+#: is a beam splitter onto a vacuum ancilla.
+_UNITARIES = {
+    "displace": _displacement_unitary,
+    "phase_shifter": _phase_unitary,
+    "beam_splitter": _bs_unitary,
+    "loss_channel": _bs_unitary,
+    "two_mode_squeezer": _tms_unitary,
+    "single_mode_squeezer": _sms_unitary,
+}
 
 
 def _apply_unitary(psi: np.ndarray, unitary: np.ndarray, modes: tuple[int, ...], d: int):
@@ -182,6 +189,7 @@ class _FockRun:
         psi = np.zeros((self.d,) * circuit.n_modes, dtype=complex)
         psi[(0,) * circuit.n_modes] = 1.0
         self.psi = psi
+        self._unitaries: dict[tuple, np.ndarray] = {}
 
     def _check_state(self) -> None:
         norm = float(np.vdot(self.psi, self.psi).real)
@@ -199,30 +207,19 @@ class _FockRun:
 
     def _apply_op(self, op) -> None:
         d = self.d
-        if op.kind == "displace":
-            unitary = _displacement_unitary(op.params[0], op.params[1], d)
-            self.psi = _apply_unitary(self.psi, unitary, op.modes, d)
-        elif op.kind == "phase_shifter":
-            unitary = _phase_unitary(op.params[0], d)
-            self.psi = _apply_unitary(self.psi, unitary, op.modes, d)
-        elif op.kind == "beam_splitter":
-            unitary = _bs_unitary(op.params[0], d)
-            self.psi = _apply_unitary(self.psi, unitary, op.modes, d)
-        elif op.kind == "two_mode_squeezer":
-            unitary = _tms_unitary(op.params[0], op.params[1], d)
-            self.psi = _apply_unitary(self.psi, unitary, op.modes, d)
-        elif op.kind == "single_mode_squeezer":
-            unitary = _sms_unitary(op.params[0], op.params[1], d)
-            self.psi = _apply_unitary(self.psi, unitary, op.modes, d)
-        elif op.kind == "loss_channel":
+        builder = _UNITARIES.get(op.kind)
+        if builder is None:
+            raise ValidationError(f"oracle cannot execute op kind {op.kind!r}")
+        key = (builder, op.params)
+        if key not in self._unitaries:
+            self._unitaries[key] = builder(*op.params, d)
+        modes = op.modes
+        if op.kind == "loss_channel":
             extended = np.zeros(self.psi.shape + (d,), dtype=complex)
             extended[..., 0] = self.psi
             self.psi = extended
-            ancilla = self.psi.ndim - 1
-            unitary = _bs_unitary(op.params[0], d)
-            self.psi = _apply_unitary(self.psi, unitary, (op.modes[0], ancilla), d)
-        else:
-            raise ValidationError(f"oracle cannot execute op kind {op.kind!r}")
+            modes = (op.modes[0], self.psi.ndim - 1)
+        self.psi = _apply_unitary(self.psi, self._unitaries[key], modes, d)
 
     def run(self) -> dict[str, tuple[float, float]]:
         for op in self.circuit.ops:
@@ -238,17 +235,20 @@ class _FockRun:
         return results
 
 
+def _as_circuit(circuit_or_spec) -> CompiledCircuit:
+    """Specs must use exact modulation; the linearized displacement
+    encoding is a Gaussian-engine construct."""
+    if not isinstance(circuit_or_spec, CircuitSpec):
+        return circuit_or_spec
+    if circuit_or_spec.modulation_mode is not ModulationMode.EXACT:
+        raise ValidationError("the oracle validates exact-modulation circuits only")
+    return build_circuit(circuit_or_spec)
+
+
 def simulate_fock(circuit_or_spec, config: FockConfig) -> dict[str, tuple[float, float]]:
     """Evolve the circuit in truncated Fock space and return (mean, variance)
-    per monitored quadrature.  Specs must use exact modulation; the
-    linearized displacement encoding is a Gaussian-engine construct."""
-    if isinstance(circuit_or_spec, CircuitSpec):
-        if circuit_or_spec.modulation_mode is not ModulationMode.EXACT:
-            raise ValidationError("the oracle validates exact-modulation circuits only")
-        circuit = build_circuit(circuit_or_spec)
-    else:
-        circuit = circuit_or_spec
-    return _FockRun(circuit, config).run()
+    per monitored quadrature."""
+    return _FockRun(_as_circuit(circuit_or_spec), config).run()
 
 
 @dataclass(frozen=True)
@@ -280,12 +280,7 @@ def compare_with_gaussian(
 ) -> ComparisonReport:
     """Run both engines on the same circuit and report the worst absolute
     deviation over all monitored means and variances."""
-    if isinstance(circuit_or_spec, CircuitSpec):
-        if circuit_or_spec.modulation_mode is not ModulationMode.EXACT:
-            raise ValidationError("the oracle validates exact-modulation circuits only")
-        circuit = build_circuit(circuit_or_spec)
-    else:
-        circuit = circuit_or_spec
+    circuit = _as_circuit(circuit_or_spec)
     gaussian = monitor_stats(circuit)
     fock = _FockRun(circuit, config).run()
     rows = tuple(

@@ -7,6 +7,8 @@ are interleaved per mode as (X1, Y1, X2, Y2, ...), which keeps each mode's
 2x2 covariance block contiguous.
 
 States and maps are immutable values; every operation returns a new state.
+A state may carry a tangent d mean/d(parameters), which :func:`apply_map`
+carries forward with it (forward-mode differentiation).
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ class GaussianState:
 
     Construction validates the covariance symmetry and the uncertainty
     relation; an uncertainty violation raises :class:`ConsistencyError`
-    because only a buggy map construction can produce one.
+    because only a buggy map construction can produce one.  ``tangent``,
+    when present, is d mean/d(parameters), shaped (2n, parameters).
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    tangent: np.ndarray | None = None
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -74,6 +78,13 @@ class GaussianState:
             raise ConsistencyError(
                 f"uncertainty relation violated: min eig of cov + i*Omega is {eig_min:.3e}"
             )
+        if self.tangent is not None:
+            tangent = np.asarray(self.tangent, dtype=float)
+            if tangent.ndim != 2 or tangent.shape[0] != mean.size:
+                raise ValidationError(
+                    f"tangent shape {tangent.shape} does not match mean length {mean.size}"
+                )
+            object.__setattr__(self, "tangent", _as_locked_array(tangent))
         object.__setattr__(self, "mean", _as_locked_array(mean))
         object.__setattr__(self, "cov", _as_locked_array(cov))
 
@@ -190,15 +201,22 @@ def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
     mean = state.mean.copy()
     mean[2 * mode] += 2.0 * complex(alpha).real
     mean[2 * mode + 1] += 2.0 * complex(alpha).imag
-    return GaussianState(mean, state.cov)
+    return GaussianState(mean, state.cov, state.tangent)
 
 
-def apply_map(state: GaussianState, gmap: GaussianMap, modes: Sequence[int]) -> GaussianState:
+def apply_map(
+    state: GaussianState,
+    gmap: GaussianMap,
+    modes: Sequence[int],
+    source: np.ndarray | None = None,
+) -> GaussianState:
     """Apply ``gmap`` to the selected modes, leaving the others untouched.
 
     The map's k-th input/output mode is wired to global mode ``modes[k]``,
     so mode order in ``modes`` carries the same meaning as the map's own
-    mode order.
+    mode order.  A state's tangent is mapped by the linear part; for such a
+    state, ``source`` (2 len(modes) x parameters) is the derivative the
+    element itself adds to the selected modes' output mean.
     """
     modes = tuple(int(m) for m in modes)
     if len(set(modes)) != len(modes):
@@ -221,7 +239,10 @@ def apply_map(state: GaussianState, gmap: GaussianMap, modes: Sequence[int]) -> 
     cov = big_linear @ state.cov @ big_linear.T + big_noise
     # the product is symmetric analytically; enforce it against rounding
     cov = (cov + cov.T) / 2.0
-    return GaussianState(mean, cov)
+    tangent = None if state.tangent is None else big_linear @ state.tangent
+    if source is not None:
+        tangent[idx] += source
+    return GaussianState(mean, cov, tangent)
 
 
 def quadrature_stats(state: GaussianState, mode: int, angle: float) -> tuple[float, float]:

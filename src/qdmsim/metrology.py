@@ -1,11 +1,16 @@
 """Signal, noise, SNR and resource accounting for compiled circuits.
 
-Numeric quantities are measured on the compiled circuit: slopes by
-differentiating the monitored quadrature mean with respect to a modulation
-depth at the operating point, noise as the quadrature variance with
-modulations off.  The closed forms the measurements are checked against
-live in the ``*_snr`` / ``*_noise`` functions below and are evaluated
-exactly as printed, so the two routes stay independent.
+Numeric quantities are measured on the compiled circuit in one pass per
+operating point: the circuit is evaluated once at zero modulation, and the
+evaluation carries the derivative of the mean with respect to (delta,
+epsilon) forward with the state (forward-mode differentiation).  A
+monitor's noise is its quadrature variance there and its signal slope the
+exact derivative of its mean; in EXACT mode the epsilon slope is the
+one-sided derivative at epsilon -> 0+, since negative epsilon would be
+gain, not loss.  Every report of one operating point reads that same pass.
+The closed forms the measurements are checked against live in the
+``*_snr`` / ``*_noise`` functions below and are evaluated exactly as
+printed, so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -15,22 +20,15 @@ import math
 from dataclasses import dataclass, replace
 
 from .circuits import (
+    LINEAR_MOD_LIMIT,
     CircuitSpec,
-    ModulationMode,
+    MonitorReading,
     Topology,
     build_circuit,
     monitor_stats,
-    with_modulations,
 )
 from .elements import PaGain
 from .exceptions import NumericalError, ValidationError
-
-#: Relative agreement required between successive difference estimates.
-SLOPE_AGREEMENT_RTOL = 1e-7
-#: Default central-difference half width for exact-mode slopes.
-DEFAULT_SLOPE_STEP = 1e-5
-
-_PARAMETERS = ("delta", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -79,79 +77,36 @@ def probe_photon_number(spec: CircuitSpec) -> float:
     return spec.splitters[0].R * abs(spec.alpha) ** 2
 
 
-def _monitor_mean(spec: CircuitSpec, output: str) -> float:
-    circuit = build_circuit(spec)
-    mon = circuit.monitor(output)
-    return monitor_stats(circuit)[mon.label][0]
+def operating_point(spec: CircuitSpec) -> dict[str, MonitorReading]:
+    """Every monitor of ``spec`` read from one evaluation at zero
+    modulation: noise variance and exact slopes in delta and epsilon."""
+    return monitor_stats(build_circuit(replace(spec, delta=0.0, epsilon=0.0)))
 
 
-def _central_slope(spec: CircuitSpec, parameter: str, output: str, h: float) -> float:
-    up = _monitor_mean(_spec_at(spec, parameter, h), output)
-    down = _monitor_mean(_spec_at(spec, parameter, -h), output)
-    return (up - down) / (2.0 * h)
+def _reading(readings: dict[str, MonitorReading], output: str) -> MonitorReading:
+    try:
+        return readings[output]
+    except KeyError:
+        known = ", ".join(readings)
+        raise ValidationError(f"unknown output {output!r}; circuit monitors: {known}") from None
 
 
-def _forward_slope(spec: CircuitSpec, parameter: str, output: str, h: float) -> float:
-    base = _monitor_mean(_spec_at(spec, parameter, 0.0), output)
-    up = _monitor_mean(_spec_at(spec, parameter, h), output)
-    return (up - base) / h
+def _slope(reading: MonitorReading, parameter: str) -> float:
+    if parameter not in ("delta", "epsilon"):
+        raise ValidationError(f"parameter must be one of ('delta', 'epsilon'), got {parameter!r}")
+    return getattr(reading, f"slope_{parameter}")
 
 
-def _spec_at(spec: CircuitSpec, parameter: str, value: float) -> CircuitSpec:
-    if parameter == "delta":
-        return with_modulations(spec, delta=value, epsilon=0.0)
-    return with_modulations(spec, delta=0.0, epsilon=value)
-
-
-def signal_slope(
-    spec: CircuitSpec, parameter: str, output: str, step: float = DEFAULT_SLOPE_STEP
-) -> float:
-    """d<quadrature>/d(parameter) at zero modulation.
-
-    Linearized circuits are linear in the modulations by construction, so a
-    single central difference is exact there.  Exact-mode circuits use a
-    Richardson-refined difference: central for delta, one-sided for epsilon
-    (negative epsilon would be amplification, not loss).
-    """
-    if parameter not in _PARAMETERS:
-        raise ValidationError(f"parameter must be one of {_PARAMETERS}, got {parameter!r}")
-    if step <= 0.0:
-        raise ValidationError(f"step must be positive, got {step}")
-    if spec.modulation_mode is ModulationMode.LINEARIZED:
-        # exact for a linear response; the wide step only helps conditioning
-        slope = _central_slope(spec, parameter, output, 0.01)
-        if not math.isfinite(slope):
-            raise NumericalError(f"non-finite slope for {parameter} on {output}")
-        return slope
-
-    if parameter == "delta":
-        estimates = [_central_slope(spec, parameter, output, step / 2**k) for k in range(3)]
-        first = (4.0 * estimates[1] - estimates[0]) / 3.0
-        second = (4.0 * estimates[2] - estimates[1]) / 3.0
-    else:
-        estimates = [_forward_slope(spec, parameter, output, step / 2**k) for k in range(3)]
-        first = 2.0 * estimates[1] - estimates[0]
-        second = 2.0 * estimates[2] - estimates[1]
-    if not math.isfinite(second):
-        raise NumericalError(f"non-finite slope for {parameter} on {output}")
-    # rounding on the differenced means grows like eps * (field scale) / step
-    field_scale = max(abs(_monitor_mean(_spec_at(spec, parameter, step), output)),
-                      2.0 * abs(spec.alpha), 1.0)
-    rounding_floor = 64.0 * 2.3e-16 * field_scale / step
-    if abs(second - first) > max(SLOPE_AGREEMENT_RTOL * abs(second), rounding_floor):
-        raise NumericalError(
-            f"refined difference estimates for {parameter} on {output} disagree: "
-            f"{first!r} vs {second!r}"
-        )
-    return second
+def signal_slope(spec: CircuitSpec, parameter: str, output: str) -> float:
+    """d<quadrature>/d(parameter) at zero modulation; for epsilon in EXACT
+    mode the one-sided derivative at epsilon -> 0+."""
+    return _slope(_reading(operating_point(spec), output), parameter)
 
 
 def output_noise(spec: CircuitSpec, output: str) -> float:
     """Variance of the monitored quadrature at the operating point
     (modulations off)."""
-    circuit = build_circuit(with_modulations(spec, 0.0, 0.0))
-    mon = circuit.monitor(output)
-    return monitor_stats(circuit)[mon.label][1]
+    return _reading(operating_point(spec), output).var
 
 
 def _classical_bound(i_ps: float, noise_var: float, slope: float) -> float:
@@ -161,53 +116,11 @@ def _classical_bound(i_ps: float, noise_var: float, slope: float) -> float:
     return slope * slope / (4.0 * i_ps * noise_var)
 
 
-def snr_numeric(spec: CircuitSpec, parameter: str, output: str, value: float) -> SnrReport:
-    """Combine measured slope and noise into an SNR report for one channel."""
-    if abs(value) >= 0.1:
-        raise ValidationError(f"modulation value {value} outside the linear regime guard")
-    slope = signal_slope(spec, parameter, output)
-    noise = output_noise(spec, output)
-    signal = slope * value
-    return SnrReport(
-        quadrature=output,
-        parameter=parameter,
-        value=value,
-        signal_slope=slope,
-        signal=signal,
-        noise_var=noise,
-        snr=signal * signal / noise,
-        i_ps=probe_photon_number(spec),
-        enhancement=_classical_bound(probe_photon_number(spec), noise, slope),
-    )
-
-
-def channel_report(spec: CircuitSpec, output: str) -> SnrReport:
-    """SNR report for a monitor's canonical channel.
-
-    ``phase`` reads delta and ``amplitude`` reads epsilon.  The degenerate
-    topology's two outputs read the mixtures gamma_minus / gamma_plus; their
-    response per unit mixture is recovered by projecting the measured delta
-    and epsilon slopes onto the mixture direction.
-    """
-    if output in ("phase", "amplitude"):
-        parameter = "delta" if output == "phase" else "epsilon"
-        value = spec.delta if output == "phase" else spec.epsilon
-        return snr_numeric(spec, parameter, output, value)
-    if output not in ("mix_minus", "mix_plus"):
-        raise ValidationError(f"no canonical channel for output {output!r}")
-
-    theta2 = spec.gains[1].phase
-    half = theta2 / 2.0
-    slope_d = signal_slope(spec, "delta", output)
-    slope_e = signal_slope(spec, "epsilon", output)
-    mix = mixture_angles(theta2, spec.delta, spec.epsilon)
-    if output == "mix_minus":
-        slope = slope_d * math.sin(half) - slope_e * math.cos(half)
-        parameter, value = "gamma_minus", mix.gamma_minus
-    else:
-        slope = slope_d * math.cos(half) + slope_e * math.sin(half)
-        parameter, value = "gamma_plus", mix.gamma_plus
-    noise = output_noise(spec, output)
+def _report(
+    spec: CircuitSpec, output: str, parameter: str, value: float, slope: float, noise: float
+) -> SnrReport:
+    if not math.isfinite(slope):
+        raise NumericalError(f"non-finite slope for {parameter} on {output}")
     signal = slope * value
     i_ps = probe_photon_number(spec)
     return SnrReport(
@@ -221,6 +134,49 @@ def channel_report(spec: CircuitSpec, output: str) -> SnrReport:
         i_ps=i_ps,
         enhancement=_classical_bound(i_ps, noise, slope),
     )
+
+
+def snr_numeric(
+    spec: CircuitSpec, parameter: str, output: str, value: float,
+    readings: dict[str, MonitorReading] | None = None,
+) -> SnrReport:
+    """Combine measured slope and noise into an SNR report for one channel;
+    ``readings`` as for :func:`channel_report`."""
+    if abs(value) >= LINEAR_MOD_LIMIT:
+        raise ValidationError(f"modulation value {value} outside the linear regime guard")
+    reading = _reading(operating_point(spec) if readings is None else readings, output)
+    return _report(spec, output, parameter, value, _slope(reading, parameter), reading.var)
+
+
+def channel_report(
+    spec: CircuitSpec, output: str, readings: dict[str, MonitorReading] | None = None
+) -> SnrReport:
+    """SNR report for a monitor's canonical channel.
+
+    ``phase`` reads delta and ``amplitude`` reads epsilon.  The degenerate
+    topology's two outputs read the mixtures gamma_minus / gamma_plus; their
+    response per unit mixture is the projection of the delta and epsilon
+    slopes onto the mixture direction.  ``readings`` is the spec's
+    :func:`operating_point`, evaluated here when not given, so that the
+    reports of one operating point can share one evaluation.
+    """
+    if output not in ("phase", "amplitude", "mix_minus", "mix_plus"):
+        raise ValidationError(f"no canonical channel for output {output!r}")
+    if readings is None:
+        readings = operating_point(spec)
+    if output == "phase":
+        return snr_numeric(spec, "delta", output, spec.delta, readings)
+    if output == "amplitude":
+        return snr_numeric(spec, "epsilon", output, spec.epsilon, readings)
+
+    reading = _reading(readings, output)
+    theta2 = spec.gains[1].phase
+    # the mixture of the slopes is the response per unit mixture
+    slopes = mixture_angles(theta2, reading.slope_delta, reading.slope_epsilon)
+    mix = mixture_angles(theta2, spec.delta, spec.epsilon)
+    parameter = "gamma_minus" if output == "mix_minus" else "gamma_plus"
+    slope, value = getattr(slopes, parameter), getattr(mix, parameter)
+    return _report(spec, output, parameter, value, slope, reading.var)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,46 @@ def test_run_is_deterministic(tmp_path):
     main(["run", path, "--out", str(out1)])
     main(["run", path, "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_run_writes_strict_json(tmp_path, capsys):
+    # T1 = 1 sends no light through the modulators: i_ps = 0 and the
+    # enhancement is undefined, written as null rather than a bare NaN
+    path = write(tmp_path, "mzi.json", mzi_payload(splitters=[1.0, 1.0]))
+    assert main(["run", path]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report["reports"]["phase"]["i_ps"] == 0.0
+    assert report["reports"]["phase"]["enhancement"] is None
+    assert report["reports"]["amplitude"]["enhancement"] is None
+
+
+def _count_evaluations(monkeypatch):
+    from qdmsim import circuits
+
+    calls = []
+    original = circuits.evaluate_circuit
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "evaluate_circuit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("payload", [mzi_payload(), dsui_payload(modulation_mode="EXACT")])
+def test_one_evaluation_per_operating_point(tmp_path, capsys, monkeypatch, payload):
+    path = write(tmp_path, "scenario.json", payload)
+    calls = _count_evaluations(monkeypatch)
+    assert main(["run", path]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["sweep", path, "--axis", "delta=0:0.002:5", "--axis", "epsilon=0:0.002:3"]) == 0
+    assert len(calls) == 15
 
 
 def test_invalid_transmissivity_exits_3(tmp_path, capsys):
@@ -227,10 +268,14 @@ def test_scenario_spec_round_trip(tmp_path):
 
 
 def test_console_script_runs():
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(q.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "qdmsim.cli", "run", str(SCENARIOS / "mzi_basic.json")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["spec"]["topology"] == "MZI"

@@ -181,3 +181,47 @@ def test_generators_are_block_diagonal_over_labels():
     for generator, labels in ((bs_generator, bs_labels), (tms_generator, tms_labels)):
         off = generator[labels[:, None] != labels[None, :]]
         assert np.max(np.abs(off)) == 0.0
+
+
+def test_no_unitary_outlives_its_run(monkeypatch):
+    import gc
+    import weakref
+
+    from qdmsim import fock
+
+    built = []
+
+    def recording(builder):
+        def build(*args):
+            unitary = builder(*args)
+            built.append(weakref.ref(unitary))
+            return unitary
+
+        return build
+
+    for kind, builder in list(fock._UNITARIES.items()):
+        monkeypatch.setitem(fock._UNITARIES, kind, recording(builder))
+    for T, delta in ((0.9, 0.01), (0.8, 0.02)):  # fresh parameters per call
+        spec = mzi_spec(T=T, alpha=1.0, delta=delta, modulation_mode=q.ModulationMode.EXACT)
+        assert q.compare_with_gaussian(spec, q.FockConfig(cutoff=20, modes=2)).passed
+    gc.collect()
+    assert built
+    assert all(ref() is None for ref in built)
+    assert not any(hasattr(value, "cache_info") for value in vars(fock).values())
+
+
+def test_identical_elements_share_one_unitary_within_a_run(monkeypatch):
+    from qdmsim import fock
+
+    builds = []
+    original = fock._UNITARIES["beam_splitter"]
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setitem(fock._UNITARIES, "beam_splitter", counting)
+    # identical T1/T2 splitters: two beam-splitter ops, one unitary
+    spec = mzi_spec(T=0.9, alpha=1.0, delta=0.01, modulation_mode=q.ModulationMode.EXACT)
+    q.simulate_fock(spec, q.FockConfig(cutoff=20, modes=2))
+    assert builds == [(0.9, 20)]

@@ -87,6 +87,28 @@ def test_apply_map_repeated_modes_rejected():
         q.apply_map(q.vacuum_state(2), q.beam_splitter(q.SplitterSpec(0.5)), (1, 1))
 
 
+def test_tangent_follows_the_linear_part_plus_source():
+    rng = np.random.default_rng(3)
+    base = random_state(rng, 2)
+    tangent = rng.normal(size=(4, 2))
+    state = q.GaussianState(base.mean, base.cov, tangent)
+    gmap = q.two_mode_squeezer(q.PaGain(1.5, 0.4))
+    source = rng.normal(size=(2, 2))
+    out = q.apply_map(state, q.phase_shifter(0.3), (1,), source)
+    want = tangent.copy()
+    want[2:4] = q.phase_shifter(0.3).linear @ tangent[2:4] + source
+    assert np.allclose(out.tangent, want, atol=1e-14)
+    out = q.apply_map(state, gmap, (1, 0))
+    order = [2, 3, 0, 1]
+    assert np.allclose(out.tangent[order], gmap.linear @ tangent[order], atol=1e-13)
+    assert q.apply_map(base, gmap, (0, 1)).tangent is None
+
+
+def test_tangent_shape_must_match_mean():
+    with pytest.raises(q.ValidationError):
+        q.GaussianState(np.zeros(2), np.eye(2), np.zeros((4, 2)))
+
+
 def test_uncertainty_violation_is_internal_error():
     with pytest.raises(q.ConsistencyError):
         q.GaussianState(np.zeros(2), 0.5 * np.eye(2))

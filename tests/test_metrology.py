@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qdmsim as q
-from test_circuits import dsui_spec, mzi_spec, nested_spec
+from test_circuits import direct_spec, dsui_spec, mzi_spec, nested_spec
 
 
 # ---------------------------------------------------------------------------
@@ -49,11 +49,63 @@ def test_exact_mode_epsilon_slope_one_sided():
     assert slope == pytest.approx(2 * 100.0 * math.sqrt(0.99 * 0.01), rel=1e-7)
 
 
+def finite_difference_slopes(spec, h):
+    """Test-side slopes of every monitor mean at zero modulation: central
+    difference in delta, one-sided Richardson difference in epsilon (EXACT
+    mode models epsilon as loss, so it cannot go negative)."""
+
+    def means(delta, epsilon):
+        circuit = q.build_circuit(replace(spec, delta=delta, epsilon=epsilon))
+        return {label: reading.mean for label, reading in q.monitor_stats(circuit).items()}
+
+    base, up, down = means(0.0, 0.0), means(h, 0.0), means(-h, 0.0)
+    half, full = means(0.0, h / 2), means(0.0, h)
+    return {
+        label: (
+            (up[label] - down[label]) / (2 * h),
+            2 * (half[label] - base[label]) / (h / 2) - (full[label] - base[label]) / h,
+        )
+        for label in base
+    }
+
+
+TANGENT_CASES = {
+    "direct": lambda **kw: direct_spec(T3=0.3, alpha=complex(40.0, 7.0), **kw),
+    "mzi": lambda **kw: mzi_spec(T=0.9, alpha=300.0, mzi_phi=0.3, **kw),
+    "mzi split lossy": lambda **kw: q.CircuitSpec(
+        q.Topology.MZI, alpha=200.0, detection_loss=0.7,
+        splitters=(q.SplitterSpec(0.95), q.SplitterSpec(0.8), q.SplitterSpec(0.4)), **kw,
+    ),
+    "nested": lambda **kw: nested_spec(G1=1.4, G2=2.5, phi=2.0, R=0.01, alpha=100.0, **kw),
+    "degenerate": lambda **kw: dsui_spec(
+        G1=1.3, G2=3.0, theta1=1.0 + math.pi, theta2=1.0, R=0.01, alpha=100.0, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TANGENT_CASES))
+@pytest.mark.parametrize(
+    "mode, h, rtol",
+    [(q.ModulationMode.EXACT, 1e-4, 1e-6), (q.ModulationMode.LINEARIZED, 1e-2, 1e-9)],
+)
+def test_tangent_slopes_match_finite_differences(case, mode, h, rtol):
+    spec = TANGENT_CASES[case](modulation_mode=mode)
+    readings = q.operating_point(spec)
+    oracle = finite_difference_slopes(spec, h)
+    assert set(readings) == set(oracle)
+    # cross slopes can vanish, so errors are relative to the circuit's scale
+    scale = max(abs(s) for slopes in oracle.values() for s in slopes)
+    assert scale > 0.0
+    for label, (fd_delta, fd_epsilon) in oracle.items():
+        assert abs(readings[label].slope_delta - fd_delta) <= rtol * scale
+        assert abs(readings[label].slope_epsilon - fd_epsilon) <= rtol * scale
+        assert q.signal_slope(spec, "delta", label) == readings[label].slope_delta
+        assert q.signal_slope(spec, "epsilon", label) == readings[label].slope_epsilon
+
+
 def test_slope_rejects_bad_parameter():
     with pytest.raises(q.ValidationError):
         q.signal_slope(mzi_spec(), "phi", "phase")
-    with pytest.raises(q.ValidationError):
-        q.signal_slope(mzi_spec(), "delta", "phase", step=0.0)
 
 
 # ---------------------------------------------------------------------------
