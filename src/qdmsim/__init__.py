@@ -44,6 +44,7 @@ from .circuits import (
     build_nested_sui,
     evaluate_circuit,
     monitor_stats,
+    stack_circuits,
     stage_snapshots,
 )
 from .metrology import (
@@ -59,6 +60,7 @@ from .metrology import (
     loss_tolerance_scan,
     mixture_angles,
     operating_point,
+    operating_points,
     output_noise,
     probe_photon_number,
     signal_slope,
@@ -86,9 +88,9 @@ __all__ = [
     "displace", "displacement_map", "dsui_output_noise", "dsui_snr",
     "enhancement_and_resources", "evaluate_circuit", "identity_map",
     "loss_channel", "loss_tolerance_scan", "mixture_angles", "monitor_stats",
-    "operating_point", "output_noise", "phase_shifter", "probe_photon_number",
-    "quadrature_stats", "signal_slope", "simulate_fock",
-    "single_mode_squeezer", "snr_numeric", "split_snr", "stage_snapshots",
-    "su2_snr", "sui_output_noise", "sui_snr_amplitude", "sui_snr_optimum",
+    "operating_point", "operating_points", "output_noise", "phase_shifter",
+    "probe_photon_number", "quadrature_stats", "signal_slope", "simulate_fock",
+    "single_mode_squeezer", "snr_numeric", "split_snr", "stack_circuits",
+    "stage_snapshots", "su2_snr", "sui_output_noise", "sui_snr_amplitude", "sui_snr_optimum",
     "sui_snr_phase", "symplectic_form", "two_mode_squeezer", "vacuum_state",
 ]

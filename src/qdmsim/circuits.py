@@ -26,6 +26,12 @@ Slopes: evaluation carries d mean/d(delta, eps) forward with the state,
 seeded by the op that carries the modulation (``CircuitOp.carrier``), so
 one evaluation gives every monitor's mean, variance and exact slopes.
 
+Stacking: circuits that share their op structure (:attr:`CompiledCircuit.structure`)
+stack into one circuit whose op parameters, carriers and monitor angles
+hold one entry per stacked circuit (:func:`stack_circuits`); one
+evaluation of the stack evolves all of them together along the batch axis
+of :mod:`qdmsim.gaussian`.
+
 Sign note: with the sign conventions above, the Mach-Zehnder dark-port
 mean under phase modulation is <Y> = -2 alpha delta sqrt(TR).  Published
 treatments usually quote the magnitude 2 alpha delta sqrt(TR); only the
@@ -39,7 +45,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,12 +59,13 @@ from .elements import (
     single_mode_squeezer,
     two_mode_squeezer,
 )
-from .exceptions import ValidationError
+from .exceptions import NumericalError, ValidationError, annotate
 from .gaussian import (
     GaussianMap,
     GaussianState,
     apply_map,
     displacement_map,
+    quadrature_direction,
     quadrature_stats,
 )
 
@@ -136,18 +144,23 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class CircuitOp:
-    """One placed element: kind, target modes and scalar parameters.
+    """One placed element: kind, target modes and parameters.
 
     ``carrier`` marks the op that applies the modulation e^{i delta - eps}
     and names the field it multiplies: :data:`OWN_FIELD` for a physical
     modulator, the constant arm amplitude for a linearized displacement,
-    ``None`` for every other op.
+    ``None`` for every other op.  In a stacked circuit a parameter or
+    carrier amplitude may be an array with one entry per stacked circuit.
     """
 
     kind: str
     modes: tuple[int, ...]
     params: tuple[float, ...]
     carrier: complex | str | None = None
+
+
+def _carrier_kind(carrier) -> str | None:
+    return carrier if carrier is None or isinstance(carrier, str) else "field"
 
 
 @dataclass(frozen=True)
@@ -161,13 +174,32 @@ class Monitor:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    spec: CircuitSpec
+    """Ops and monitors compiled from ``spec``; for a stack made by
+    :func:`stack_circuits`, ``spec`` is the tuple of the stacked specs."""
+
+    spec: CircuitSpec | tuple[CircuitSpec, ...]
     n_modes: int
     ops: tuple[CircuitOp, ...]
     monitors: tuple[Monitor, ...]
     #: (stage label, number of leading ops making up that stage) pairs,
     #: populated for the degenerate topology only.
     stage_bounds: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """(number of stacked circuits,) for a stack, () otherwise."""
+        return (len(self.spec),) if isinstance(self.spec, tuple) else ()
+
+    @cached_property
+    def structure(self) -> tuple:
+        """What circuits must share to be stacked: register size, op kinds,
+        modes and carrier kinds, and monitor labels and modes."""
+        return (
+            self.n_modes,
+            tuple((op.kind, op.modes, len(op.params), _carrier_kind(op.carrier)) for op in self.ops),
+            tuple((mon.label, mon.mode) for mon in self.monitors),
+            self.stage_bounds,
+        )
 
     def monitor(self, label: str) -> Monitor:
         for mon in self.monitors:
@@ -177,19 +209,61 @@ class CompiledCircuit:
         raise ValidationError(f"unknown output {label!r}; circuit monitors: {known}")
 
 
+def _shared_or_stacked(values: Sequence):
+    """The one value every stacked circuit has, else an array of them."""
+    first = values[0]
+    if all(value == first for value in values):
+        return first
+    return np.array(values)
+
+
+def stack_circuits(circuits: Sequence[CompiledCircuit]) -> CompiledCircuit:
+    """One circuit that evaluates every given circuit at once, as its batch.
+
+    The circuits must share their :attr:`CompiledCircuit.structure`.  Each
+    op parameter, carrier amplitude and monitor angle becomes an array
+    with one entry per circuit, or stays a single value where all the
+    circuits agree, so elements that do not vary are built and checked
+    once for the whole stack.
+    """
+    if not circuits:
+        raise ValidationError("cannot stack an empty list of circuits")
+    first = circuits[0]
+    if len(circuits) == 1:
+        return CompiledCircuit((first.spec,), first.n_modes, first.ops, first.monitors, first.stage_bounds)
+    if any(circuit.structure != first.structure for circuit in circuits):
+        raise ValidationError("only circuits with the same op structure can be stacked")
+    ops = tuple(
+        CircuitOp(
+            column[0].kind,
+            column[0].modes,
+            tuple(_shared_or_stacked(values) for values in zip(*(op.params for op in column))),
+            _shared_or_stacked([op.carrier for op in column]),
+        )
+        for column in zip(*(circuit.ops for circuit in circuits))
+    )
+    monitors = tuple(
+        Monitor(column[0].label, column[0].mode, _shared_or_stacked([m.angle for m in column]))
+        for column in zip(*(circuit.monitors for circuit in circuits))
+    )
+    specs = tuple(circuit.spec for circuit in circuits)
+    return CompiledCircuit(specs, first.n_modes, ops, monitors, first.stage_bounds)
+
+
 def _op_to_map(op: CircuitOp) -> GaussianMap:
+    params = op.params
     if op.kind == "beam_splitter":
-        return beam_splitter(SplitterSpec(op.params[0]))
+        return beam_splitter(SplitterSpec(params[0]))
     if op.kind == "phase_shifter":
-        return phase_shifter(op.params[0])
+        return phase_shifter(params[0])
     if op.kind == "loss_channel":
-        return loss_channel(op.params[0])
+        return loss_channel(params[0])
     if op.kind == "two_mode_squeezer":
-        return two_mode_squeezer(PaGain(op.params[0], op.params[1]))
+        return two_mode_squeezer(PaGain(params[0], params[1]))
     if op.kind == "single_mode_squeezer":
-        return single_mode_squeezer(PaGain(op.params[0], op.params[1]))
+        return single_mode_squeezer(PaGain(params[0], params[1]))
     if op.kind == "displace":
-        return displacement_map(complex(op.params[0], op.params[1]))
+        return displacement_map(params[0] + 1j * params[1])
     raise ValidationError(f"unknown circuit op kind {op.kind!r}")
 
 
@@ -203,30 +277,38 @@ def _tangent_source(op: CircuitOp, gmap: GaussianMap, state: GaussianState) -> n
     """
     if op.carrier is None:
         return None
-    if op.carrier == OWN_FIELD:
+    if isinstance(op.carrier, str):  # OWN_FIELD
         sl = slice(2 * op.modes[0], 2 * op.modes[0] + 2)
-        field = gmap.linear @ state.mean[sl] + gmap.displacement
+        field = (gmap.linear @ state.mean[..., sl, None])[..., 0] + gmap.displacement
     else:
-        field = np.array([2.0 * op.carrier.real, 2.0 * op.carrier.imag])
-    return np.column_stack((_J @ field, -field))
+        carrier = np.asarray(op.carrier, dtype=complex)
+        field = np.stack((2.0 * carrier.real, 2.0 * carrier.imag), axis=-1)
+    return np.stack(((_J @ field[..., None])[..., 0], -field), axis=-1)
 
 
 def evaluate_circuit(circuit: CompiledCircuit, upto: int | None = None) -> GaussianState:
     """Run the compiled circuit on vacuum inputs; optionally only the first
     ``upto`` ops (used for stage snapshots).  The state's tangent holds
-    d mean/d(delta, eps) at the circuit's modulation depths."""
+    d mean/d(delta, eps) at the circuit's modulation depths.  A stack's
+    state carries the batch axis from the first op that differs between
+    the stacked circuits on.  A failing check names the op's index and
+    kind."""
     dim = 2 * circuit.n_modes
     state = GaussianState(np.zeros(dim), np.eye(dim), np.zeros((dim, 2)))
     ops = circuit.ops if upto is None else circuit.ops[:upto]
-    for op in ops:
-        gmap = _op_to_map(op)
-        state = apply_map(state, gmap, op.modes, _tangent_source(op, gmap, state))
+    for index, op in enumerate(ops):
+        try:
+            gmap = _op_to_map(op)
+            state = apply_map(state, gmap, op.modes, _tangent_source(op, gmap, state))
+        except (ValidationError, NumericalError) as exc:
+            raise annotate(exc, f"at op {index} ({op.kind})")
     return state
 
 
 class MonitorReading(NamedTuple):
     """A monitored quadrature at the evaluated operating point: mean,
-    variance and the slopes of the mean in delta and epsilon."""
+    variance and the slopes of the mean in delta and epsilon (arrays with
+    one entry per circuit for a stack)."""
 
     mean: float
     var: float
@@ -235,14 +317,24 @@ class MonitorReading(NamedTuple):
 
 
 def monitor_stats(circuit: CompiledCircuit) -> dict[str, MonitorReading]:
-    """Every monitored quadrature, read from one evaluation."""
+    """Every monitored quadrature, read from one evaluation: floats for a
+    single circuit, arrays over the stack for a stacked one."""
     state = evaluate_circuit(circuit)
+    batch = circuit.batch_shape
     readings = {}
     for mon in circuit.monitors:
         mean, var = quadrature_stats(state, mon.mode, mon.angle)
-        direction = np.array([math.cos(mon.angle), math.sin(mon.angle)])
-        slope_d, slope_e = direction @ state.tangent[2 * mon.mode : 2 * mon.mode + 2]
-        readings[mon.label] = MonitorReading(mean, var, float(slope_d), float(slope_e))
+        direction = quadrature_direction(mon.angle)[..., None, :]
+        slopes = (direction @ state.tangent[..., 2 * mon.mode : 2 * mon.mode + 2, :])[..., 0, :]
+        values = (mean, var, slopes[..., 0], slopes[..., 1])
+        if batch:
+            table = np.empty((len(values),) + batch)
+            for row, value in zip(table, values):
+                row[...] = value
+            values = table
+        else:
+            values = (float(value) for value in values)
+        readings[mon.label] = MonitorReading(*values)
     return readings
 
 

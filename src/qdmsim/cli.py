@@ -18,13 +18,14 @@ from dataclasses import asdict
 from itertools import product
 
 from .circuits import Topology, build_circuit, stage_snapshots
-from .exceptions import NumericalError, ScenarioParseError, ValidationError
+from .exceptions import NumericalError, ScenarioParseError, ValidationError, annotate
 from .fock import FockConfig, compare_with_gaussian
 from .metrology import (
     channel_report,
     dsui_output_noise,
     dsui_snr,
     operating_point,
+    operating_points,
     probe_photon_number,
     split_snr,
     su2_snr,
@@ -36,6 +37,7 @@ from .scenario import (
     RunOptions,
     SweepAxis,
     apply_axis_value,
+    check_axes,
     load_scenario,
     spec_to_dict,
 )
@@ -128,16 +130,25 @@ def _parse_axis_flag(flag: str) -> SweepAxis:
     return SweepAxis(name, start, stop, count)
 
 
-def _sweep_row(payload):
-    spec, axes_names, values, labels = payload
-    for name, value in zip(axes_names, values):
-        spec = apply_axis_value(spec, name, value)
-    row = list(values)
-    readings = operating_point(spec)
-    for label in labels:
-        rep = channel_report(spec, label, readings)
-        row.extend([rep.noise_var, rep.snr, rep.enhancement])
-    return row
+def _sweep_rows(payload) -> list[list[float]]:
+    """Rows of a contiguous run of grid points, evaluated as one batch."""
+    specs, axis_names, points, labels = payload
+    try:
+        readings = operating_points(specs)
+    except (ValidationError, NumericalError) as exc:
+        point = getattr(exc, "point", None)
+        if point is not None:
+            values = ", ".join(f"{n}={v:.12g}" for n, v in zip(axis_names, points[point]))
+            annotate(exc, f"(sweep point {values})")
+        raise
+    rows = []
+    for spec, values, point_readings in zip(specs, points, readings):
+        row = list(values)
+        for label in labels:
+            rep = channel_report(spec, label, point_readings)
+            row.extend([rep.noise_var, rep.snr, rep.enhancement])
+        rows.append(row)
+    return rows
 
 
 def _cmd_sweep(args) -> int:
@@ -145,16 +156,29 @@ def _cmd_sweep(args) -> int:
     axes = tuple(_parse_axis_flag(flag) for flag in args.axis) if args.axis else options.axes
     if not 1 <= len(axes) <= 2:
         raise ValidationError("sweep needs 1 or 2 axes (scenario 'sweep' block or --axis)")
+    check_axes(spec, axes)
     labels = _monitor_labels(spec, options)
     axis_names = [ax.name for ax in axes]
-    grids = [ax.values() for ax in axes]
-    payloads = [(spec, axis_names, values, labels) for values in product(*grids)]
+    points = list(product(*(ax.values() for ax in axes)))
+    specs = []
+    for values in points:
+        point_spec = spec
+        for name, value in zip(axis_names, values):
+            point_spec = apply_axis_value(point_spec, name, value)
+        specs.append(point_spec)
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_row, payloads, chunksize=32))
+    # one batch per worker: contiguous chunks keep the rows in grid order
+    size = -(-len(points) // max(args.workers, 1))
+    payloads = [
+        (specs[i : i + size], axis_names, points[i : i + size], labels)
+        for i in range(0, len(points), size)
+    ]
+    if len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            chunks = list(pool.map(_sweep_rows, payloads))
     else:
-        rows = [_sweep_row(p) for p in payloads]
+        chunks = [_sweep_rows(payload) for payload in payloads]
+    rows = [row for chunk in chunks for row in chunk]
 
     header = list(axis_names)
     for label in labels:

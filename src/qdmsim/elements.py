@@ -4,17 +4,46 @@ Sign conventions for the beam splitter follow the first-splitter row used
 throughout the circuit assembly: A = sqrt(T) a + sqrt(R) b and
 B = sqrt(T) b - sqrt(R) a.  The second splitter of a Mach-Zehnder is the
 same element applied with its two modes swapped.
+
+Every element is one formula over its parameters.  A parameter may be a
+scalar or an array with one entry per batch slice; the map then carries
+the matching batch axis (see :mod:`qdmsim.gaussian`), so a stack of
+elements is built and checked as one map.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ValidationError
 from .gaussian import GaussianMap
+
+_EYE2 = np.eye(2)
+_EYE4 = np.eye(4)
+#: Multiplication by i in quadrature space (the rotation generator).
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+#: Coupling of a splitter's two modes: +b into a, -a into b.
+_SPLIT = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), _EYE2)
+#: Quadrature images of a -> a† and a -> i a† (reflections), on one mode
+#: and from each mode of a non-degenerate pair to its partner.
+_CONJ = np.array([[1.0, 0.0], [0.0, -1.0]])
+_CONJ_I = np.array([[0.0, 1.0], [1.0, 0.0]])
+_PAIR_CONJ = np.kron(_CONJ_I, _CONJ)
+_PAIR_CONJ_I = np.kron(_CONJ_I, _CONJ_I)
+
+
+def _scale(value, matrix: np.ndarray) -> np.ndarray:
+    """``value * matrix`` with a batch axis in front when ``value`` has one."""
+    if isinstance(value, np.ndarray):
+        value = value[..., None, None]
+    return value * matrix
+
+
+def _holds(condition) -> bool:
+    """Whether a comparison holds, for every entry if it is elementwise."""
+    return condition if isinstance(condition, bool) else bool(np.all(condition))
 
 
 @dataclass(frozen=True)
@@ -24,7 +53,7 @@ class SplitterSpec:
     T: float
 
     def __post_init__(self):
-        if not 0.0 <= self.T <= 1.0:
+        if not _holds((0.0 <= self.T) & (self.T <= 1.0)):
             raise ValidationError(f"transmissivity must lie in [0, 1], got {self.T}")
 
     @property
@@ -44,28 +73,27 @@ class PaGain:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.G < 1.0:
+        if not _holds(self.G >= 1.0):
             raise ValidationError(f"amplifier gain must be >= 1, got {self.G}")
 
     @property
     def g(self) -> float:
-        return math.sqrt(self.G * self.G - 1.0)
+        return np.sqrt(self.G * self.G - 1.0)
+
+
+def _lossless(linear: np.ndarray) -> GaussianMap:
+    size = linear.shape[-1]
+    return GaussianMap(linear, np.zeros((size, size)), np.zeros(size))
 
 
 def beam_splitter(spec: SplitterSpec) -> GaussianMap:
     """Two-mode splitter: out0 = sqrt(T) in0 + sqrt(R) in1, out1 = sqrt(T) in1 - sqrt(R) in0."""
-    t = math.sqrt(spec.T)
-    r = math.sqrt(spec.R)
-    eye = np.eye(2)
-    linear = np.block([[t * eye, r * eye], [-r * eye, t * eye]])
-    return GaussianMap(linear, np.zeros((4, 4)), np.zeros(4))
+    return _lossless(_scale(np.sqrt(spec.T), _EYE4) + _scale(np.sqrt(spec.R), _SPLIT))
 
 
 def phase_shifter(phi: float) -> GaussianMap:
     """Single-mode rotation a -> a e^{i phi}."""
-    c, s = math.cos(phi), math.sin(phi)
-    linear = np.array([[c, -s], [s, c]])
-    return GaussianMap(linear, np.zeros((2, 2)), np.zeros(2))
+    return _lossless(_scale(np.cos(phi), _EYE2) + _scale(np.sin(phi), _J))
 
 
 def loss_channel(transmission: float) -> GaussianMap:
@@ -75,22 +103,23 @@ def loss_channel(transmission: float) -> GaussianMap:
     transmission e^{-2 eps}, where the replaced noise is the vacuum entering
     through the unused splitter port.
     """
-    if not 0.0 < transmission <= 1.0:
+    t = transmission
+    if not _holds((0.0 < t) & (t <= 1.0)):
         raise ValidationError(f"transmission must lie in (0, 1], got {transmission}")
-    linear = math.sqrt(transmission) * np.eye(2)
-    noise = (1.0 - transmission) * np.eye(2)
-    return GaussianMap(linear, noise, np.zeros(2))
+    return GaussianMap(_scale(np.sqrt(t), _EYE2), _scale(1.0 - t, _EYE2), np.zeros(2))
+
+
+def _amplifier(gain: PaGain, identity, conj, conj_i) -> GaussianMap:
+    """G identity + g (cos(phase) conj + sin(phase) conj_i): each output gets
+    G times its input plus g e^{i phase} times the conjugate that ``conj``
+    and ``conj_i`` route to it."""
+    coupling = _scale(np.cos(gain.phase), conj) + _scale(np.sin(gain.phase), conj_i)
+    return _lossless(_scale(gain.G, identity) + _scale(gain.g, coupling))
 
 
 def two_mode_squeezer(gain: PaGain) -> GaussianMap:
     """Non-degenerate amplifier: out_i = G in_i + g e^{i phase} in_j† (j != i)."""
-    G, g, phi = gain.G, gain.g, gain.phase
-    c, s = math.cos(phi), math.sin(phi)
-    # quadrature image of g e^{i phi} (partner mode, conjugated): a reflection
-    coupling = g * np.array([[c, s], [s, -c]])
-    eye = np.eye(2)
-    linear = np.block([[G * eye, coupling], [coupling, G * eye]])
-    return GaussianMap(linear, np.zeros((4, 4)), np.zeros(4))
+    return _amplifier(gain, _EYE4, _PAIR_CONJ, _PAIR_CONJ_I)
 
 
 def single_mode_squeezer(gain: PaGain) -> GaussianMap:
@@ -99,7 +128,4 @@ def single_mode_squeezer(gain: PaGain) -> GaussianMap:
     Amplifies the quadrature along theta/2 by (G + g) and de-amplifies the
     orthogonal one by (G - g).
     """
-    G, g, theta = gain.G, gain.g, gain.phase
-    c, s = math.cos(theta), math.sin(theta)
-    linear = np.array([[G + g * c, g * s], [g * s, G - g * c]])
-    return GaussianMap(linear, np.zeros((2, 2)), np.zeros(2))
+    return _amplifier(gain, _EYE2, _CONJ, _CONJ_I)

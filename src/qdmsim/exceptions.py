@@ -26,3 +26,11 @@ class TruncationError(NumericalError):
     def __init__(self, message: str, tail_mass: float = 0.0):
         super().__init__(message)
         self.tail_mass = tail_mass
+
+
+def annotate(exc: Exception, where: str) -> Exception:
+    """Append ``where`` to the message of ``exc`` in place and return it,
+    keeping its type and attributes, so a check's failure can say where it
+    happened on its way up."""
+    exc.args = (f"{exc.args[0]} {where}",) + exc.args[1:]
+    return exc

@@ -3,7 +3,9 @@
 Numeric quantities are measured on the compiled circuit in one pass per
 operating point: the circuit is evaluated once at zero modulation, and the
 evaluation carries the derivative of the mean with respect to (delta,
-epsilon) forward with the state (forward-mode differentiation).  A
+epsilon) forward with the state (forward-mode differentiation).  Operating
+points whose circuits share an op structure are stacked into one such
+pass (:func:`operating_points`).  A
 monitor's noise is its quadrature variance there and its signal slope the
 exact derivative of its mean; in EXACT mode the epsilon slope is the
 one-sided derivative at epsilon -> 0+, since negative epsilon would be
@@ -18,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .circuits import (
     LINEAR_MOD_LIMIT,
@@ -26,6 +29,7 @@ from .circuits import (
     Topology,
     build_circuit,
     monitor_stats,
+    stack_circuits,
 )
 from .elements import PaGain
 from .exceptions import NumericalError, ValidationError
@@ -77,10 +81,46 @@ def probe_photon_number(spec: CircuitSpec) -> float:
     return spec.splitters[0].R * abs(spec.alpha) ** 2
 
 
+def operating_points(specs: Sequence[CircuitSpec]) -> list[dict[str, MonitorReading]]:
+    """Every monitor of each spec read at zero modulation: noise variance
+    and exact slopes in delta and epsilon, one dict per spec in order.
+
+    Specs whose circuits share an op structure are stacked and evaluated
+    together, so the whole list costs one evaluation per structure.  A
+    failure during a spec's build or evaluation records that spec's index
+    in ``specs`` as the exception's ``point``.
+    """
+    circuits = []
+    for point, spec in enumerate(specs):
+        try:
+            circuits.append(build_circuit(replace(spec, delta=0.0, epsilon=0.0)))
+        except (ValidationError, NumericalError) as exc:
+            exc.point = point
+            raise
+    groups: dict[tuple, list[int]] = {}
+    for point, circuit in enumerate(circuits):
+        groups.setdefault(circuit.structure, []).append(point)
+    readings: list = [None] * len(specs)
+    for members in groups.values():
+        try:
+            stats = monitor_stats(stack_circuits([circuits[point] for point in members]))
+        except (ValidationError, NumericalError) as exc:
+            # a check on an element the stack shares fails for every member
+            exc.point = members[getattr(exc, "batch_index", None) or 0]
+            raise
+        per_label = {
+            label: [MonitorReading(*row) for row in zip(*(field.tolist() for field in reading))]
+            for label, reading in stats.items()
+        }
+        for slot, point in enumerate(members):
+            readings[point] = {label: rows[slot] for label, rows in per_label.items()}
+    return readings
+
+
 def operating_point(spec: CircuitSpec) -> dict[str, MonitorReading]:
     """Every monitor of ``spec`` read from one evaluation at zero
     modulation: noise variance and exact slopes in delta and epsilon."""
-    return monitor_stats(build_circuit(replace(spec, delta=0.0, epsilon=0.0)))
+    return operating_points([spec])[0]
 
 
 def _reading(readings: dict[str, MonitorReading], output: str) -> MonitorReading:

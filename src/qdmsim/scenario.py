@@ -169,6 +169,7 @@ def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
         axes = tuple(_parse_axis(entry) for entry in sweep["axes"])
         if not 1 <= len(axes) <= 2:
             raise ValidationError(f"sweeps take 1 or 2 axes, got {len(axes)}")
+        check_axes(spec, axes)
 
     fmt = doc.get("format")
     if fmt is not None and fmt not in ("json", "csv"):
@@ -185,6 +186,23 @@ def load_scenario(path) -> tuple[CircuitSpec, RunOptions]:
     except OSError as exc:
         raise ScenarioParseError(f"cannot read scenario {path}: {exc}") from None
     return parse_scenario(text)
+
+
+def check_axes(spec: CircuitSpec, axes) -> None:
+    """Reject axes that no grid point of ``spec`` could take.
+
+    The linearized encoding of the amplifier topologies assumes identical
+    splitters, so sweeping T1 or T2 there would break that assumption at
+    every point it moves.
+    """
+    amplified = (Topology.NESTED_SUI, Topology.DEGENERATE_SUI)
+    if spec.modulation_mode is ModulationMode.LINEARIZED and spec.topology in amplified:
+        for axis in axes:
+            if axis.name in ("T1", "T2"):
+                raise ValidationError(
+                    f"axis {axis.name!r} cannot be swept on a LINEARIZED {spec.topology.value}: "
+                    "its linearized encoding assumes identical splitters T1 = T2"
+                )
 
 
 def apply_axis_value(spec: CircuitSpec, name: str, value: float) -> CircuitSpec:

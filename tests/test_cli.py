@@ -113,8 +113,13 @@ def test_one_evaluation_per_operating_point(tmp_path, capsys, monkeypatch, paylo
     assert main(["run", path]) == 0
     assert len(calls) == 1
     calls.clear()
+    # all 15 points share one op structure: one stacked evaluation
     assert main(["sweep", path, "--axis", "delta=0:0.002:5", "--axis", "epsilon=0:0.002:3"]) == 0
-    assert len(calls) == 15
+    assert len(calls) == 1
+    calls.clear()
+    # detection_loss = 1.0 drops the loss ops: two structures, two evaluations
+    assert main(["sweep", path, "--axis", "detection_loss=0.5:1.0:3", "--axis", "phi=0:1:4"]) == 0
+    assert len(calls) == 2
 
 
 def test_invalid_transmissivity_exits_3(tmp_path, capsys):
