@@ -46,10 +46,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import elements
 from .elements import (
     PaGain,
     SplitterSpec,
@@ -142,10 +143,41 @@ class CircuitSpec:
                 )
 
 
+@dataclass(frozen=True, eq=False)
+class ElementKind:
+    """One kind of circuit element: its Gaussian map, its Fock unitary
+    (``unitary(*params, cutoff)``), the oracle's envelope check, all called
+    with the op's parameters, and whether the oracle runs it on its mode
+    and a fresh vacuum ancilla (loss)."""
+
+    name: str
+    gaussian_map: Callable[..., GaussianMap]
+    unitary: Callable[..., np.ndarray]
+    oracle_envelope: Callable[..., None] = lambda *params: None
+    ancilla: bool = False
+
+
+#: Every element kind by name.  The lambdas look the element functions up
+#: in this module when called, where a caller may have wrapped them.
+ELEMENT_KINDS = {kind.name: kind for kind in (
+    ElementKind("beam_splitter", lambda T: beam_splitter(SplitterSpec(T)),
+                elements.splitter_unitary),
+    ElementKind("phase_shifter", lambda phi: phase_shifter(phi), elements.phase_unitary),
+    ElementKind("loss_channel", lambda t: loss_channel(t), elements.splitter_unitary, ancilla=True),
+    ElementKind("two_mode_squeezer", lambda G, phase: two_mode_squeezer(PaGain(G, phase)),
+                elements.two_mode_squeezer_unitary, elements.gain_envelope),
+    ElementKind("single_mode_squeezer", lambda G, theta: single_mode_squeezer(PaGain(G, theta)),
+                elements.single_mode_squeezer_unitary, elements.gain_envelope),
+    ElementKind("displace", lambda re, im: displacement_map(re + 1j * im),
+                elements.displacement_unitary, elements.alpha_envelope),
+)}
+
+
 @dataclass(frozen=True)
 class CircuitOp:
     """One placed element: kind, target modes and parameters.
 
+    ``kind`` may be given as the name of an entry of :data:`ELEMENT_KINDS`.
     ``carrier`` marks the op that applies the modulation e^{i delta - eps}
     and names the field it multiplies: :data:`OWN_FIELD` for a physical
     modulator, the constant arm amplitude for a linearized displacement,
@@ -153,10 +185,16 @@ class CircuitOp:
     carrier amplitude may be an array with one entry per stacked circuit.
     """
 
-    kind: str
+    kind: ElementKind
     modes: tuple[int, ...]
     params: tuple[float, ...]
     carrier: complex | str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.kind, ElementKind):
+            if self.kind not in ELEMENT_KINDS:
+                raise ValidationError(f"unknown circuit op kind {self.kind!r}")
+            object.__setattr__(self, "kind", ELEMENT_KINDS[self.kind])
 
 
 def _carrier_kind(carrier) -> str | None:
@@ -250,23 +288,6 @@ def stack_circuits(circuits: Sequence[CompiledCircuit]) -> CompiledCircuit:
     return CompiledCircuit(specs, first.n_modes, ops, monitors, first.stage_bounds)
 
 
-def _op_to_map(op: CircuitOp) -> GaussianMap:
-    params = op.params
-    if op.kind == "beam_splitter":
-        return beam_splitter(SplitterSpec(params[0]))
-    if op.kind == "phase_shifter":
-        return phase_shifter(params[0])
-    if op.kind == "loss_channel":
-        return loss_channel(params[0])
-    if op.kind == "two_mode_squeezer":
-        return two_mode_squeezer(PaGain(params[0], params[1]))
-    if op.kind == "single_mode_squeezer":
-        return single_mode_squeezer(PaGain(params[0], params[1]))
-    if op.kind == "displace":
-        return displacement_map(params[0] + 1j * params[1])
-    raise ValidationError(f"unknown circuit op kind {op.kind!r}")
-
-
 def _tangent_source(op: CircuitOp, gmap: GaussianMap, state: GaussianState) -> np.ndarray | None:
     """d(output mean)/d(delta, eps) that ``op`` itself adds on its mode.
 
@@ -298,10 +319,10 @@ def evaluate_circuit(circuit: CompiledCircuit, upto: int | None = None) -> Gauss
     ops = circuit.ops if upto is None else circuit.ops[:upto]
     for index, op in enumerate(ops):
         try:
-            gmap = _op_to_map(op)
+            gmap = op.kind.gaussian_map(*op.params)
             state = apply_map(state, gmap, op.modes, _tangent_source(op, gmap, state))
         except (ValidationError, NumericalError) as exc:
-            raise annotate(exc, f"at op {index} ({op.kind})")
+            raise annotate(exc, f"at op {index} ({op.kind.name})")
     return state
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -109,7 +110,6 @@ def _cmd_run(args) -> int:
     document = {
         "spec": spec_to_dict(spec),
         "outputs": labels,
-        "seed": options.seed,
         "reports": {label: asdict(rep) for label, rep in reports.items()},
         "analytic": analytic,
         "relative_error": rel,
@@ -261,6 +261,7 @@ def _write_output(path, text: str) -> None:
         sys.stdout.write(text)
 
 
+@functools.lru_cache(maxsize=None)  # built once; parsing keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdmsim",

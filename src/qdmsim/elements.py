@@ -1,4 +1,5 @@
-"""Gaussian maps for the optical elements used by the interferometer circuits.
+"""The optical elements of the interferometer circuits: Gaussian maps, and
+the truncated Fock-space unitaries the oracle checks them with.
 
 Sign conventions for the beam splitter follow the first-splitter row used
 throughout the circuit assembly: A = sqrt(T) a + sqrt(R) b and
@@ -9,10 +10,16 @@ Every element is one formula over its parameters.  A parameter may be a
 scalar or an array with one entry per batch slice; the map then carries
 the matching batch axis (see :mod:`qdmsim.gaussian`), so a stack of
 elements is built and checked as one map.
+
+A unitary is the exponential of the element's generator at the cutoff,
+taken block-wise over a conserved quantum number where there is one
+(photon sum for splitters, photon difference and parity for amplifiers),
+which is exact and keeps the work per block tiny.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +39,9 @@ _CONJ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _CONJ_I = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PAIR_CONJ = np.kron(_CONJ_I, _CONJ)
 _PAIR_CONJ_I = np.kron(_CONJ_I, _CONJ_I)
+#: Oracle operating envelope: beyond this, truncation artifacts dominate.
+MAX_ORACLE_GAIN = 1.6
+MAX_ORACLE_ALPHA = 2.0
 
 
 def _scale(value, matrix: np.ndarray) -> np.ndarray:
@@ -129,3 +139,73 @@ def single_mode_squeezer(gain: PaGain) -> GaussianMap:
     orthogonal one by (G - g).
     """
     return _amplifier(gain, _EYE2, _CONJ, _CONJ_I)
+
+
+def gain_envelope(G: float, phase: float) -> None:
+    """Reject an amplifier gain the oracle cannot truncate faithfully."""
+    if G > MAX_ORACLE_GAIN:
+        raise ValidationError(f"oracle restricted to gains <= {MAX_ORACLE_GAIN}, got {G}")
+
+
+def alpha_envelope(re: float, im: float) -> None:
+    """Reject a displacement the oracle cannot truncate faithfully."""
+    if abs(complex(re, im)) > MAX_ORACLE_ALPHA:
+        raise ValidationError(f"oracle restricted to |alpha| <= {MAX_ORACLE_ALPHA}")
+
+
+def _destroy(d: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, d)), 1)
+
+
+def _expm_antihermitian(generator: np.ndarray) -> np.ndarray:
+    hermitian = -1j * generator
+    evals, evecs = np.linalg.eigh(hermitian)
+    return (evecs * np.exp(1j * evals)) @ evecs.conj().T
+
+
+def _expm_blocked(generator: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Exponentiate a generator that is block diagonal over integer labels."""
+    unitary = np.zeros(generator.shape, dtype=complex)
+    for lab in np.unique(labels):
+        idx = np.where(labels == lab)[0]
+        block = generator[np.ix_(idx, idx)]
+        unitary[np.ix_(idx, idx)] = _expm_antihermitian(block)
+    return unitary
+
+
+def displacement_unitary(re: float, im: float, d: int) -> np.ndarray:
+    a = _destroy(d)
+    alpha = complex(re, im)
+    return _expm_antihermitian(alpha * a.conj().T - alpha.conjugate() * a)
+
+
+def phase_unitary(phi: float, d: int) -> np.ndarray:
+    return np.diag(np.exp(1j * phi * np.arange(d)))
+
+
+def _pair(d: int):
+    """Both annihilators of a mode pair, and each basis state's photon numbers."""
+    a, eye = _destroy(d), np.eye(d)
+    n0, n1 = np.divmod(np.arange(d * d), d)
+    return np.kron(a, eye), np.kron(eye, a), n0, n1
+
+
+def splitter_unitary(T: float, d: int) -> np.ndarray:
+    mode0, mode1, n0, n1 = _pair(d)
+    theta = math.atan2(math.sqrt(1.0 - T), math.sqrt(T))
+    generator = theta * (mode0.conj().T @ mode1 - mode0 @ mode1.conj().T)
+    return _expm_blocked(generator, n0 + n1)  # photon number conserved
+
+
+def two_mode_squeezer_unitary(G: float, pump_phase: float, d: int) -> np.ndarray:
+    mode0, mode1, n0, n1 = _pair(d)
+    phase = np.exp(1j * pump_phase)
+    generator = phase * mode0.conj().T @ mode1.conj().T - np.conj(phase) * mode0 @ mode1
+    return _expm_blocked(math.acosh(G) * generator, n0 - n1)  # photon difference conserved
+
+
+def single_mode_squeezer_unitary(G: float, theta: float, d: int) -> np.ndarray:
+    a = _destroy(d)
+    phase = np.exp(1j * theta)
+    generator = phase * (a.conj().T @ a.conj().T) - np.conj(phase) * a @ a
+    return _expm_blocked((math.acosh(G) / 2.0) * generator, np.arange(d) % 2)  # parity conserved

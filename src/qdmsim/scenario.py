@@ -22,7 +22,7 @@ _SPEC_KEYS = {
     "topology", "alpha", "splitters", "gains", "phi", "mzi_phi",
     "delta", "epsilon", "modulation_mode", "detection_loss",
 }
-_OPTION_KEYS = {"outputs", "sweep", "format", "seed"}
+_OPTION_KEYS = {"outputs", "sweep", "format"}
 
 #: Scalar spec fields a sweep may vary, with how each value lands in the spec.
 #: theta2_dark moves the readout angle theta2 while keeping the amplifier
@@ -63,7 +63,6 @@ class RunOptions:
     outputs: tuple[str, ...] | None = None
     axes: tuple[SweepAxis, ...] = ()
     fmt: str | None = None
-    seed: int = 0
 
 
 def _as_float(value, key: str) -> float:
@@ -174,10 +173,7 @@ def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
     fmt = doc.get("format")
     if fmt is not None and fmt not in ("json", "csv"):
         raise ValidationError(f"format must be json or csv, got {fmt!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    return spec, RunOptions(outputs=outputs, axes=axes, fmt=fmt, seed=seed)
+    return spec, RunOptions(outputs=outputs, axes=axes, fmt=fmt)
 
 
 def load_scenario(path) -> tuple[CircuitSpec, RunOptions]:

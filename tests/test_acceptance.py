@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qdmsim as q
-from qdmsim.circuits import CircuitOp, CompiledCircuit, Monitor, _op_to_map
+from qdmsim.circuits import CircuitOp, CompiledCircuit, Monitor
 from conftest import embed_map, random_state
 from test_circuits import dsui_spec, mzi_spec, nested_spec
 
@@ -229,7 +229,7 @@ def test_criterion_9_property_suites():
         circuit = q.build_circuit(mzi_spec(T=T, alpha=0.0))
         total = q.identity_map(circuit.n_modes)
         for op in circuit.ops:
-            total = q.compose(embed_map(_op_to_map(op), op.modes, circuit.n_modes), total)
+            total = q.compose(embed_map(op.kind.gaussian_map(*op.params), op.modes, circuit.n_modes), total)
         worst_identity = max(
             worst_identity, np.max(np.abs(total.linear - np.eye(2 * circuit.n_modes)))
         )

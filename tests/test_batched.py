@@ -30,7 +30,7 @@ def reference_map(op):
         "two_mode_squeezer": lambda: q.two_mode_squeezer(q.PaGain(p[0], p[1])),
         "single_mode_squeezer": lambda: q.single_mode_squeezer(q.PaGain(p[0], p[1])),
         "displace": lambda: q.displacement_map(complex(p[0], p[1])),
-    }[op.kind]()
+    }[op.kind.name]()
 
 
 def reference_readings(spec):
@@ -157,7 +157,7 @@ def test_stack_shares_what_does_not_vary():
     specs = grid(BASES["NESTED_SUI"](q.ModulationMode.LINEARIZED), AXES["NESTED_SUI"][0])
     stack = q.stack_circuits([q.build_circuit(spec) for spec in specs])
     assert stack.batch_shape == (5,)
-    varying = [op.kind for op in stack.ops if any(np.ndim(p) for p in op.params)]
+    varying = [op.kind.name for op in stack.ops if any(np.ndim(p) for p in op.params)]
     assert varying == ["phase_shifter"]
 
 

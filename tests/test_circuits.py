@@ -49,9 +49,7 @@ def test_mzi_is_identity_at_dark_fringe(T, mode):
     circuit = q.build_circuit(spec)
     total = q.identity_map(circuit.n_modes)
     for op in circuit.ops:
-        from qdmsim.circuits import _op_to_map
-
-        total = q.compose(embed_map(_op_to_map(op), op.modes, circuit.n_modes), total)
+        total = q.compose(embed_map(op.kind.gaussian_map(*op.params), op.modes, circuit.n_modes), total)
     assert np.max(np.abs(total.linear - np.eye(2 * circuit.n_modes))) < 1e-10
     assert np.max(np.abs(total.displacement)) < 1e-10
 

@@ -135,9 +135,11 @@ def test_empty_file_exits_2(tmp_path, capsys):
 
 
 def test_unknown_key_exits_3(tmp_path, capsys):
-    path = write(tmp_path, "extra.json", mzi_payload(gamma=1.0))
-    assert main(["run", path]) == 3
-    assert "gamma" in capsys.readouterr().err
+    # seed was a scenario option that nothing read
+    for key in ("gamma", "seed"):
+        path = write(tmp_path, "extra.json", mzi_payload(**{key: 1}))
+        assert main(["run", path]) == 3
+        assert f"unknown scenario keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -205,6 +207,17 @@ def test_sweep_workers_match_serial(tmp_path):
     main(["sweep", path, "--axis", "phi=0:3:7", "--out", str(serial)])
     main(["sweep", path, "--axis", "phi=0:3:7", "--out", str(parallel), "--workers", "2"])
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_consecutive_commands_share_no_parsed_state(capsys):
+    path = str(SCENARIOS / "nested_sui_phase_sweep.json")
+    assert main(["sweep", path, "--axis", "G2=1.5:2:3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("G2,") and len(rows) == 4
+    # without --axis the scenario's own 629-point phi axis applies again
+    assert main(["sweep", path]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("phi,") and len(rows) == 630
 
 
 def test_sweep_csv_uses_12_significant_digits(tmp_path, capsys):

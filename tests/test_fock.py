@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qdmsim as q
-from qdmsim.circuits import CircuitOp, CompiledCircuit, Monitor
+from qdmsim.circuits import ELEMENT_KINDS, CircuitOp, CompiledCircuit, Monitor
 from test_circuits import dsui_spec, mzi_spec
 
 XY = (Monitor("x", 0, 0.0), Monitor("y", 0, math.pi / 2))
@@ -110,13 +111,14 @@ def test_tail_mass_abort():
 
 def test_oracle_rejects_large_gain():
     circuit = tiny_circuit([CircuitOp("single_mode_squeezer", (0,), (1.7, 0.0))])
-    with pytest.raises(q.ValidationError):
+    message = r"^oracle restricted to gains <= 1.6, got 1.7 at op 0 \(single_mode_squeezer\)$"
+    with pytest.raises(q.ValidationError, match=message):
         q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=1))
 
 
 def test_oracle_rejects_large_displacement():
     circuit = tiny_circuit([CircuitOp("displace", (0,), (3.0, 0.0))])
-    with pytest.raises(q.ValidationError):
+    with pytest.raises(q.ValidationError, match=r"^oracle restricted to \|alpha\| <= 2.0 at op 0 \(displace\)$"):
         q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=1))
 
 
@@ -183,6 +185,12 @@ def test_generators_are_block_diagonal_over_labels():
         assert np.max(np.abs(off)) == 0.0
 
 
+def _patch_unitary(monkeypatch, name, wrap):
+    """Replace the unitary builder of table entry ``name`` by ``wrap(builder)``."""
+    kind = ELEMENT_KINDS[name]
+    monkeypatch.setitem(ELEMENT_KINDS, name, replace(kind, unitary=wrap(kind.unitary)))
+
+
 def test_no_unitary_outlives_its_run(monkeypatch):
     import gc
     import weakref
@@ -199,8 +207,8 @@ def test_no_unitary_outlives_its_run(monkeypatch):
 
         return build
 
-    for kind, builder in list(fock._UNITARIES.items()):
-        monkeypatch.setitem(fock._UNITARIES, kind, recording(builder))
+    for name in list(ELEMENT_KINDS):
+        _patch_unitary(monkeypatch, name, recording)
     for T, delta in ((0.9, 0.01), (0.8, 0.02)):  # fresh parameters per call
         spec = mzi_spec(T=T, alpha=1.0, delta=delta, modulation_mode=q.ModulationMode.EXACT)
         assert q.compare_with_gaussian(spec, q.FockConfig(cutoff=20, modes=2)).passed
@@ -211,17 +219,52 @@ def test_no_unitary_outlives_its_run(monkeypatch):
 
 
 def test_identical_elements_share_one_unitary_within_a_run(monkeypatch):
-    from qdmsim import fock
-
     builds = []
-    original = fock._UNITARIES["beam_splitter"]
 
-    def counting(*args):
-        builds.append(args)
-        return original(*args)
+    def counting(original):
+        def build(*args):
+            builds.append(args)
+            return original(*args)
 
-    monkeypatch.setitem(fock._UNITARIES, "beam_splitter", counting)
+        return build
+
+    _patch_unitary(monkeypatch, "beam_splitter", counting)
     # identical T1/T2 splitters: two beam-splitter ops, one unitary
     spec = mzi_spec(T=0.9, alpha=1.0, delta=0.01, modulation_mode=q.ModulationMode.EXACT)
     q.simulate_fock(spec, q.FockConfig(cutoff=20, modes=2))
     assert builds == [(0.9, 20)]
+
+
+#: One element per table entry: modes, parameters, and whether it needs
+#: input light (a displacement in front of it) to show anything.
+ONE_ELEMENT = {
+    "beam_splitter": ((0, 1), (0.7,), True),
+    "phase_shifter": ((0,), (0.7,), True),
+    "loss_channel": ((0,), (0.6,), True),
+    "two_mode_squeezer": ((0, 1), (1.1, 0.4), False),
+    "single_mode_squeezer": ((0,), (1.1, 0.4), False),
+    "displace": ((0,), (0.6, 0.8), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_KINDS))
+def test_every_element_kind_matches_the_oracle(name):
+    modes, params, lit = ONE_ELEMENT[name]
+    ops = [CircuitOp("displace", (0,), (1.0, 0.0))] if lit else []
+    ops.append(CircuitOp(name, modes, params))
+    monitors = [Monitor(f"{xy.label}{m}", m, xy.angle) for m in modes for xy in XY]
+    circuit = tiny_circuit(ops, len(modes), monitors)
+    report = q.compare_with_gaussian(circuit, q.FockConfig(cutoff=20, modes=len(modes)))
+    assert report.passed, f"{name}: max deviation {report.max_abs_deviation:.3e}"
+
+
+def test_unknown_op_kind_rejected_at_construction():
+    with pytest.raises(q.ValidationError, match="unknown circuit op kind 'mirror'"):
+        CircuitOp("mirror", (0,), ())
+
+
+def test_truncation_names_the_op_and_keeps_tail_mass():
+    circuit = tiny_circuit([CircuitOp("displace", (0,), (1.9, 0.0))])
+    with pytest.raises(q.TruncationError, match=r"raise the cutoff at op 0 \(displace\)$") as err:
+        q.simulate_fock(circuit, q.FockConfig(cutoff=8, modes=1))
+    assert err.value.tail_mass > 1e-6
