@@ -152,7 +152,7 @@ class ElementKind:
 
     name: str
     gaussian_map: Callable[..., GaussianMap]
-    unitary: Callable[..., np.ndarray]
+    unitary: Callable[..., elements.BlockUnitary]
     oracle_envelope: Callable[..., None] = lambda *params: None
     ancilla: bool = False
 

@@ -12,9 +12,14 @@ the matching batch axis (see :mod:`qdmsim.gaussian`), so a stack of
 elements is built and checked as one map.
 
 A unitary is the exponential of the element's generator at the cutoff,
-taken block-wise over a conserved quantum number where there is one
-(photon sum for splitters, photon difference and parity for amplifiers),
-which is exact and keeps the work per block tiny.
+kept as a :class:`BlockUnitary`: one block per value of a conserved
+quantum number where there is one (photon sum for splitters and loss,
+photon difference for the two-mode squeezer, parity for the single-mode
+squeezer, photon number for the phase shifter), one block over the whole
+basis for the displacement.  Each block's generator is written down from
+the ladder-operator matrix elements between the basis states of that
+block below the cutoff, which is the truncation, so the generator and the
+unitary over the whole cutoff^2 basis of two modes are never formed.
 """
 
 from __future__ import annotations
@@ -142,19 +147,32 @@ def single_mode_squeezer(gain: PaGain) -> GaussianMap:
 
 
 def gain_envelope(G: float, phase: float) -> None:
-    """Reject an amplifier gain the oracle cannot truncate faithfully."""
-    if G > MAX_ORACLE_GAIN:
+    """Reject an amplifier gain the oracle cannot truncate faithfully (or NaN)."""
+    if not G <= MAX_ORACLE_GAIN:
         raise ValidationError(f"oracle restricted to gains <= {MAX_ORACLE_GAIN}, got {G}")
 
 
 def alpha_envelope(re: float, im: float) -> None:
-    """Reject a displacement the oracle cannot truncate faithfully."""
-    if abs(complex(re, im)) > MAX_ORACLE_ALPHA:
+    """Reject a displacement the oracle cannot truncate faithfully (or NaN)."""
+    if not abs(complex(re, im)) <= MAX_ORACLE_ALPHA:
         raise ValidationError(f"oracle restricted to |alpha| <= {MAX_ORACLE_ALPHA}")
 
 
 def _destroy(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, d)), 1)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockUnitary:
+    """A unitary on the flattened basis of its target modes (mode 0 the
+    major axis), kept as the blocks of a conserved label.
+
+    ``blocks`` holds ``(indices, block)`` pairs whose flat basis indices
+    partition the basis exactly once; the unitary maps the entries
+    ``indices`` of a state to ``block @ state[indices]``.
+    """
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def _expm_antihermitian(generator: np.ndarray) -> np.ndarray:
@@ -163,49 +181,65 @@ def _expm_antihermitian(generator: np.ndarray) -> np.ndarray:
     return (evecs * np.exp(1j * evals)) @ evecs.conj().T
 
 
-def _expm_blocked(generator: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Exponentiate a generator that is block diagonal over integer labels."""
-    unitary = np.zeros(generator.shape, dtype=complex)
-    for lab in np.unique(labels):
-        idx = np.where(labels == lab)[0]
-        block = generator[np.ix_(idx, idx)]
-        unitary[np.ix_(idx, idx)] = _expm_antihermitian(block)
-    return unitary
+def _ladder_block(raising: np.ndarray) -> np.ndarray:
+    """Exponential of the antihermitian generator that takes the i-th basis
+    state of a block to the next with amplitude ``raising[i]`` (and back
+    with ``-conj(raising[i])``)."""
+    size = len(raising) + 1
+    generator = np.zeros((size, size), dtype=complex)
+    step = np.arange(size - 1)
+    generator[step + 1, step] = raising
+    generator[step, step + 1] = -np.conj(raising)
+    return _expm_antihermitian(generator)
 
 
-def displacement_unitary(re: float, im: float, d: int) -> np.ndarray:
+def displacement_unitary(re: float, im: float, d: int) -> BlockUnitary:
     a = _destroy(d)
     alpha = complex(re, im)
-    return _expm_antihermitian(alpha * a.conj().T - alpha.conjugate() * a)
+    block = _expm_antihermitian(alpha * a.conj().T - alpha.conjugate() * a)
+    return BlockUnitary(((np.arange(d), block),))
 
 
-def phase_unitary(phi: float, d: int) -> np.ndarray:
-    return np.diag(np.exp(1j * phi * np.arange(d)))
+def phase_unitary(phi: float, d: int) -> BlockUnitary:
+    """e^{i phi n} conserves the photon number n: one 1x1 block per level."""
+    levels = np.arange(d)
+    phases = np.exp(1j * phi * levels)
+    return BlockUnitary(tuple((levels[n : n + 1], phases[n : n + 1, None]) for n in levels))
 
 
-def _pair(d: int):
-    """Both annihilators of a mode pair, and each basis state's photon numbers."""
-    a, eye = _destroy(d), np.eye(d)
-    n0, n1 = np.divmod(np.arange(d * d), d)
-    return np.kron(a, eye), np.kron(eye, a), n0, n1
-
-
-def splitter_unitary(T: float, d: int) -> np.ndarray:
-    mode0, mode1, n0, n1 = _pair(d)
+def splitter_unitary(T: float, d: int) -> BlockUnitary:
+    """theta (a0† a1 - a0 a1†) conserves the photon number n0 + n1; inside a
+    block, a0† a1 |n0, n1> = sqrt(n0 + 1) sqrt(n1) |n0 + 1, n1 - 1>."""
     theta = math.atan2(math.sqrt(1.0 - T), math.sqrt(T))
-    generator = theta * (mode0.conj().T @ mode1 - mode0 @ mode1.conj().T)
-    return _expm_blocked(generator, n0 + n1)  # photon number conserved
+    blocks = []
+    for total in range(2 * d - 1):
+        n0 = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
+        n1 = total - n0
+        raising = np.sqrt(n0[:-1] + 1.0) * np.sqrt(n1[:-1])
+        blocks.append((n0 * d + n1, _ladder_block(theta * raising)))
+    return BlockUnitary(tuple(blocks))
 
 
-def two_mode_squeezer_unitary(G: float, pump_phase: float, d: int) -> np.ndarray:
-    mode0, mode1, n0, n1 = _pair(d)
-    phase = np.exp(1j * pump_phase)
-    generator = phase * mode0.conj().T @ mode1.conj().T - np.conj(phase) * mode0 @ mode1
-    return _expm_blocked(math.acosh(G) * generator, n0 - n1)  # photon difference conserved
+def two_mode_squeezer_unitary(G: float, pump_phase: float, d: int) -> BlockUnitary:
+    """r (e^{i phase} a0† a1† - h.c.) conserves the photon difference n0 - n1;
+    inside a block, a0† a1† |n0, n1> = sqrt(n0 + 1) sqrt(n1 + 1) |n0 + 1, n1 + 1>."""
+    weight = math.acosh(G) * np.exp(1j * pump_phase)
+    blocks = []
+    for diff in range(1 - d, d):
+        n0 = np.arange(max(0, diff), d + min(0, diff))
+        n1 = n0 - diff
+        raising = np.sqrt(n0[:-1] + 1.0) * np.sqrt(n1[:-1] + 1.0)
+        blocks.append((n0 * d + n1, _ladder_block(weight * raising)))
+    return BlockUnitary(tuple(blocks))
 
 
-def single_mode_squeezer_unitary(G: float, theta: float, d: int) -> np.ndarray:
-    a = _destroy(d)
-    phase = np.exp(1j * theta)
-    generator = phase * (a.conj().T @ a.conj().T) - np.conj(phase) * a @ a
-    return _expm_blocked((math.acosh(G) / 2.0) * generator, np.arange(d) % 2)  # parity conserved
+def single_mode_squeezer_unitary(G: float, theta: float, d: int) -> BlockUnitary:
+    """(r / 2) (e^{i theta} a†² - h.c.) conserves the photon-number parity;
+    inside a block, a†² |n> = sqrt(n + 1) sqrt(n + 2) |n + 2>."""
+    weight = (math.acosh(G) / 2.0) * np.exp(1j * theta)
+    blocks = []
+    for parity in (0, 1):
+        n = np.arange(parity, d, 2)
+        raising = np.sqrt(n[:-1] + 1.0) * np.sqrt(n[:-1] + 2.0)
+        blocks.append((n, _ladder_block(weight * raising)))
+    return BlockUnitary(tuple(blocks))

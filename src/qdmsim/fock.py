@@ -5,14 +5,17 @@ Each op's kind (:class:`qdmsim.circuits.ElementKind`) supplies its unitary
 and its oracle envelope.  A kind that needs an ancilla (loss) couples the
 mode to a fresh vacuum mode through a beam splitter; the ancilla is simply
 kept in the (pure) joint state, so tracing out happens implicitly when
-monitored-mode moments are evaluated.  A run keeps the unitaries it builds
-(41 MB each for two modes at cutoff 40) for its own repeated elements only.
-A failure while the circuit is checked or run names the op's index and
-kind.
+monitored-mode moments are evaluated.  Unitaries are block-sparse
+(:class:`qdmsim.elements.BlockUnitary`) and are applied block by block to
+the state's target-mode entries, so no operator over the whole two-mode
+basis is formed.  A run keeps the unitaries it builds for its own repeated
+elements only.  A failure while the circuit is checked or run names the
+op's index and kind.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,7 @@ from .circuits import (
     build_circuit,
     monitor_stats,
 )
-from .elements import _destroy
+from .elements import BlockUnitary, _destroy
 from .exceptions import NumericalError, TruncationError, ValidationError, annotate
 
 #: Hard cap on the truncated Hilbert-space dimension, ancillas included.
@@ -52,16 +55,16 @@ class FockConfig:
             )
 
 
-def _apply_unitary(psi: np.ndarray, unitary: np.ndarray, modes: tuple[int, ...], d: int):
+def _apply_blocks(psi: np.ndarray, blocks, modes: tuple[int, ...]) -> np.ndarray:
+    """Apply block-diagonal ``(indices, block)`` pairs over the flattened
+    basis of ``modes`` (see :class:`qdmsim.elements.BlockUnitary`)."""
     k = len(modes)
-    reshaped = unitary.reshape((d,) * (2 * k))
-    out = np.tensordot(reshaped, psi, axes=(tuple(range(k, 2 * k)), modes))
-    return np.moveaxis(out, tuple(range(k)), modes)
-
-
-def _mode_marginal(psi: np.ndarray, mode: int) -> np.ndarray:
-    axes = tuple(ax for ax in range(psi.ndim) if ax != mode)
-    return np.sum(np.abs(psi) ** 2, axis=axes)
+    front = np.moveaxis(psi, modes, tuple(range(k)))
+    flat = front.reshape(math.prod(front.shape[:k]), -1)
+    out = np.empty_like(flat)
+    for indices, block in blocks:
+        out[indices] = block @ flat[indices]
+    return np.moveaxis(out.reshape(front.shape), tuple(range(k)), modes)
 
 
 def _quadrature_operator(angle: float, d: int) -> np.ndarray:
@@ -92,15 +95,15 @@ class _FockRun:
         psi = np.zeros((self.d,) * circuit.n_modes, dtype=complex)
         psi[(0,) * circuit.n_modes] = 1.0
         self.psi = psi
-        self._unitaries: dict[tuple, np.ndarray] = {}
+        self._unitaries: dict[tuple, BlockUnitary] = {}
 
     def _check_state(self, where: str) -> None:
-        norm = float(np.vdot(self.psi, self.psi).real)
+        prob = np.abs(self.psi) ** 2
+        norm = float(prob.sum())
         if abs(norm - 1.0) > NORM_TOL:
             raise NumericalError(f"state norm drifted to {norm!r} {where}")
-        for mode in range(self.psi.ndim):
-            marginal = _mode_marginal(self.psi, mode)
-            tail = float(marginal[-1] + marginal[-2])
+        for mode in range(prob.ndim):
+            tail = float(np.moveaxis(prob, mode, 0)[-2:].sum())
             if tail > self.config.tail_threshold:
                 raise TruncationError(
                     f"tail mass {tail:.3e} in the top two levels of mode {mode} "
@@ -119,7 +122,7 @@ class _FockRun:
             extended[..., 0] = self.psi
             self.psi = extended
             modes = (op.modes[0], self.psi.ndim - 1)
-        self.psi = _apply_unitary(self.psi, self._unitaries[key], modes, d)
+        self.psi = _apply_blocks(self.psi, self._unitaries[key].blocks, modes)
 
     def run(self) -> dict[str, tuple[float, float]]:
         for index, op in enumerate(self.circuit.ops):
@@ -128,7 +131,7 @@ class _FockRun:
         results = {}
         for mon in self.circuit.monitors:
             operator = _quadrature_operator(mon.angle, self.d)
-            shifted = _apply_unitary(self.psi, operator, (mon.mode,), self.d)
+            shifted = _apply_blocks(self.psi, ((np.arange(self.d), operator),), (mon.mode,))
             mean = float(np.vdot(self.psi, shifted).real)
             second = float(np.vdot(shifted, shifted).real)
             results[mon.label] = (mean, second - mean * mean)

@@ -46,6 +46,10 @@ class SweepAxis:
             raise ValidationError(
                 f"axis {self.name!r} is not sweepable; choose from {SWEEPABLE}"
             )
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValidationError(
+                f"axis {self.name!r} needs finite bounds, got {self.start}:{self.stop}"
+            )
         if not 1 <= self.count <= MAX_AXIS_POINTS:
             raise ValidationError(
                 f"axis {self.name!r} needs 1..{MAX_AXIS_POINTS} points, got {self.count}"
@@ -68,12 +72,23 @@ class RunOptions:
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{key} must be a finite number, got {number}")
+    return number
+
+
+def _reject_constant(token: str):
+    """``json.loads`` hook for the non-standard tokens NaN, Infinity and -Infinity."""
+    raise ScenarioParseError(f"scenario holds the non-finite number {token}; numbers must be finite")
 
 
 def _parse_alpha(value) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_float(value, "alpha"))
     if isinstance(value, dict) and set(value) <= {"re", "im"}:
         return complex(_as_float(value.get("re", 0.0), "alpha.re"),
                        _as_float(value.get("im", 0.0), "alpha.im"))
@@ -109,12 +124,14 @@ def _parse_axis(entry) -> SweepAxis:
         raise ValidationError(f"sweep axis is missing {exc.args[0]}") from None
     if not isinstance(count, int) or isinstance(count, bool):
         raise ValidationError(f"axis count must be an integer, got {count!r}")
-    return SweepAxis(str(name), _as_float(start, "axis start"), _as_float(stop, "axis stop"), count)
+    name = str(name)
+    return SweepAxis(name, _as_float(start, f"axis {name!r} start"),
+                     _as_float(stop, f"axis {name!r} stop"), count)
 
 
 def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"scenario is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"

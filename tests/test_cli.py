@@ -146,6 +146,61 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
 
+def _with_number(field, value):
+    """An EXACT degenerate-SUI payload (valid for every command) with one
+    number replaced; ``json.dumps`` writes NaN, Infinity and -Infinity."""
+    payload = dsui_payload(modulation_mode="EXACT", alpha=1.0)
+    if field == "T":
+        payload["splitters"] = [value, 0.9999]
+    elif field == "G":
+        payload["gains"] = [{"G": value, "phase": math.pi}, payload["gains"][1]]
+    else:
+        payload[field] = value
+    return payload
+
+
+COMMANDS = {
+    "run": ["run"],
+    "sweep": ["sweep", "--axis", "delta=0:0.001:2"],
+    "validate": ["validate", "--cutoff", "10"],
+}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["alpha", "delta", "T", "G"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_non_finite_token_exits_2(tmp_path, capsys, command, field, token):
+    path = write(tmp_path, "bad.json", json.dumps(_with_number(field, float(token))))
+    assert token in Path(path).read_text()
+    argv = COMMANDS[command]
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert f"non-finite number {token};" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400])
+@pytest.mark.parametrize("field", ["alpha", "delta", "T", "G"])
+def test_overflowing_number_exits_3(tmp_path, capsys, field, literal):
+    # a literal beyond the float range, with no non-standard token
+    path = write(tmp_path, "bad.json", json.dumps(_with_number(field, 0.5)).replace("0.5", literal))
+    assert main(["run", path]) == 3
+    assert "must be a finite number, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["phi=nan:1:3", "G2=1:inf:3", "phi=-inf:0:3", "delta=0:nan:2"])
+def test_non_finite_axis_flag_exits_3(capsys, flag):
+    scenario = str(SCENARIOS / "nested_sui_phase_sweep.json")
+    assert main(["sweep", scenario, "--axis", flag]) == 3
+    name = flag.split("=")[0]
+    assert f"axis '{name}' needs finite bounds" in capsys.readouterr().err
+
+
+def test_non_finite_axis_in_scenario_exits_3(tmp_path, capsys):
+    payload = mzi_payload(sweep={"axes": [{"name": "phi", "start": 0.0, "stop": 0.5, "count": 3}]})
+    path = write(tmp_path, "bad.json", json.dumps(payload).replace("0.5", "1e400"))
+    assert main(["sweep", path]) == 3
+    assert "axis 'phi' stop must be a finite number" in capsys.readouterr().err
+
+
 def test_sweep_phase_minimum_at_pi(tmp_path, capsys):
     assert main(["sweep", str(SCENARIOS / "nested_sui_phase_sweep.json")]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

@@ -122,6 +122,18 @@ def test_oracle_rejects_large_displacement():
         q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=1))
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [("single_mode_squeezer", (math.nan, 0.0)), ("two_mode_squeezer", (math.nan, 0.0)),
+     ("displace", (math.nan, 0.0)), ("displace", (0.0, math.nan))],
+)
+def test_oracle_envelope_refuses_nan(kind, params):
+    modes = (0, 1) if kind == "two_mode_squeezer" else (0,)
+    circuit = tiny_circuit([CircuitOp(kind, modes, params)], n_modes=len(modes))
+    with pytest.raises(q.ValidationError, match=rf"^oracle restricted to .* at op 0 \({kind}\)$"):
+        q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=len(modes)))
+
+
 def test_oracle_rejects_linearized_specs():
     with pytest.raises(q.ValidationError):
         q.simulate_fock(mzi_spec(alpha=1.0), q.FockConfig(cutoff=10, modes=2))
