@@ -53,7 +53,7 @@ from .metrology import (
     ResourceSummary,
     SnrReport,
     channel_report,
-    closed_form,
+    closed_forms,
     dsui_output_noise,
     dsui_snr,
     enhancement_and_resources,
@@ -61,10 +61,7 @@ from .metrology import (
     mixture_angles,
     operating_point,
     operating_points,
-    output_noise,
     probe_photon_number,
-    signal_slope,
-    snr_numeric,
     split_snr,
     su2_snr,
     sui_output_noise,
@@ -84,13 +81,13 @@ __all__ = [
     "StageSnapshot", "Topology", "TruncationError", "ValidationError",
     "apply_map", "beam_splitter", "build_circuit", "build_degenerate_sui",
     "build_direct_homodyne", "build_mzi", "build_nested_sui",
-    "channel_report", "closed_form", "compare_with_gaussian", "compose",
+    "channel_report", "closed_forms", "compare_with_gaussian", "compose",
     "displace", "displacement_map", "dsui_output_noise", "dsui_snr",
     "enhancement_and_resources", "evaluate_circuit", "identity_map",
     "loss_channel", "loss_tolerance_scan", "mixture_angles", "monitor_stats",
-    "operating_point", "operating_points", "output_noise", "phase_shifter",
-    "probe_photon_number", "quadrature_stats", "signal_slope", "simulate_fock",
-    "single_mode_squeezer", "snr_numeric", "split_snr", "stack_circuits",
+    "operating_point", "operating_points", "phase_shifter",
+    "probe_photon_number", "quadrature_stats", "simulate_fock",
+    "single_mode_squeezer", "split_snr", "stack_circuits",
     "stage_snapshots", "su2_snr", "sui_output_noise", "sui_snr_amplitude", "sui_snr_optimum",
     "sui_snr_phase", "symplectic_form", "two_mode_squeezer", "vacuum_state",
 ]

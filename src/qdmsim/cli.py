@@ -18,24 +18,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from itertools import product
 
-from .circuits import Topology, build_circuit, stage_snapshots
+from .circuits import stage_snapshots
 from .exceptions import NumericalError, ScenarioParseError, ValidationError, annotate
 from .fock import FockConfig, compare_with_gaussian
-from .metrology import (
-    channel_report,
-    dsui_output_noise,
-    dsui_snr,
-    operating_point,
-    operating_points,
-    probe_photon_number,
-    split_snr,
-    su2_snr,
-    sui_output_noise,
-    sui_snr_amplitude,
-    sui_snr_phase,
-)
+from .metrology import channel_report, closed_forms, operating_point, operating_points
 from .scenario import (
-    RunOptions,
     SweepAxis,
     apply_axis_value,
     check_axes,
@@ -49,47 +36,6 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 
-def _monitor_labels(spec, options: RunOptions) -> list[str]:
-    if options.outputs is not None:
-        return list(options.outputs)
-    return [mon.label for mon in build_circuit(spec).monitors]
-
-
-def _analytic_counterparts(spec) -> dict:
-    """Closed-form values matching the topology, for side-by-side reporting."""
-    i_ps = probe_photon_number(spec)
-    if spec.topology is Topology.DIRECT_HOMODYNE:
-        snr_d, snr_e = split_snr(spec.splitters[0].T, i_ps, spec.delta, spec.epsilon)
-        out = {"phase_snr": snr_d, "amplitude_snr": snr_e, "noise": 1.0}
-    elif spec.topology is Topology.MZI:
-        T = spec.splitters[0].T
-        snr_d = su2_snr(T, i_ps, spec.delta)
-        snr_e = su2_snr(T, i_ps, spec.epsilon)
-        if len(spec.splitters) == 3:
-            t3 = spec.splitters[2].T
-            snr_d, snr_e = snr_d * t3, snr_e * (1.0 - t3)
-        out = {"phase_snr": snr_d, "amplitude_snr": snr_e, "noise": 1.0}
-    elif spec.topology is Topology.NESTED_SUI:
-        g1, g2 = spec.gains
-        out = {
-            "phase_snr": sui_snr_phase(g1, g2, i_ps, spec.delta, spec.phi),
-            "amplitude_snr": sui_snr_amplitude(g1, g2, i_ps, spec.epsilon, spec.phi),
-            "noise": sui_output_noise(g1, g2, spec.phi),
-        }
-    else:
-        g1, g2 = spec.gains
-        snr_x, snr_y = dsui_snr(g1, i_ps, spec.delta, spec.epsilon, g2.phase)
-        noise_x, noise_y = dsui_output_noise(g1, g2)
-        out = {
-            "mix_minus_snr": snr_x,
-            "mix_plus_snr": snr_y,
-            "mix_minus_noise": noise_x,
-            "mix_plus_noise": noise_y,
-        }
-    out["i_ps"] = i_ps
-    return out
-
-
 def _relative_error(numeric: float, analytic: float) -> float:
     if analytic == 0.0:
         return 0.0 if numeric == 0.0 else math.inf
@@ -99,9 +45,8 @@ def _relative_error(numeric: float, analytic: float) -> float:
 def _cmd_run(args) -> int:
     spec, options = load_scenario(args.scenario)
     readings = operating_point(spec)
-    labels = list(readings if options.outputs is None else options.outputs)
-    reports = {label: channel_report(spec, label, readings) for label in labels}
-    analytic = _analytic_counterparts(spec)
+    reports = {label: channel_report(spec, label, readings) for label in options.outputs}
+    analytic = closed_forms(spec)
     rel = {}
     for label, rep in reports.items():
         key = f"{label}_snr"
@@ -109,7 +54,7 @@ def _cmd_run(args) -> int:
             rel[key] = _relative_error(rep.snr, analytic[key])
     document = {
         "spec": spec_to_dict(spec),
-        "outputs": labels,
+        "outputs": list(options.outputs),
         "reports": {label: asdict(rep) for label, rep in reports.items()},
         "analytic": analytic,
         "relative_error": rel,
@@ -157,7 +102,7 @@ def _cmd_sweep(args) -> int:
     if not 1 <= len(axes) <= 2:
         raise ValidationError("sweep needs 1 or 2 axes (scenario 'sweep' block or --axis)")
     check_axes(spec, axes)
-    labels = _monitor_labels(spec, options)
+    labels = options.outputs
     axis_names = [ax.name for ax in axes]
     points = list(product(*(ax.values() for ax in axes)))
     specs = []
@@ -216,9 +161,7 @@ def _cmd_export_states(args) -> int:
 
 def _cmd_validate(args) -> int:
     spec, _ = load_scenario(args.scenario)
-    circuit = build_circuit(spec)
-    config = FockConfig(cutoff=args.cutoff, modes=max(circuit.n_modes, 1))
-    report = compare_with_gaussian(spec, config, tolerance=args.tolerance)
+    report = compare_with_gaussian(spec, FockConfig(cutoff=args.cutoff), tolerance=args.tolerance)
     lines = []
     for row in report.deviations:
         lines.append(

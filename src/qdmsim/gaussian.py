@@ -147,16 +147,11 @@ class GaussianState:
     def batch_shape(self) -> tuple[int, ...]:
         return self.mean.shape[:-1]
 
-    def mode_block(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (mean, cov) restricted to one mode."""
-        _check_mode(self, mode)
-        sl = slice(2 * mode, 2 * mode + 2)
-        return self.mean[..., sl].copy(), self.cov[..., sl, sl].copy()
-
     def reduced(self, mode: int) -> "GaussianState":
         """Single-mode marginal state."""
-        mean, cov = self.mode_block(mode)
-        return GaussianState(mean, cov)
+        _check_mode(self, mode)
+        sl = slice(2 * mode, 2 * mode + 2)
+        return GaussianState(self.mean[..., sl].copy(), self.cov[..., sl, sl].copy())
 
 
 @dataclass(frozen=True)

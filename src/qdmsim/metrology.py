@@ -12,7 +12,8 @@ one-sided derivative at epsilon -> 0+, since negative epsilon would be
 gain, not loss.  Every report of one operating point reads that same pass.
 The closed forms the measurements are checked against live in the
 ``*_snr`` / ``*_noise`` functions below and are evaluated exactly as
-printed, so the two routes stay independent.
+printed, so the two routes stay independent; :func:`closed_forms` picks
+those of a spec's topology.
 """
 
 from __future__ import annotations
@@ -131,24 +132,6 @@ def _reading(readings: dict[str, MonitorReading], output: str) -> MonitorReading
         raise ValidationError(f"unknown output {output!r}; circuit monitors: {known}") from None
 
 
-def _slope(reading: MonitorReading, parameter: str) -> float:
-    if parameter not in ("delta", "epsilon"):
-        raise ValidationError(f"parameter must be one of ('delta', 'epsilon'), got {parameter!r}")
-    return getattr(reading, f"slope_{parameter}")
-
-
-def signal_slope(spec: CircuitSpec, parameter: str, output: str) -> float:
-    """d<quadrature>/d(parameter) at zero modulation; for epsilon in EXACT
-    mode the one-sided derivative at epsilon -> 0+."""
-    return _slope(_reading(operating_point(spec), output), parameter)
-
-
-def output_noise(spec: CircuitSpec, output: str) -> float:
-    """Variance of the monitored quadrature at the operating point
-    (modulations off)."""
-    return _reading(operating_point(spec), output).var
-
-
 def _classical_bound(i_ps: float, noise_var: float, slope: float) -> float:
     # enhancement = snr / (4 i_ps value^2); the value cancels against signal^2
     if i_ps == 0.0:
@@ -156,9 +139,38 @@ def _classical_bound(i_ps: float, noise_var: float, slope: float) -> float:
     return slope * slope / (4.0 * i_ps * noise_var)
 
 
-def _report(
-    spec: CircuitSpec, output: str, parameter: str, value: float, slope: float, noise: float
+def channel_report(
+    spec: CircuitSpec, output: str, readings: dict[str, MonitorReading] | None = None
 ) -> SnrReport:
+    """SNR report for a monitor's canonical channel at the spec's modulation.
+
+    ``phase`` reads delta and ``amplitude`` reads epsilon, each within the
+    linear-regime guard.  The degenerate topology's two outputs read the
+    mixtures gamma_minus / gamma_plus; their response per unit mixture is
+    the projection of the delta and epsilon slopes onto the mixture
+    direction.  ``readings`` is the spec's :func:`operating_point`,
+    evaluated here when not given, so that the reports of one operating
+    point can share one evaluation.
+    """
+    if output not in ("phase", "amplitude", "mix_minus", "mix_plus"):
+        raise ValidationError(f"no canonical channel for output {output!r}")
+    if readings is None:
+        readings = operating_point(spec)
+    if output in ("phase", "amplitude"):
+        parameter = "delta" if output == "phase" else "epsilon"
+        value = getattr(spec, parameter)
+        if abs(value) >= LINEAR_MOD_LIMIT:
+            raise ValidationError(f"modulation value {value} outside the linear regime guard")
+        reading = _reading(readings, output)
+        slope = getattr(reading, f"slope_{parameter}")
+    else:
+        reading = _reading(readings, output)
+        theta2 = spec.gains[1].phase
+        # the mixture of the slopes is the response per unit mixture
+        slopes = mixture_angles(theta2, reading.slope_delta, reading.slope_epsilon)
+        mix = mixture_angles(theta2, spec.delta, spec.epsilon)
+        parameter = "gamma_minus" if output == "mix_minus" else "gamma_plus"
+        slope, value = getattr(slopes, parameter), getattr(mix, parameter)
     if not math.isfinite(slope):
         raise NumericalError(f"non-finite slope for {parameter} on {output}")
     signal = slope * value
@@ -169,54 +181,11 @@ def _report(
         value=value,
         signal_slope=slope,
         signal=signal,
-        noise_var=noise,
-        snr=signal * signal / noise,
+        noise_var=reading.var,
+        snr=signal * signal / reading.var,
         i_ps=i_ps,
-        enhancement=_classical_bound(i_ps, noise, slope),
+        enhancement=_classical_bound(i_ps, reading.var, slope),
     )
-
-
-def snr_numeric(
-    spec: CircuitSpec, parameter: str, output: str, value: float,
-    readings: dict[str, MonitorReading] | None = None,
-) -> SnrReport:
-    """Combine measured slope and noise into an SNR report for one channel;
-    ``readings`` as for :func:`channel_report`."""
-    if abs(value) >= LINEAR_MOD_LIMIT:
-        raise ValidationError(f"modulation value {value} outside the linear regime guard")
-    reading = _reading(operating_point(spec) if readings is None else readings, output)
-    return _report(spec, output, parameter, value, _slope(reading, parameter), reading.var)
-
-
-def channel_report(
-    spec: CircuitSpec, output: str, readings: dict[str, MonitorReading] | None = None
-) -> SnrReport:
-    """SNR report for a monitor's canonical channel.
-
-    ``phase`` reads delta and ``amplitude`` reads epsilon.  The degenerate
-    topology's two outputs read the mixtures gamma_minus / gamma_plus; their
-    response per unit mixture is the projection of the delta and epsilon
-    slopes onto the mixture direction.  ``readings`` is the spec's
-    :func:`operating_point`, evaluated here when not given, so that the
-    reports of one operating point can share one evaluation.
-    """
-    if output not in ("phase", "amplitude", "mix_minus", "mix_plus"):
-        raise ValidationError(f"no canonical channel for output {output!r}")
-    if readings is None:
-        readings = operating_point(spec)
-    if output == "phase":
-        return snr_numeric(spec, "delta", output, spec.delta, readings)
-    if output == "amplitude":
-        return snr_numeric(spec, "epsilon", output, spec.epsilon, readings)
-
-    reading = _reading(readings, output)
-    theta2 = spec.gains[1].phase
-    # the mixture of the slopes is the response per unit mixture
-    slopes = mixture_angles(theta2, reading.slope_delta, reading.slope_epsilon)
-    mix = mixture_angles(theta2, spec.delta, spec.epsilon)
-    parameter = "gamma_minus" if output == "mix_minus" else "gamma_plus"
-    slope, value = getattr(slopes, parameter), getattr(mix, parameter)
-    return _report(spec, output, parameter, value, slope, reading.var)
 
 
 # ---------------------------------------------------------------------------
@@ -291,31 +260,41 @@ def dsui_snr(
     )
 
 
-_CLOSED_FORMS = {
-    "su2": su2_snr,
-    "split": split_snr,
-    "sui_noise": sui_output_noise,
-    "sui_snr_phase": sui_snr_phase,
-    "sui_snr_amplitude": sui_snr_amplitude,
-    "sui_optimum": sui_snr_optimum,
-    "dsui_noise": dsui_output_noise,
-    "dsui_snr": dsui_snr,
-}
-
-
-def closed_form(name: str, **params):
-    """Evaluate one of the named closed forms; unknown names or missing
-    parameters raise a validation error."""
-    try:
-        fn = _CLOSED_FORMS[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown closed form {name!r}; available: {sorted(_CLOSED_FORMS)}"
-        ) from None
-    try:
-        return fn(**params)
-    except TypeError as exc:
-        raise ValidationError(f"bad parameters for closed form {name!r}: {exc}") from None
+def closed_forms(spec: CircuitSpec) -> dict[str, float]:
+    """The closed forms of the spec's topology at its operating point:
+    ``<output>_snr`` per canonical channel, the matching output noise, and
+    the probe photon number ``i_ps``."""
+    i_ps = probe_photon_number(spec)
+    if spec.topology is Topology.DIRECT_HOMODYNE:
+        snr_d, snr_e = split_snr(spec.splitters[0].T, i_ps, spec.delta, spec.epsilon)
+        out = {"phase_snr": snr_d, "amplitude_snr": snr_e, "noise": 1.0}
+    elif spec.topology is Topology.MZI:
+        T = spec.splitters[0].T
+        snr_d = su2_snr(T, i_ps, spec.delta)
+        snr_e = su2_snr(T, i_ps, spec.epsilon)
+        if len(spec.splitters) == 3:
+            t3 = spec.splitters[2].T
+            snr_d, snr_e = snr_d * t3, snr_e * (1.0 - t3)
+        out = {"phase_snr": snr_d, "amplitude_snr": snr_e, "noise": 1.0}
+    elif spec.topology is Topology.NESTED_SUI:
+        g1, g2 = spec.gains
+        out = {
+            "phase_snr": sui_snr_phase(g1, g2, i_ps, spec.delta, spec.phi),
+            "amplitude_snr": sui_snr_amplitude(g1, g2, i_ps, spec.epsilon, spec.phi),
+            "noise": sui_output_noise(g1, g2, spec.phi),
+        }
+    else:
+        g1, g2 = spec.gains
+        snr_x, snr_y = dsui_snr(g1, i_ps, spec.delta, spec.epsilon, g2.phase)
+        noise_x, noise_y = dsui_output_noise(g1, g2)
+        out = {
+            "mix_minus_snr": snr_x,
+            "mix_plus_snr": snr_y,
+            "mix_minus_noise": noise_x,
+            "mix_plus_noise": noise_y,
+        }
+    out["i_ps"] = i_ps
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,23 +347,29 @@ def loss_tolerance_scan(
 ) -> list[LossTolerancePoint]:
     """SNR retention under detection loss eta for a range of second-amplifier
     gains: retention = eta V / (eta V + 1 - eta) with V the lossless output
-    noise, approaching 1 once the amplified noise dwarfs the injected vacuum."""
+    noise, approaching 1 once the amplified noise dwarfs the injected vacuum.
+    ``output`` defaults to the circuit's first monitor."""
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"detection efficiency must lie in (0, 1], got {eta}")
     base = replace(spec, detection_loss=1.0)
-    label = output or build_circuit(base).monitors[0].label
-    points = []
+    specs = []
     for g2 in g2_values:
-        gains = (spec.gains[0], PaGain(float(g2), spec.gains[1].phase))
-        lossless = replace(base, gains=gains)
-        lossy = replace(lossless, detection_loss=eta)
-        rep_free = channel_report(lossless, label)
-        rep_loss = channel_report(lossy, label)
+        lossless = replace(base, gains=(spec.gains[0], PaGain(float(g2), spec.gains[1].phase)))
+        specs.extend((lossless, replace(lossless, detection_loss=eta)))
+    # every lossless spec shares one op structure and every lossy one another
+    readings = operating_points(specs)
+    points = []
+    for free, lossy, free_readings, lossy_readings in zip(
+        specs[::2], specs[1::2], readings[::2], readings[1::2]
+    ):
+        label = output or next(iter(free_readings))
+        rep_free = channel_report(free, label, free_readings)
+        rep_loss = channel_report(lossy, label, lossy_readings)
         numeric = (
             (rep_loss.signal_slope**2 / rep_loss.noise_var)
             / (rep_free.signal_slope**2 / rep_free.noise_var)
         )
         noise = rep_free.noise_var
         formula = eta * noise / (eta * noise + 1.0 - eta)
-        points.append(LossTolerancePoint(float(g2), noise, numeric, formula))
+        points.append(LossTolerancePoint(free.gains[1].G, noise, numeric, formula))
     return points

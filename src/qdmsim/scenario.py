@@ -64,7 +64,8 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class RunOptions:
-    outputs: tuple[str, ...] | None = None
+    #: monitor labels to report: the scenario's list, else every monitor
+    outputs: tuple[str, ...]
     axes: tuple[SweepAxis, ...] = ()
     fmt: str | None = None
 
@@ -170,12 +171,12 @@ def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
     circuit = build_circuit(spec)  # re-validates topology requirements
 
     outputs = doc.get("outputs")
-    if outputs is not None:
-        if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-            raise ValidationError("outputs must be a list of monitor labels")
-        for label in outputs:
-            circuit.monitor(label)
-        outputs = tuple(outputs)
+    if outputs is None:
+        outputs = [mon.label for mon in circuit.monitors]
+    elif not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+        raise ValidationError("outputs must be a list of monitor labels")
+    for label in outputs:
+        circuit.monitor(label)
 
     axes: tuple[SweepAxis, ...] = ()
     sweep = doc.get("sweep")
@@ -190,7 +191,7 @@ def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
     fmt = doc.get("format")
     if fmt is not None and fmt not in ("json", "csv"):
         raise ValidationError(f"format must be json or csv, got {fmt!r}")
-    return spec, RunOptions(outputs=outputs, axes=axes, fmt=fmt)
+    return spec, RunOptions(outputs=tuple(outputs), axes=axes, fmt=fmt)
 
 
 def load_scenario(path) -> tuple[CircuitSpec, RunOptions]:

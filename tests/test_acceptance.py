@@ -32,8 +32,8 @@ def test_criterion_1_su2_snr():
                 splitters=(q.SplitterSpec(T), q.SplitterSpec(T)),
                 delta=1e-3, epsilon=1e-3,
             )
-            for parameter, output in (("delta", "phase"), ("epsilon", "amplitude")):
-                got = q.snr_numeric(spec, parameter, output, 1e-3).snr
+            for output in ("phase", "amplitude"):
+                got = q.channel_report(spec, output).snr
                 worst_lin = max(worst_lin, _rel(got, want))
             exact = q.CircuitSpec(
                 q.Topology.MZI, alpha=alpha,
@@ -41,8 +41,8 @@ def test_criterion_1_su2_snr():
                 delta=1e-3, epsilon=1e-3,
                 modulation_mode=q.ModulationMode.EXACT,
             )
-            for parameter, output in (("delta", "phase"), ("epsilon", "amplitude")):
-                got = q.snr_numeric(exact, parameter, output, 1e-3).snr
+            for output in ("phase", "amplitude"):
+                got = q.channel_report(exact, output).snr
                 worst_exact = max(worst_exact, _rel(got, want))
     ok = worst_lin < 1e-9 and worst_exact < 1e-2
     _verdict(1, f"SU(2) SNR = 4 T i_ps depth^2 (linearized {worst_lin:.1e} < 1e-9, "
@@ -58,7 +58,7 @@ def test_criterion_2_sui_noise_surface():
         for G2 in gains:
             noises = []
             for phi in phis:
-                got = q.output_noise(nested_spec(G1=G1, G2=G2, phi=phi), "phase")
+                got = q.operating_point(nested_spec(G1=G1, G2=G2, phi=phi))["phase"].var
                 want = q.sui_output_noise(q.PaGain(G1), q.PaGain(G2), phi)
                 worst = max(worst, _rel(got, want))
                 noises.append(got)
@@ -70,8 +70,9 @@ def test_criterion_2_sui_noise_surface():
 
 def test_criterion_3_sui_signal_slopes():
     spec = nested_spec(G1=5 / 3, G2=5 / 3, R=1e-4, alpha=1000.0)  # i_ps = 100
-    slope_d = q.signal_slope(spec, "delta", "phase")
-    slope_e = q.signal_slope(spec, "epsilon", "amplitude")
+    readings = q.operating_point(spec)
+    slope_d = readings["phase"].slope_delta
+    slope_e = readings["amplitude"].slope_epsilon
     g2 = spec.gains[1]
     err_d = _rel(slope_d, 2 * g2.g * 10.0)
     err_e = _rel(slope_e, 2 * g2.G * 10.0)
@@ -82,8 +83,8 @@ def test_criterion_3_sui_signal_slopes():
 
 def test_criterion_4_qdm_optimum_and_resource_sharing():
     spec = nested_spec(G1=5 / 3, G2=100.0, delta=1e-3, epsilon=1e-3)  # i_ps = 100
-    rep_d = q.snr_numeric(spec, "delta", "phase", 1e-3)
-    rep_e = q.snr_numeric(spec, "epsilon", "amplitude", 1e-3)
+    rep_d = q.channel_report(spec, "phase")
+    rep_e = q.channel_report(spec, "amplitude")
     optimum = q.sui_snr_optimum(spec.gains[0], 100.0, 1e-3)
     summary = q.enhancement_and_resources(rep_d, rep_e, spec.gains[0])
     checks = [
@@ -104,8 +105,9 @@ def test_criterion_5_degenerate_outputs():
     for G1 in (1.25, 5 / 3, 2.0):
         for G2 in (1.0, 5 / 4, 3.0):
             spec = dsui_spec(G1=G1, G2=G2)
-            got_x = q.output_noise(spec, "mix_minus")
-            got_y = q.output_noise(spec, "mix_plus")
+            readings = q.operating_point(spec)
+            got_x = readings["mix_minus"].var
+            got_y = readings["mix_plus"].var
             a1, a2 = q.PaGain(G1), q.PaGain(G2)
             checks.append(_rel(got_x, (a2.G + a2.g) ** 2 * (a1.G - a1.g) ** 2) < 1e-9)
             checks.append(_rel(got_y, (a2.G - a2.g) ** 2 * (a1.G + a1.g) ** 2) < 1e-9)
@@ -121,9 +123,9 @@ def test_criterion_5_degenerate_outputs():
         checks.append(_rel(report.snr, want_x) < 1e-6)
     # pure channels: theta2 = 0 reads amplitude only, theta2 = pi phase only
     spec0 = dsui_spec(theta1=math.pi, theta2=0.0)
-    checks.append(abs(q.signal_slope(spec0, "delta", "mix_minus")) < 1e-10)
+    checks.append(abs(q.operating_point(spec0)["mix_minus"].slope_delta) < 1e-10)
     spec_pi = dsui_spec(theta1=2 * math.pi, theta2=math.pi)
-    checks.append(abs(q.signal_slope(spec_pi, "epsilon", "mix_minus")) < 1e-10)
+    checks.append(abs(q.operating_point(spec_pi)["mix_minus"].slope_epsilon) < 1e-10)
     _verdict(5, "degenerate outputs: dark-fringe variances, unit uncertainty "
                 "product, mixture SNRs and pure-channel selection", all(checks))
 
@@ -184,7 +186,7 @@ def _element_circuits():
 
 def test_criterion_8_fock_oracle_equivalence():
     worst = 0.0
-    config = q.FockConfig(cutoff=40, modes=2)
+    config = q.FockConfig(cutoff=40)
     for _, circuit in _element_circuits():
         report = q.compare_with_gaussian(circuit, config, tolerance=1e-4)
         worst = max(worst, report.max_abs_deviation)

@@ -148,7 +148,7 @@ def test_oracle_memory_stays_far_below_one_dense_unitary():
     assert circuit.n_modes == 2
     tracemalloc.start()
     try:
-        report = q.compare_with_gaussian(circuit, q.FockConfig(cutoff=40, modes=2))
+        report = q.compare_with_gaussian(circuit, q.FockConfig(cutoff=40))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

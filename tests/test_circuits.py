@@ -254,8 +254,9 @@ def test_direct_homodyne_splits_the_probe_resource():
 
 def test_direct_homodyne_noise_is_vacuum():
     spec = direct_spec()
-    assert q.output_noise(spec, "phase") == pytest.approx(1.0, rel=1e-12)
-    assert q.output_noise(spec, "amplitude") == pytest.approx(1.0, rel=1e-12)
+    readings = q.operating_point(spec)
+    assert readings["phase"].var == pytest.approx(1.0, rel=1e-12)
+    assert readings["amplitude"].var == pytest.approx(1.0, rel=1e-12)
 
 
 def test_direct_homodyne_needs_one_splitter():

@@ -318,6 +318,19 @@ def test_validate_truncation_failure_exits_4(capsys):
     assert "tail" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+def test_validate_rejects_unusable_tolerance(capsys, tolerance, monkeypatch):
+    from qdmsim import fock
+
+    def no_fock_work(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(fock, "_FockRun", no_fock_work)
+    argv = ["validate", str(SCENARIOS / "dsui_validate.json"), f"--tolerance={tolerance}"]
+    assert main(argv) == 3
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+
 def test_outputs_subset_respected(tmp_path, capsys):
     path = write(tmp_path, "mzi.json", mzi_payload(outputs=["phase"]))
     assert main(["run", path]) == 0

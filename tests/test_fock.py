@@ -19,7 +19,7 @@ def tiny_circuit(ops, n_modes=1, monitors=XY):
 
 def test_coherent_state_through_identity():
     circuit = tiny_circuit([CircuitOp("displace", (0,), (1.0, 0.0))])
-    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=1))
+    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=20))
     assert stats["x"][0] == pytest.approx(2.0, abs=1e-6)
     assert stats["x"][1] == pytest.approx(1.0, abs=1e-6)
     assert stats["y"][0] == pytest.approx(0.0, abs=1e-9)
@@ -28,14 +28,14 @@ def test_coherent_state_through_identity():
 @pytest.mark.parametrize("angle", [0.0, 0.7, math.pi / 3, 2.9])
 def test_vacuum_variance_at_any_angle(angle):
     circuit = tiny_circuit([], monitors=(Monitor("q", 0, angle),))
-    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=8, modes=1))
+    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=8))
     assert stats["q"][0] == pytest.approx(0.0, abs=1e-10)
     assert stats["q"][1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_single_mode_squeezer_variances():
     circuit = tiny_circuit([CircuitOp("single_mode_squeezer", (0,), (1.25, 0.0))])
-    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=40, modes=1))
+    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=40))
     assert stats["x"][1] == pytest.approx(4.0, abs=1e-4)
     assert stats["y"][1] == pytest.approx(0.25, abs=1e-4)
 
@@ -46,7 +46,7 @@ def test_two_mode_squeezer_variances():
         n_modes=2,
         monitors=(Monitor("x0", 0, 0.0), Monitor("x1", 1, 0.0)),
     )
-    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=25, modes=2))
+    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=25))
     assert stats["x0"][1] == pytest.approx(2.125, abs=1e-4)
     assert stats["x1"][1] == pytest.approx(2.125, abs=1e-4)
 
@@ -58,7 +58,7 @@ def test_loss_channel_on_squeezed_vacuum():
             CircuitOp("loss_channel", (0,), (0.5,)),
         ]
     )
-    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=40, modes=1))
+    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=40))
     assert stats["x"][1] == pytest.approx(0.625, abs=1e-4)
     assert stats["y"][1] == pytest.approx(2.5, abs=1e-4)
 
@@ -70,7 +70,7 @@ def test_phase_shifter_rotates_coherent_state():
             CircuitOp("phase_shifter", (0,), (math.pi / 2,)),
         ]
     )
-    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=1))
+    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=20))
     assert stats["x"][0] == pytest.approx(0.0, abs=1e-9)
     assert stats["y"][0] == pytest.approx(2.0, abs=1e-6)
 
@@ -84,7 +84,7 @@ def test_beam_splitter_signs_match_gaussian_engine():
         n_modes=2,
         monitors=(Monitor("x0", 0, 0.0), Monitor("x1", 1, 0.0)),
     )
-    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=2))
+    stats = q.simulate_fock(circuit, q.FockConfig(cutoff=20))
     assert stats["x0"][0] == pytest.approx(math.sqrt(2.0), abs=1e-6)
     assert stats["x1"][0] == pytest.approx(-math.sqrt(2.0), abs=1e-6)
 
@@ -95,7 +95,7 @@ def test_truncation_error_shrinks_with_cutoff():
     for cutoff in (14, 28, 56):
         circuit = tiny_circuit([CircuitOp("single_mode_squeezer", (0,), (1.25, 0.0))])
         stats = q.simulate_fock(
-            circuit, q.FockConfig(cutoff=cutoff, modes=1, tail_threshold=1e-3)
+            circuit, q.FockConfig(cutoff=cutoff, tail_threshold=1e-3)
         )
         deviations.append(abs(stats["x"][1] - 4.0))
     for worse, better in zip(deviations, deviations[1:]):
@@ -105,7 +105,7 @@ def test_truncation_error_shrinks_with_cutoff():
 def test_tail_mass_abort():
     circuit = tiny_circuit([CircuitOp("single_mode_squeezer", (0,), (1.6, 0.0))])
     with pytest.raises(q.TruncationError) as err:
-        q.simulate_fock(circuit, q.FockConfig(cutoff=6, modes=1))
+        q.simulate_fock(circuit, q.FockConfig(cutoff=6))
     assert err.value.tail_mass > 0.0
 
 
@@ -113,13 +113,13 @@ def test_oracle_rejects_large_gain():
     circuit = tiny_circuit([CircuitOp("single_mode_squeezer", (0,), (1.7, 0.0))])
     message = r"^oracle restricted to gains <= 1.6, got 1.7 at op 0 \(single_mode_squeezer\)$"
     with pytest.raises(q.ValidationError, match=message):
-        q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=1))
+        q.simulate_fock(circuit, q.FockConfig(cutoff=20))
 
 
 def test_oracle_rejects_large_displacement():
     circuit = tiny_circuit([CircuitOp("displace", (0,), (3.0, 0.0))])
     with pytest.raises(q.ValidationError, match=r"^oracle restricted to \|alpha\| <= 2.0 at op 0 \(displace\)$"):
-        q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=1))
+        q.simulate_fock(circuit, q.FockConfig(cutoff=20))
 
 
 @pytest.mark.parametrize(
@@ -131,26 +131,22 @@ def test_oracle_envelope_refuses_nan(kind, params):
     modes = (0, 1) if kind == "two_mode_squeezer" else (0,)
     circuit = tiny_circuit([CircuitOp(kind, modes, params)], n_modes=len(modes))
     with pytest.raises(q.ValidationError, match=rf"^oracle restricted to .* at op 0 \({kind}\)$"):
-        q.simulate_fock(circuit, q.FockConfig(cutoff=20, modes=len(modes)))
+        q.simulate_fock(circuit, q.FockConfig(cutoff=20))
 
 
 def test_oracle_rejects_linearized_specs():
     with pytest.raises(q.ValidationError):
-        q.simulate_fock(mzi_spec(alpha=1.0), q.FockConfig(cutoff=10, modes=2))
+        q.simulate_fock(mzi_spec(alpha=1.0), q.FockConfig(cutoff=10))
 
 
 def test_dimension_guard():
     with pytest.raises(q.ValidationError):
-        q.simulate_fock(
-            tiny_circuit([], n_modes=3), q.FockConfig(cutoff=200, modes=3)
-        )
+        q.simulate_fock(tiny_circuit([], n_modes=3), q.FockConfig(cutoff=200))
 
 
 def test_fock_config_bounds():
     with pytest.raises(q.ValidationError):
         q.FockConfig(cutoff=3)
-    with pytest.raises(q.ValidationError):
-        q.FockConfig(cutoff=10, modes=4)
     with pytest.raises(q.ValidationError):
         q.FockConfig(cutoff=10, tail_threshold=0.1)
 
@@ -159,14 +155,14 @@ def test_compare_identity_circuit():
     spec = mzi_spec(
         T=1.0, alpha=1.0, modulation_mode=q.ModulationMode.EXACT
     )
-    report = q.compare_with_gaussian(spec, q.FockConfig(cutoff=20, modes=2))
+    report = q.compare_with_gaussian(spec, q.FockConfig(cutoff=20))
     assert report.max_abs_deviation < 1e-12
     assert report.passed
 
 
 def test_compare_mzi_with_phase_modulation():
     spec = mzi_spec(T=0.9, alpha=1.0, delta=0.01, modulation_mode=q.ModulationMode.EXACT)
-    report = q.compare_with_gaussian(spec, q.FockConfig(cutoff=25, modes=2), tolerance=1e-5)
+    report = q.compare_with_gaussian(spec, q.FockConfig(cutoff=25), tolerance=1e-5)
     assert report.passed, f"max deviation {report.max_abs_deviation:.3e}"
 
 
@@ -175,7 +171,7 @@ def test_compare_degenerate_interferometer():
         G1=1.25, G2=1.25, theta1=math.pi, theta2=0.0, alpha=1.0, R=0.01,
         epsilon=0.01, modulation_mode=q.ModulationMode.EXACT,
     )
-    report = q.compare_with_gaussian(spec, q.FockConfig(cutoff=40, modes=2), tolerance=1e-4)
+    report = q.compare_with_gaussian(spec, q.FockConfig(cutoff=40), tolerance=1e-4)
     assert report.passed, f"max deviation {report.max_abs_deviation:.3e}"
 
 
@@ -223,7 +219,7 @@ def test_no_unitary_outlives_its_run(monkeypatch):
         _patch_unitary(monkeypatch, name, recording)
     for T, delta in ((0.9, 0.01), (0.8, 0.02)):  # fresh parameters per call
         spec = mzi_spec(T=T, alpha=1.0, delta=delta, modulation_mode=q.ModulationMode.EXACT)
-        assert q.compare_with_gaussian(spec, q.FockConfig(cutoff=20, modes=2)).passed
+        assert q.compare_with_gaussian(spec, q.FockConfig(cutoff=20)).passed
     gc.collect()
     assert built
     assert all(ref() is None for ref in built)
@@ -243,7 +239,7 @@ def test_identical_elements_share_one_unitary_within_a_run(monkeypatch):
     _patch_unitary(monkeypatch, "beam_splitter", counting)
     # identical T1/T2 splitters: two beam-splitter ops, one unitary
     spec = mzi_spec(T=0.9, alpha=1.0, delta=0.01, modulation_mode=q.ModulationMode.EXACT)
-    q.simulate_fock(spec, q.FockConfig(cutoff=20, modes=2))
+    q.simulate_fock(spec, q.FockConfig(cutoff=20))
     assert builds == [(0.9, 20)]
 
 
@@ -266,7 +262,7 @@ def test_every_element_kind_matches_the_oracle(name):
     ops.append(CircuitOp(name, modes, params))
     monitors = [Monitor(f"{xy.label}{m}", m, xy.angle) for m in modes for xy in XY]
     circuit = tiny_circuit(ops, len(modes), monitors)
-    report = q.compare_with_gaussian(circuit, q.FockConfig(cutoff=20, modes=len(modes)))
+    report = q.compare_with_gaussian(circuit, q.FockConfig(cutoff=20))
     assert report.passed, f"{name}: max deviation {report.max_abs_deviation:.3e}"
 
 
@@ -278,5 +274,5 @@ def test_unknown_op_kind_rejected_at_construction():
 def test_truncation_names_the_op_and_keeps_tail_mass():
     circuit = tiny_circuit([CircuitOp("displace", (0,), (1.9, 0.0))])
     with pytest.raises(q.TruncationError, match=r"raise the cutoff at op 0 \(displace\)$") as err:
-        q.simulate_fock(circuit, q.FockConfig(cutoff=8, modes=1))
+        q.simulate_fock(circuit, q.FockConfig(cutoff=8))
     assert err.value.tail_mass > 1e-6
