@@ -44,7 +44,6 @@ from .circuits import (
     build_nested_sui,
     evaluate_circuit,
     monitor_stats,
-    stack_circuits,
     stage_snapshots,
 )
 from .metrology import (
@@ -60,7 +59,6 @@ from .metrology import (
     loss_tolerance_scan,
     mixture_angles,
     operating_point,
-    operating_points,
     probe_photon_number,
     split_snr,
     su2_snr,
@@ -85,9 +83,9 @@ __all__ = [
     "displace", "displacement_map", "dsui_output_noise", "dsui_snr",
     "enhancement_and_resources", "evaluate_circuit", "identity_map",
     "loss_channel", "loss_tolerance_scan", "mixture_angles", "monitor_stats",
-    "operating_point", "operating_points", "phase_shifter",
+    "operating_point", "phase_shifter",
     "probe_photon_number", "quadrature_stats", "simulate_fock",
-    "single_mode_squeezer", "split_snr", "stack_circuits",
+    "single_mode_squeezer", "split_snr",
     "stage_snapshots", "su2_snr", "sui_output_noise", "sui_snr_amplitude", "sui_snr_optimum",
     "sui_snr_phase", "symplectic_form", "two_mode_squeezer", "vacuum_state",
 ]

@@ -26,11 +26,13 @@ Slopes: evaluation carries d mean/d(delta, eps) forward with the state,
 seeded by the op that carries the modulation (``CircuitOp.carrier``), so
 one evaluation gives every monitor's mean, variance and exact slopes.
 
-Stacking: circuits that share their op structure (:attr:`CompiledCircuit.structure`)
-stack into one circuit whose op parameters, carriers and monitor angles
-hold one entry per stacked circuit (:func:`stack_circuits`); one
-evaluation of the stack evolves all of them together along the batch axis
-of :mod:`qdmsim.gaussian`.
+Grids: a spec whose swept fields hold one value per grid point (arrays
+along one leading axis, the batch axis of :mod:`qdmsim.gaussian`) compiles
+to one circuit whose op parameters, carriers and monitor angles hold
+those arrays where they vary; one evaluation evolves every grid point
+together.  The op list depends on the values in one place only: the
+detection-loss ops are kept when any point has ``detection_loss < 1``,
+since a transmission of 1 is an exact identity for the others.
 
 Sign note: with the sign conventions above, the Mach-Zehnder dark-port
 mean under phase modulation is <Y> = -2 alpha delta sqrt(TR).  Published
@@ -41,12 +43,10 @@ not corrected here.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from .exceptions import NumericalError, ValidationError, annotate
 from .gaussian import (
     GaussianMap,
     GaussianState,
+    _check,
     apply_map,
     displacement_map,
     quadrature_direction,
@@ -76,6 +77,11 @@ LINEAR_MOD_LIMIT = 0.1
 OWN_FIELD = "own_field"
 #: Multiplication by i in quadrature space (the rotation generator).
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _is_grid(value) -> bool:
+    """Whether a spec value holds one entry per grid point."""
+    return isinstance(value, np.ndarray)
 
 
 class Topology(str, Enum):
@@ -101,6 +107,11 @@ class CircuitSpec:
     case and pump phases (kept at zero) otherwise.  ``phi`` is the internal
     phase of the amplifier interferometer and ``mzi_phi`` the internal
     Mach-Zehnder phase (0 = dark fringe).
+
+    A grid spec holds an array with one entry per grid point in any of the
+    scalar fields, splitter transmissivities and gain parameters; every
+    check then runs elementwise and names the first failing point as its
+    ``batch_index``.
     """
 
     topology: Topology
@@ -117,7 +128,8 @@ class CircuitSpec:
     def __post_init__(self):
         object.__setattr__(self, "topology", Topology(self.topology))
         object.__setattr__(self, "modulation_mode", ModulationMode(self.modulation_mode))
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        alpha = self.alpha
+        object.__setattr__(self, "alpha", alpha.astype(complex) if _is_grid(alpha) else complex(alpha))
         object.__setattr__(self, "splitters", tuple(self.splitters))
         object.__setattr__(self, "gains", tuple(self.gains))
         for s in self.splitters:
@@ -126,21 +138,17 @@ class CircuitSpec:
         for g in self.gains:
             if not isinstance(g, PaGain):
                 raise ValidationError("gains must be PaGain instances")
-        if not 0.0 < self.detection_loss <= 1.0:
-            raise ValidationError(
-                f"detection_loss must lie in (0, 1], got {self.detection_loss}"
-            )
+        loss = self.detection_loss
+        _check(np.logical_not((0.0 < loss) & (loss <= 1.0)), loss, ValidationError,
+               "detection_loss must lie in (0, 1], got {}")
         if self.modulation_mode is ModulationMode.LINEARIZED:
-            if abs(self.delta) >= LINEAR_MOD_LIMIT or abs(self.epsilon) >= LINEAR_MOD_LIMIT:
-                raise ValidationError(
-                    "linearized mode requires |delta|, |epsilon| < "
-                    f"{LINEAR_MOD_LIMIT}, got delta={self.delta}, epsilon={self.epsilon}"
-                )
+            linear = (np.abs(self.delta) < LINEAR_MOD_LIMIT) & (np.abs(self.epsilon) < LINEAR_MOD_LIMIT)
+            _check(np.logical_not(linear), (self.delta, self.epsilon), ValidationError,
+                   f"linearized mode requires |delta|, |epsilon| < {LINEAR_MOD_LIMIT}, "
+                   "got delta={}, epsilon={}")
         else:
-            if self.epsilon < 0.0:
-                raise ValidationError(
-                    "exact mode models amplitude modulation as loss, so epsilon >= 0"
-                )
+            _check(self.epsilon < 0.0, self.epsilon, ValidationError,
+                   "exact mode models amplitude modulation as loss, so epsilon >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +189,8 @@ class CircuitOp:
     ``carrier`` marks the op that applies the modulation e^{i delta - eps}
     and names the field it multiplies: :data:`OWN_FIELD` for a physical
     modulator, the constant arm amplitude for a linearized displacement,
-    ``None`` for every other op.  In a stacked circuit a parameter or
-    carrier amplitude may be an array with one entry per stacked circuit.
+    ``None`` for every other op.  In a grid circuit a parameter or
+    carrier amplitude may be an array with one entry per grid point.
     """
 
     kind: ElementKind
@@ -197,10 +205,6 @@ class CircuitOp:
             object.__setattr__(self, "kind", ELEMENT_KINDS[self.kind])
 
 
-def _carrier_kind(carrier) -> str | None:
-    return carrier if carrier is None or isinstance(carrier, str) else "field"
-
-
 @dataclass(frozen=True)
 class Monitor:
     """A homodyne tap: output label, mode index and quadrature angle."""
@@ -212,10 +216,9 @@ class Monitor:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """Ops and monitors compiled from ``spec``; for a stack made by
-    :func:`stack_circuits`, ``spec`` is the tuple of the stacked specs."""
+    """Ops and monitors compiled from ``spec``."""
 
-    spec: CircuitSpec | tuple[CircuitSpec, ...]
+    spec: CircuitSpec
     n_modes: int
     ops: tuple[CircuitOp, ...]
     monitors: tuple[Monitor, ...]
@@ -223,69 +226,12 @@ class CompiledCircuit:
     #: populated for the degenerate topology only.
     stage_bounds: tuple[tuple[str, int], ...] = ()
 
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        """(number of stacked circuits,) for a stack, () otherwise."""
-        return (len(self.spec),) if isinstance(self.spec, tuple) else ()
-
-    @cached_property
-    def structure(self) -> tuple:
-        """What circuits must share to be stacked: register size, op kinds,
-        modes and carrier kinds, and monitor labels and modes."""
-        return (
-            self.n_modes,
-            tuple((op.kind, op.modes, len(op.params), _carrier_kind(op.carrier)) for op in self.ops),
-            tuple((mon.label, mon.mode) for mon in self.monitors),
-            self.stage_bounds,
-        )
-
     def monitor(self, label: str) -> Monitor:
         for mon in self.monitors:
             if mon.label == label:
                 return mon
         known = ", ".join(m.label for m in self.monitors)
         raise ValidationError(f"unknown output {label!r}; circuit monitors: {known}")
-
-
-def _shared_or_stacked(values: Sequence):
-    """The one value every stacked circuit has, else an array of them."""
-    first = values[0]
-    if all(value == first for value in values):
-        return first
-    return np.array(values)
-
-
-def stack_circuits(circuits: Sequence[CompiledCircuit]) -> CompiledCircuit:
-    """One circuit that evaluates every given circuit at once, as its batch.
-
-    The circuits must share their :attr:`CompiledCircuit.structure`.  Each
-    op parameter, carrier amplitude and monitor angle becomes an array
-    with one entry per circuit, or stays a single value where all the
-    circuits agree, so elements that do not vary are built and checked
-    once for the whole stack.
-    """
-    if not circuits:
-        raise ValidationError("cannot stack an empty list of circuits")
-    first = circuits[0]
-    if len(circuits) == 1:
-        return CompiledCircuit((first.spec,), first.n_modes, first.ops, first.monitors, first.stage_bounds)
-    if any(circuit.structure != first.structure for circuit in circuits):
-        raise ValidationError("only circuits with the same op structure can be stacked")
-    ops = tuple(
-        CircuitOp(
-            column[0].kind,
-            column[0].modes,
-            tuple(_shared_or_stacked(values) for values in zip(*(op.params for op in column))),
-            _shared_or_stacked([op.carrier for op in column]),
-        )
-        for column in zip(*(circuit.ops for circuit in circuits))
-    )
-    monitors = tuple(
-        Monitor(column[0].label, column[0].mode, _shared_or_stacked([m.angle for m in column]))
-        for column in zip(*(circuit.monitors for circuit in circuits))
-    )
-    specs = tuple(circuit.spec for circuit in circuits)
-    return CompiledCircuit(specs, first.n_modes, ops, monitors, first.stage_bounds)
 
 
 def _tangent_source(op: CircuitOp, gmap: GaussianMap, state: GaussianState) -> np.ndarray | None:
@@ -310,10 +256,9 @@ def _tangent_source(op: CircuitOp, gmap: GaussianMap, state: GaussianState) -> n
 def evaluate_circuit(circuit: CompiledCircuit, upto: int | None = None) -> GaussianState:
     """Run the compiled circuit on vacuum inputs; optionally only the first
     ``upto`` ops (used for stage snapshots).  The state's tangent holds
-    d mean/d(delta, eps) at the circuit's modulation depths.  A stack's
-    state carries the batch axis from the first op that differs between
-    the stacked circuits on.  A failing check names the op's index and
-    kind."""
+    d mean/d(delta, eps) at the circuit's modulation depths.  A grid
+    circuit's state carries the batch axis from its first op with array
+    parameters on.  A failing check names the op's index and kind."""
     dim = 2 * circuit.n_modes
     state = GaussianState(np.zeros(dim), np.eye(dim), np.zeros((dim, 2)))
     ops = circuit.ops if upto is None else circuit.ops[:upto]
@@ -329,7 +274,7 @@ def evaluate_circuit(circuit: CompiledCircuit, upto: int | None = None) -> Gauss
 class MonitorReading(NamedTuple):
     """A monitored quadrature at the evaluated operating point: mean,
     variance and the slopes of the mean in delta and epsilon (arrays with
-    one entry per circuit for a stack)."""
+    one entry per grid point for a grid circuit)."""
 
     mean: float
     var: float
@@ -339,23 +284,18 @@ class MonitorReading(NamedTuple):
 
 def monitor_stats(circuit: CompiledCircuit) -> dict[str, MonitorReading]:
     """Every monitored quadrature, read from one evaluation: floats for a
-    single circuit, arrays over the stack for a stacked one."""
+    single operating point, arrays over the grid for a grid circuit."""
     state = evaluate_circuit(circuit)
-    batch = circuit.batch_shape
+    batch = state.batch_shape
     readings = {}
     for mon in circuit.monitors:
         mean, var = quadrature_stats(state, mon.mode, mon.angle)
         direction = quadrature_direction(mon.angle)[..., None, :]
         slopes = (direction @ state.tangent[..., 2 * mon.mode : 2 * mon.mode + 2, :])[..., 0, :]
         values = (mean, var, slopes[..., 0], slopes[..., 1])
-        if batch:
-            table = np.empty((len(values),) + batch)
-            for row, value in zip(table, values):
-                row[...] = value
-            values = table
-        else:
-            values = (float(value) for value in values)
-        readings[mon.label] = MonitorReading(*values)
+        readings[mon.label] = MonitorReading(
+            *(np.broadcast_to(value, batch) if batch else float(value) for value in values)
+        )
     return readings
 
 
@@ -375,10 +315,27 @@ def _displace_op(mode: int, amplitude: complex) -> CircuitOp:
     return CircuitOp("displace", (mode,), (amplitude.real, amplitude.imag))
 
 
+def _anywhere(condition) -> bool:
+    """Whether ``condition`` holds at any grid point, or at the one point."""
+    return bool(condition.any()) if _is_grid(condition) else bool(condition)
+
+
 def _detection_loss_ops(spec: CircuitSpec, modes: tuple[int, ...]) -> list[CircuitOp]:
-    if spec.detection_loss >= 1.0:
+    if not _anywhere(spec.detection_loss < 1.0):
         return []
     return [CircuitOp("loss_channel", (m,), (spec.detection_loss,)) for m in modes]
+
+
+def _exact_modulator_ops(spec: CircuitSpec, mode: int, phase) -> list[CircuitOp]:
+    """Physical modulators: the rotation by ``phase`` (which includes delta)
+    and, where epsilon is nonzero, the loss e^{-2 eps}."""
+    ops = [CircuitOp("phase_shifter", (mode,), (phase,), OWN_FIELD)]
+    eps = spec.epsilon
+    if _anywhere(eps != 0.0):
+        # math.exp for one depth: np.exp can differ from it in the last bit
+        loss = np.exp(-2.0 * eps) if _is_grid(eps) else math.exp(-2.0 * eps)
+        ops.append(CircuitOp("loss_channel", (mode,), (loss,)))
+    return ops
 
 
 def _mzi_block(
@@ -400,14 +357,10 @@ def _mzi_block(
     t1, t2 = spec.splitters[0], spec.splitters[1]
     ops = [CircuitOp("beam_splitter", (a_mode, b_mode), (t1.T,))]
     if spec.modulation_mode is ModulationMode.EXACT:
-        ops.append(CircuitOp("phase_shifter", (b_mode,), (spec.mzi_phi + spec.delta,), OWN_FIELD))
-        if spec.epsilon != 0.0:
-            ops.append(
-                CircuitOp("loss_channel", (b_mode,), (math.exp(-2.0 * spec.epsilon),))
-            )
+        ops.extend(_exact_modulator_ops(spec, b_mode, spec.mzi_phi + spec.delta))
     else:
         ops.append(CircuitOp("phase_shifter", (b_mode,), (spec.mzi_phi,)))
-        arm_mean = -math.sqrt(t1.R) * spec.alpha * cmath.exp(1j * spec.mzi_phi)
+        arm_mean = -np.sqrt(t1.R) * spec.alpha * np.exp(1j * spec.mzi_phi)
         ops.append(_modulation_op(spec, b_mode, arm_mean))
     # second splitter: same element with the mode roles swapped
     ops.append(CircuitOp("beam_splitter", (b_mode, a_mode), (t2.T,)))
@@ -421,14 +374,12 @@ def _sui_common_checks(spec: CircuitSpec, name: str) -> None:
         f"{name} needs the two embedded splitter transmissivities, got {len(spec.splitters)}",
     )
     if spec.modulation_mode is ModulationMode.LINEARIZED:
-        _require(
-            spec.splitters[0].T == spec.splitters[1].T,
-            f"{name} linearized encoding assumes identical splitters",
-        )
-        _require(
-            spec.mzi_phi == 0.0,
-            f"{name} linearized encoding assumes the embedded interferometer at dark fringe",
-        )
+        t1, t2 = spec.splitters[0].T, spec.splitters[1].T
+        _check(t1 != t2, (t1, t2), ValidationError,
+               f"{name} linearized encoding assumes identical splitters, got T1={{}}, T2={{}}")
+        _check(spec.mzi_phi != 0.0, spec.mzi_phi, ValidationError,
+               f"{name} linearized encoding assumes the embedded interferometer at dark "
+               "fringe, got mzi_phi={}")
 
 
 def build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
@@ -439,9 +390,7 @@ def build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
     t3 = spec.splitters[0]
     ops = [_displace_op(0, spec.alpha)]
     if spec.modulation_mode is ModulationMode.EXACT:
-        ops.append(CircuitOp("phase_shifter", (0,), (spec.delta,), OWN_FIELD))
-        if spec.epsilon != 0.0:
-            ops.append(CircuitOp("loss_channel", (0,), (math.exp(-2.0 * spec.epsilon),)))
+        ops.extend(_exact_modulator_ops(spec, 0, spec.delta))
     else:
         ops.append(_modulation_op(spec, 0, spec.alpha))
     ops.append(CircuitOp("beam_splitter", (0, 1), (t3.T,)))

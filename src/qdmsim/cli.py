@@ -16,12 +16,13 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from itertools import product
+
+import numpy as np
 
 from .circuits import stage_snapshots
 from .exceptions import NumericalError, ScenarioParseError, ValidationError, annotate
 from .fock import FockConfig, compare_with_gaussian
-from .metrology import channel_report, closed_forms, operating_point, operating_points
+from .metrology import channel_report, closed_forms, operating_point
 from .scenario import (
     SweepAxis,
     apply_axis_value,
@@ -75,25 +76,28 @@ def _parse_axis_flag(flag: str) -> SweepAxis:
     return SweepAxis(name, start, stop, count)
 
 
-def _sweep_rows(payload) -> list[list[float]]:
-    """Rows of a contiguous run of grid points, evaluated as one batch."""
-    specs, axis_names, points, labels = payload
+def _sweep_columns(payload) -> list[np.ndarray]:
+    """Report columns (noise, SNR, enhancement per label) of a contiguous
+    run of grid points, evaluated as one grid spec."""
+    spec, axis_columns, labels = payload
     try:
-        readings = operating_points(specs)
+        for name, column in axis_columns:
+            spec = apply_axis_value(spec, name, column)
+        readings = operating_point(spec)
+        reports = [channel_report(spec, label, readings) for label in labels]
     except (ValidationError, NumericalError) as exc:
-        point = getattr(exc, "point", None)
-        if point is not None:
-            values = ", ".join(f"{n}={v:.12g}" for n, v in zip(axis_names, points[point]))
+        if hasattr(exc, "batch_index"):
+            # a check on a value every point shares fails at every point
+            point = exc.batch_index or 0
+            values = ", ".join(f"{name}={column[point]:.12g}" for name, column in axis_columns)
             annotate(exc, f"(sweep point {values})")
         raise
-    rows = []
-    for spec, values, point_readings in zip(specs, points, readings):
-        row = list(values)
-        for label in labels:
-            rep = channel_report(spec, label, point_readings)
-            row.extend([rep.noise_var, rep.snr, rep.enhancement])
-        rows.append(row)
-    return rows
+    size = len(axis_columns[0][1])
+    return [
+        np.broadcast_to(value, (size,))
+        for rep in reports
+        for value in (rep.noise_var, rep.snr, rep.enhancement)
+    ]
 
 
 def _cmd_sweep(args) -> int:
@@ -104,26 +108,22 @@ def _cmd_sweep(args) -> int:
     check_axes(spec, axes)
     labels = options.outputs
     axis_names = [ax.name for ax in axes]
-    points = list(product(*(ax.values() for ax in axes)))
-    specs = []
-    for values in points:
-        point_spec = spec
-        for name, value in zip(axis_names, values):
-            point_spec = apply_axis_value(point_spec, name, value)
-        specs.append(point_spec)
+    # the flattened product grid, last axis fastest
+    grid = [g.ravel() for g in np.meshgrid(*(np.array(ax.values()) for ax in axes), indexing="ij")]
 
-    # one batch per worker: contiguous chunks keep the rows in grid order
-    size = -(-len(points) // max(args.workers, 1))
+    # one grid spec per worker: contiguous chunks keep the rows in grid order
+    size = -(-len(grid[0]) // max(args.workers, 1))
     payloads = [
-        (specs[i : i + size], axis_names, points[i : i + size], labels)
-        for i in range(0, len(points), size)
+        (spec, [(name, column[i : i + size]) for name, column in zip(axis_names, grid)], labels)
+        for i in range(0, len(grid[0]), size)
     ]
     if len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            chunks = list(pool.map(_sweep_rows, payloads))
+            chunks = list(pool.map(_sweep_columns, payloads))
     else:
-        chunks = [_sweep_rows(payload) for payload in payloads]
-    rows = [row for chunk in chunks for row in chunk]
+        chunks = [_sweep_columns(payload) for payload in payloads]
+    columns = grid + [np.concatenate(parts) for parts in zip(*chunks)]
+    rows = list(zip(*(column.tolist() for column in columns)))
 
     header = list(axis_names)
     for label in labels:

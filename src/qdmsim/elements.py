@@ -8,8 +8,9 @@ same element applied with its two modes swapped.
 
 Every element is one formula over its parameters.  A parameter may be a
 scalar or an array with one entry per batch slice; the map then carries
-the matching batch axis (see :mod:`qdmsim.gaussian`), so a stack of
-elements is built and checked as one map.
+the matching batch axis (see :mod:`qdmsim.gaussian`), so the element of
+a whole sweep grid is built and checked as one map.  A parameter check
+names the first failing slice, as the map checks do.
 
 A unitary is the exponential of the element's generator at the cutoff,
 kept as a :class:`BlockUnitary`: one block per value of a conserved
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .gaussian import GaussianMap
+from .gaussian import GaussianMap, _check
 
 _EYE2 = np.eye(2)
 _EYE4 = np.eye(4)
@@ -56,11 +57,6 @@ def _scale(value, matrix: np.ndarray) -> np.ndarray:
     return value * matrix
 
 
-def _holds(condition) -> bool:
-    """Whether a comparison holds, for every entry if it is elementwise."""
-    return condition if isinstance(condition, bool) else bool(np.all(condition))
-
-
 @dataclass(frozen=True)
 class SplitterSpec:
     """Beam-splitter transmissivity; reflectivity is derived as 1 - T."""
@@ -68,8 +64,8 @@ class SplitterSpec:
     T: float
 
     def __post_init__(self):
-        if not _holds((0.0 <= self.T) & (self.T <= 1.0)):
-            raise ValidationError(f"transmissivity must lie in [0, 1], got {self.T}")
+        _check(np.logical_not((0.0 <= self.T) & (self.T <= 1.0)), self.T, ValidationError,
+               "transmissivity must lie in [0, 1], got {}")
 
     @property
     def R(self) -> float:
@@ -88,8 +84,8 @@ class PaGain:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not _holds(self.G >= 1.0):
-            raise ValidationError(f"amplifier gain must be >= 1, got {self.G}")
+        _check(np.logical_not(self.G >= 1.0), self.G, ValidationError,
+               "amplifier gain must be >= 1, got {}")
 
     @property
     def g(self) -> float:
@@ -119,8 +115,8 @@ def loss_channel(transmission: float) -> GaussianMap:
     through the unused splitter port.
     """
     t = transmission
-    if not _holds((0.0 < t) & (t <= 1.0)):
-        raise ValidationError(f"transmission must lie in (0, 1], got {transmission}")
+    _check(np.logical_not((0.0 < t) & (t <= 1.0)), t, ValidationError,
+           "transmission must lie in (0, 1], got {}")
     return GaussianMap(_scale(np.sqrt(t), _EYE2), _scale(1.0 - t, _EYE2), np.zeros(2))
 
 

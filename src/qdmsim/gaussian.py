@@ -82,18 +82,19 @@ _ASYMMETRIC_COV = f"cov is asymmetric by {{:.3e}} (tol {SYMMETRY_TOL})"
 
 def _check(failed, margins, error: type, message: str) -> None:
     """Raise ``error`` for the first failing slice of a (possibly stacked)
-    check; ``message`` is formatted with that slice's margin."""
-    if failed.ndim == 0:
-        if not failed:
-            return
-        exc = error(message.format(float(margins)))
-        exc.batch_index = None
-    else:
-        if not failed.any():
-            return
-        index = int(np.argmax(failed))
-        exc = error(f"{message.format(float(margins[index]))} at batch index {index}")
-        exc.batch_index = index
+    check; ``message`` is formatted with that slice's margin, or margins
+    if a tuple of them is given (each a scalar or one per slice)."""
+    if failed is False or failed is np.False_:  # the common case, at no numpy cost
+        return
+    failed = np.asarray(failed)
+    if not failed.any():
+        return
+    index = int(np.argmax(failed)) if failed.ndim else None
+    at = () if index is None else index
+    margins = margins if isinstance(margins, tuple) else (margins,)
+    text = message.format(*(float(np.broadcast_to(m, failed.shape)[at]) for m in margins))
+    exc = error(text if index is None else f"{text} at batch index {index}")
+    exc.batch_index = index
     raise exc
 
 

@@ -1,15 +1,16 @@
 """Signal, noise, SNR and resource accounting for compiled circuits.
 
 Numeric quantities are measured on the compiled circuit in one pass per
-operating point: the circuit is evaluated once at zero modulation, and the
-evaluation carries the derivative of the mean with respect to (delta,
-epsilon) forward with the state (forward-mode differentiation).  Operating
-points whose circuits share an op structure are stacked into one such
-pass (:func:`operating_points`).  A
-monitor's noise is its quadrature variance there and its signal slope the
-exact derivative of its mean; in EXACT mode the epsilon slope is the
-one-sided derivative at epsilon -> 0+, since negative epsilon would be
-gain, not loss.  Every report of one operating point reads that same pass.
+operating point (:func:`operating_point`): the circuit is evaluated once at
+zero modulation, and the evaluation carries the derivative of the mean
+with respect to (delta, epsilon) forward with the state (forward-mode
+differentiation).  A grid spec, whose swept fields hold one value per
+grid point, is one such pass for the whole grid, and its reports hold one
+value per grid point in each field.  A monitor's noise is its quadrature
+variance there and its signal slope the exact derivative of its mean; in
+EXACT mode the epsilon slope is the one-sided derivative at
+epsilon -> 0+, since negative epsilon would be gain, not loss.  Every
+report of one operating point reads that same pass.
 The closed forms the measurements are checked against live in the
 ``*_snr`` / ``*_noise`` functions below and are evaluated exactly as
 printed, so the two routes stay independent; :func:`closed_forms` picks
@@ -21,19 +22,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+
+import numpy as np
 
 from .circuits import (
     LINEAR_MOD_LIMIT,
     CircuitSpec,
     MonitorReading,
     Topology,
+    _is_grid,
     build_circuit,
     monitor_stats,
-    stack_circuits,
 )
 from .elements import PaGain
 from .exceptions import NumericalError, ValidationError
+from .gaussian import _check
 
 
 @dataclass(frozen=True)
@@ -69,59 +72,28 @@ class MixtureAngle:
 
 def mixture_angles(theta2: float, delta: float, epsilon: float) -> MixtureAngle:
     half = theta2 / 2.0
-    gamma_minus = -epsilon * math.cos(half) + delta * math.sin(half)
-    gamma_plus = epsilon * math.sin(half) + delta * math.cos(half)
+    cos, sin = np.cos(half), np.sin(half)
+    gamma_minus = -epsilon * cos + delta * sin
+    gamma_plus = epsilon * sin + delta * cos
     return MixtureAngle(theta2, gamma_minus, gamma_plus)
 
 
 def probe_photon_number(spec: CircuitSpec) -> float:
     """Photon number actually probing the modulators (R |alpha|^2, or
     |alpha|^2 when the full beam is modulated)."""
+    alpha = spec.alpha
+    # numpy's complex abs can differ from Python's in the last bit; its hypot does not
+    photons = np.hypot(alpha.real, alpha.imag) ** 2 if _is_grid(alpha) else abs(alpha) ** 2
     if spec.topology is Topology.DIRECT_HOMODYNE:
-        return abs(spec.alpha) ** 2
-    return spec.splitters[0].R * abs(spec.alpha) ** 2
-
-
-def operating_points(specs: Sequence[CircuitSpec]) -> list[dict[str, MonitorReading]]:
-    """Every monitor of each spec read at zero modulation: noise variance
-    and exact slopes in delta and epsilon, one dict per spec in order.
-
-    Specs whose circuits share an op structure are stacked and evaluated
-    together, so the whole list costs one evaluation per structure.  A
-    failure during a spec's build or evaluation records that spec's index
-    in ``specs`` as the exception's ``point``.
-    """
-    circuits = []
-    for point, spec in enumerate(specs):
-        try:
-            circuits.append(build_circuit(replace(spec, delta=0.0, epsilon=0.0)))
-        except (ValidationError, NumericalError) as exc:
-            exc.point = point
-            raise
-    groups: dict[tuple, list[int]] = {}
-    for point, circuit in enumerate(circuits):
-        groups.setdefault(circuit.structure, []).append(point)
-    readings: list = [None] * len(specs)
-    for members in groups.values():
-        try:
-            stats = monitor_stats(stack_circuits([circuits[point] for point in members]))
-        except (ValidationError, NumericalError) as exc:
-            # a check on an element the stack shares fails for every member
-            exc.point = members[getattr(exc, "batch_index", None) or 0]
-            raise
-        per_label = {
-            label: [MonitorReading(*row) for row in zip(*(field.tolist() for field in reading))]
-            for label, reading in stats.items()
-        }
-        for slot, point in enumerate(members):
-            readings[point] = {label: rows[slot] for label, rows in per_label.items()}
-    return readings
+        return photons
+    return spec.splitters[0].R * photons
 
 
 def operating_point(spec: CircuitSpec) -> dict[str, MonitorReading]:
     """Every monitor of ``spec`` read from one evaluation at zero
-    modulation: noise variance and exact slopes in delta and epsilon."""
-    return operating_points([spec])[0]
+    modulation: noise variance and exact slopes in delta and epsilon,
+    arrays over the grid for a grid spec."""
+    return monitor_stats(build_circuit(replace(spec, delta=0.0, epsilon=0.0)))
 
 
 def _reading(readings: dict[str, MonitorReading], output: str) -> MonitorReading:
@@ -133,10 +105,21 @@ def _reading(readings: dict[str, MonitorReading], output: str) -> MonitorReading
 
 
 def _classical_bound(i_ps: float, noise_var: float, slope: float) -> float:
-    # enhancement = snr / (4 i_ps value^2); the value cancels against signal^2
-    if i_ps == 0.0:
-        return math.nan
-    return slope * slope / (4.0 * i_ps * noise_var)
+    # enhancement = snr / (4 i_ps value^2); the value cancels against signal^2.
+    # It is nan where no light reaches the modulators (i_ps = 0).
+    if _is_grid(i_ps):
+        return np.divide(slope * slope, 4.0 * i_ps * noise_var,
+                         out=np.full(i_ps.shape, math.nan), where=i_ps != 0.0)
+    return math.nan if i_ps == 0.0 else slope * slope / (4.0 * i_ps * noise_var)
+
+
+#: The modulation depths each canonical channel reads.
+_CHANNEL_DEPTHS = {
+    "phase": ("delta",),
+    "amplitude": ("epsilon",),
+    "mix_minus": ("delta", "epsilon"),
+    "mix_plus": ("delta", "epsilon"),
+}
 
 
 def channel_report(
@@ -144,23 +127,27 @@ def channel_report(
 ) -> SnrReport:
     """SNR report for a monitor's canonical channel at the spec's modulation.
 
-    ``phase`` reads delta and ``amplitude`` reads epsilon, each within the
-    linear-regime guard.  The degenerate topology's two outputs read the
-    mixtures gamma_minus / gamma_plus; their response per unit mixture is
-    the projection of the delta and epsilon slopes onto the mixture
-    direction.  ``readings`` is the spec's :func:`operating_point`,
-    evaluated here when not given, so that the reports of one operating
-    point can share one evaluation.
+    ``phase`` reads delta and ``amplitude`` reads epsilon.  The degenerate
+    topology's two outputs read the mixtures gamma_minus / gamma_plus of
+    both; their response per unit mixture is the projection of the delta
+    and epsilon slopes onto the mixture direction.  Every depth a channel
+    reads must lie within the linear-regime guard.  ``readings`` is the
+    spec's :func:`operating_point`, evaluated here when not given, so that
+    the reports of one operating point can share one evaluation.  For a
+    grid spec every field holds one value per grid point.
     """
-    if output not in ("phase", "amplitude", "mix_minus", "mix_plus"):
+    if output not in _CHANNEL_DEPTHS:
         raise ValidationError(f"no canonical channel for output {output!r}")
+    for depth in _CHANNEL_DEPTHS[output]:
+        value = getattr(spec, depth)
+        _check(np.logical_not(np.abs(value) < LINEAR_MOD_LIMIT), value, ValidationError,
+               f"modulation {depth} = {{}} outside the linear regime guard "
+               f"|{depth}| < {LINEAR_MOD_LIMIT}")
     if readings is None:
         readings = operating_point(spec)
     if output in ("phase", "amplitude"):
-        parameter = "delta" if output == "phase" else "epsilon"
+        (parameter,) = _CHANNEL_DEPTHS[output]
         value = getattr(spec, parameter)
-        if abs(value) >= LINEAR_MOD_LIMIT:
-            raise ValidationError(f"modulation value {value} outside the linear regime guard")
         reading = _reading(readings, output)
         slope = getattr(reading, f"slope_{parameter}")
     else:
@@ -171,8 +158,8 @@ def channel_report(
         mix = mixture_angles(theta2, spec.delta, spec.epsilon)
         parameter = "gamma_minus" if output == "mix_minus" else "gamma_plus"
         slope, value = getattr(slopes, parameter), getattr(mix, parameter)
-    if not math.isfinite(slope):
-        raise NumericalError(f"non-finite slope for {parameter} on {output}")
+    _check(np.logical_not(np.isfinite(slope)), slope, NumericalError,
+           f"non-finite slope for {parameter} on {output}")
     signal = slope * value
     i_ps = probe_photon_number(spec)
     return SnrReport(
@@ -351,25 +338,19 @@ def loss_tolerance_scan(
     ``output`` defaults to the circuit's first monitor."""
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"detection efficiency must lie in (0, 1], got {eta}")
-    base = replace(spec, detection_loss=1.0)
-    specs = []
-    for g2 in g2_values:
-        lossless = replace(base, gains=(spec.gains[0], PaGain(float(g2), spec.gains[1].phase)))
-        specs.extend((lossless, replace(lossless, detection_loss=eta)))
-    # every lossless spec shares one op structure and every lossy one another
-    readings = operating_points(specs)
-    points = []
-    for free, lossy, free_readings, lossy_readings in zip(
-        specs[::2], specs[1::2], readings[::2], readings[1::2]
-    ):
-        label = output or next(iter(free_readings))
-        rep_free = channel_report(free, label, free_readings)
-        rep_loss = channel_report(lossy, label, lossy_readings)
-        numeric = (
-            (rep_loss.signal_slope**2 / rep_loss.noise_var)
-            / (rep_free.signal_slope**2 / rep_free.noise_var)
-        )
-        noise = rep_free.noise_var
-        formula = eta * noise / (eta * noise + 1.0 - eta)
-        points.append(LossTolerancePoint(free.gains[1].G, noise, numeric, formula))
-    return points
+    g2 = np.array(list(g2_values), dtype=float)
+    lossless = replace(spec, gains=(spec.gains[0], PaGain(g2, spec.gains[1].phase)),
+                       detection_loss=1.0)
+    lossy = replace(lossless, detection_loss=eta)
+    free_readings, lossy_readings = operating_point(lossless), operating_point(lossy)
+    label = output or next(iter(free_readings))
+    rep_free = channel_report(lossless, label, free_readings)
+    rep_loss = channel_report(lossy, label, lossy_readings)
+    numeric = (
+        (rep_loss.signal_slope**2 / rep_loss.noise_var)
+        / (rep_free.signal_slope**2 / rep_free.noise_var)
+    )
+    noise = rep_free.noise_var
+    formula = eta * noise / (eta * noise + 1.0 - eta)
+    columns = (g2, noise, numeric, formula)
+    return [LossTolerancePoint(*row) for row in zip(*(column.tolist() for column in columns))]

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .circuits import CircuitSpec, ModulationMode, Topology, build_circuit
 from .elements import PaGain, SplitterSpec
@@ -202,33 +204,44 @@ def load_scenario(path) -> tuple[CircuitSpec, RunOptions]:
     return parse_scenario(text)
 
 
-def check_axes(spec: CircuitSpec, axes) -> None:
-    """Reject axes that no grid point of ``spec`` could take.
+#: What the linearized encoding of the amplifier topologies assumes of each
+#: axis it fixes: sweeping one would break that assumption at every point
+#: the axis moves.
+_LINEARIZED_SUI_FIXED = {
+    "T1": "identical splitters T1 = T2",
+    "T2": "identical splitters T1 = T2",
+    "mzi_phi": "the embedded interferometer at dark fringe, mzi_phi = 0",
+}
 
-    The linearized encoding of the amplifier topologies assumes identical
-    splitters, so sweeping T1 or T2 there would break that assumption at
-    every point it moves.
-    """
+
+def check_axes(spec: CircuitSpec, axes) -> None:
+    """Reject axes that no grid point of ``spec`` could take."""
     amplified = (Topology.NESTED_SUI, Topology.DEGENERATE_SUI)
     if spec.modulation_mode is ModulationMode.LINEARIZED and spec.topology in amplified:
         for axis in axes:
-            if axis.name in ("T1", "T2"):
+            if axis.name in _LINEARIZED_SUI_FIXED:
                 raise ValidationError(
                     f"axis {axis.name!r} cannot be swept on a LINEARIZED {spec.topology.value}: "
-                    "its linearized encoding assumes identical splitters T1 = T2"
+                    f"its linearized encoding assumes {_LINEARIZED_SUI_FIXED[axis.name]}"
                 )
 
 
-def apply_axis_value(spec: CircuitSpec, name: str, value: float) -> CircuitSpec:
-    """Return a spec with one sweepable scalar replaced."""
-    from dataclasses import replace
+def _complex(re, im):
+    """``complex(re, im)``, one per grid point where either part is a column."""
+    alpha = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    alpha.real, alpha.imag = re, im
+    return alpha if alpha.ndim else complex(alpha)
 
+
+def apply_axis_value(spec: CircuitSpec, name: str, value) -> CircuitSpec:
+    """Return a spec with one sweepable scalar replaced: by ``value``, or,
+    given an array, by one value per grid point (a grid spec)."""
     if name in ("phi", "mzi_phi", "delta", "epsilon", "detection_loss"):
         return replace(spec, **{name: value})
     if name == "alpha_re":
-        return replace(spec, alpha=complex(value, spec.alpha.imag))
+        return replace(spec, alpha=_complex(value, spec.alpha.imag))
     if name == "alpha_im":
-        return replace(spec, alpha=complex(spec.alpha.real, value))
+        return replace(spec, alpha=_complex(spec.alpha.real, value))
     if name in ("T1", "T2", "T3"):
         index = int(name[1]) - 1
         if index >= len(spec.splitters):

@@ -1,5 +1,5 @@
-"""Stacked (batched) evaluation against a per-point reference, and the
-checks that name where a stacked evaluation failed."""
+"""Grid-spec (batched) evaluation against a per-point reference, and the
+checks that name where a batched evaluation failed."""
 
 import math
 from dataclasses import replace
@@ -67,27 +67,31 @@ def reference_readings(spec):
     return readings
 
 
-def assert_matches_reference(specs):
-    got = q.operating_points(specs)
+def assert_matches_reference(grid_spec, specs):
+    got = q.operating_point(grid_spec)
     want = [reference_readings(spec) for spec in specs]
-    assert len(got) == len(specs)
     for label in want[0]:
         for field in range(4):
             ref = np.array([w[label][field] for w in want])
-            val = np.array([g[label][field] for g in got])
+            val = np.broadcast_to(got[label][field], ref.shape)
             # relative to the field's scale over the grid: slopes and means vanish at some points
             scale = max(np.max(np.abs(ref)), 1e-300)
             assert np.max(np.abs(val - ref)) <= 1e-12 * scale, (label, field)
 
 
 def grid(spec, *axes):
+    """The grid spec, one column per axis, and its per-point specs in row order."""
+    values = list(product(*(axis.values() for axis in axes)))
+    grid_spec = spec
+    for k, axis in enumerate(axes):
+        grid_spec = apply_axis_value(grid_spec, axis.name, np.array([v[k] for v in values]))
     points = []
-    for values in product(*(axis.values() for axis in axes)):
+    for point_values in values:
         point = spec
-        for axis, value in zip(axes, values):
+        for axis, value in zip(axes, point_values):
             point = apply_axis_value(point, axis.name, value)
         points.append(point)
-    return points
+    return grid_spec, points
 
 
 BASES = {
@@ -121,44 +125,57 @@ MODES = [q.ModulationMode.LINEARIZED, q.ModulationMode.EXACT]
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("topology", sorted(BASES))
 def test_two_axis_grid_matches_reference(topology, mode):
-    assert_matches_reference(grid(BASES[topology](mode), *AXES[topology]))
+    assert_matches_reference(*grid(BASES[topology](mode), *AXES[topology]))
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("topology", sorted(BASES))
 def test_mixed_structure_sweep_matches_reference(topology, mode):
-    # detection_loss reaching 1.0 drops the loss ops: two structures in one list
-    specs = grid(BASES[topology](mode), SweepAxis("detection_loss", 0.5, 1.0, 3), AXES[topology][0])
-    structures = {q.build_circuit(spec).structure for spec in specs}
-    assert len(structures) == 2
-    assert_matches_reference(specs)
+    # detection_loss reaching 1.0: the grid keeps the loss ops, the reference drops them there
+    grid_spec, specs = grid(
+        BASES[topology](mode), SweepAxis("detection_loss", 0.5, 1.0, 3), AXES[topology][0]
+    )
+    assert not any(op.kind.name == "loss_channel" for op in q.build_circuit(specs[-1]).ops)
+    assert_matches_reference(grid_spec, specs)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_shipped_scenarios_match_reference(name):
     spec, options = load_scenario(SCENARIOS / name)
-    specs = grid(spec, *options.axes) if options.axes else [spec]
-    assert_matches_reference(specs)
+    assert_matches_reference(*(grid(spec, *options.axes) if options.axes else (spec, [spec])))
 
 
-def test_operating_point_is_the_batch_of_one():
-    specs = grid(BASES["NESTED_SUI"](q.ModulationMode.EXACT), *AXES["NESTED_SUI"])
-    assert q.operating_points(specs) == [q.operating_point(spec) for spec in specs]
+def test_grid_point_reads_as_its_own_operating_point():
+    grid_spec, specs = grid(BASES["NESTED_SUI"](q.ModulationMode.EXACT), *AXES["NESTED_SUI"])
+    readings = q.operating_point(grid_spec)
+    for k, spec in enumerate(specs):
+        assert {label: tuple(float(v[k]) for v in reading) for label, reading in readings.items()} \
+            == {label: tuple(reading) for label, reading in q.operating_point(spec).items()}
 
 
-def test_stacked_circuit_rejects_mixed_structures():
-    lossy = q.build_circuit(BASES["MZI"](q.ModulationMode.LINEARIZED))
-    loss = q.build_circuit(replace(BASES["MZI"](q.ModulationMode.LINEARIZED), detection_loss=0.5))
-    with pytest.raises(q.ValidationError):
-        q.stack_circuits([lossy, loss])
+@pytest.mark.parametrize("base, axis", [
+    (BASES["NESTED_SUI"](q.ModulationMode.LINEARIZED), SweepAxis("phi", 0.0, 6.0, 5)),
+    (BASES["DEGENERATE_SUI"](q.ModulationMode.EXACT), SweepAxis("theta2_dark", 0.0, 3.0, 5)),
+])
+def test_unit_transmission_is_an_exact_identity(base, axis):
+    # the lossless points of a grid that keeps its loss ops read exactly as
+    # circuits without them
+    lossless, specs = grid(base, axis)
+    lossy = replace(lossless, detection_loss=np.array([0.5] + [1.0] * 4))
+    kinds = [[op.kind.name for op in q.build_circuit(s).ops] for s in (lossless, lossy)]
+    assert "loss_channel" not in kinds[0] and "loss_channel" in kinds[1]
+    want, got = q.operating_point(lossless), q.operating_point(lossy)
+    for label in want:
+        for field in range(4):
+            assert np.array_equal(got[label][field][1:], want[label][field][1:])
 
 
-def test_stack_shares_what_does_not_vary():
-    specs = grid(BASES["NESTED_SUI"](q.ModulationMode.LINEARIZED), AXES["NESTED_SUI"][0])
-    stack = q.stack_circuits([q.build_circuit(spec) for spec in specs])
-    assert stack.batch_shape == (5,)
-    varying = [op.kind.name for op in stack.ops if any(np.ndim(p) for p in op.params)]
+def test_grid_circuit_shares_what_does_not_vary():
+    grid_spec, _ = grid(BASES["NESTED_SUI"](q.ModulationMode.LINEARIZED), AXES["NESTED_SUI"][0])
+    circuit = q.build_circuit(grid_spec)
+    varying = [op.kind.name for op in circuit.ops if any(np.ndim(p) for p in op.params)]
     assert varying == ["phase_shifter"]
+    assert q.evaluate_circuit(circuit).batch_shape == (5,)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +242,34 @@ def test_evaluation_names_op_and_sweep_point(tmp_path, capsys, monkeypatch):
     assert "(sweep point phi=2)" in err
 
 
+@pytest.mark.parametrize("axis, message, point", [
+    # an element check: the second amplifier's gain below 1
+    ("G2=0.5:2:4", "amplifier gain must be >= 1, got 0.5 at batch index 0", "G2=0.5"),
+    # a spec check: a LINEARIZED depth past the linear limit
+    ("delta=0:0.2:5", "linearized mode requires |delta|, |epsilon| < 0.1, got delta=0.1", "delta=0.1"),
+])
+def test_failing_check_names_its_sweep_point(capsys, axis, message, point):
+    scenario = str(SCENARIOS / "nested_sui_phase_sweep.json")
+    assert main(["sweep", scenario, "--axis", axis, "--axis", "phi=0:1:2"]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"(sweep point {point}, phi=0)" in err
+
+
+def test_report_check_names_its_sweep_point(tmp_path, capsys):
+    # an EXACT spec takes any depth; its report refuses one past the guard
+    path = tmp_path / "dsui.json"
+    path.write_text(
+        '{"topology": "DEGENERATE_SUI", "alpha": 10.0, "splitters": [0.99, 0.99],'
+        ' "gains": [{"G": 1.5, "phase": 3.141592653589793}, {"G": 1.5}],'
+        ' "modulation_mode": "EXACT"}'
+    )
+    assert main(["sweep", str(path), "--axis", "epsilon=0:0.2:5"]) == 3
+    err = capsys.readouterr().err
+    assert "modulation epsilon = 0.1 outside the linear regime guard" in err
+    assert "at batch index 2 (sweep point epsilon=0.1)" in err
+
+
 # ---------------------------------------------------------------------------
 # axes rejected at load time
 # ---------------------------------------------------------------------------
@@ -258,3 +303,46 @@ def test_splitter_axis_still_sweeps_where_splitters_may_differ(capsys):
     path = str(SCENARIOS / "dsui_validate.json")
     assert main(["sweep", path, "--axis", "T1=0.9:0.99:3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+SUI_SCENARIOS = {
+    "NESTED_SUI": '{"topology": "NESTED_SUI", "alpha": 10.0, "splitters": [0.99, 0.99],'
+                  ' "gains": [{"G": 1.5}, {"G": 1.5}]',
+    "DEGENERATE_SUI": '{"topology": "DEGENERATE_SUI", "alpha": 10.0, "splitters": [0.99, 0.99],'
+                      ' "gains": [{"G": 1.5, "phase": 3.141592653589793}, {"G": 1.5}]',
+}
+
+
+@pytest.mark.parametrize("route", ["flag", "scenario"])
+@pytest.mark.parametrize("topology", sorted(SUI_SCENARIOS))
+def test_mzi_phi_axis_rejected_on_linearized_sui(tmp_path, capsys, topology, route):
+    # the linearized encoding assumes the embedded interferometer at dark fringe
+    axis = '{"name": "mzi_phi", "start": 0.0, "stop": 1.0, "count": 3}'
+    sweep = f', "sweep": {{"axes": [{axis}]}}' if route == "scenario" else ""
+    path = tmp_path / "sui.json"
+    path.write_text(SUI_SCENARIOS[topology] + sweep + "}")
+    argv = ["sweep", str(path)] + (["--axis", "mzi_phi=0:1:3"] if route == "flag" else [])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"axis 'mzi_phi' cannot be swept on a LINEARIZED {topology}" in err
+    assert "dark fringe" in err
+    assert "sweep point" not in err
+
+
+def test_mzi_phi_axis_still_sweeps_in_exact_mode(capsys):
+    # EXACT keeps the full interferometer, whose phase may leave dark fringe
+    path = str(SCENARIOS / "dsui_validate.json")
+    assert main(["sweep", path, "--axis", "mzi_phi=0:1:3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("T1", [0.99, 0.999], "identical splitters, got T1=0.999, T2=0.99 at batch index 1"),
+    ("mzi_phi", [0.0, 0.5], "dark fringe, got mzi_phi=0.5 at batch index 1"),
+])
+def test_linearized_sui_grid_spec_names_its_bad_point(axis, values, message):
+    # the library route to what the sweep axes reject at load time
+    spec = apply_axis_value(BASES["NESTED_SUI"](q.ModulationMode.LINEARIZED), axis, np.array(values))
+    with pytest.raises(q.ValidationError, match=message) as info:
+        q.operating_point(spec)
+    assert info.value.batch_index == 1

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import qdmsim as q
+from qdmsim import cli
 from qdmsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -113,13 +115,74 @@ def test_one_evaluation_per_operating_point(tmp_path, capsys, monkeypatch, paylo
     assert main(["run", path]) == 0
     assert len(calls) == 1
     calls.clear()
-    # all 15 points share one op structure: one stacked evaluation
+    # all 15 points are one grid spec: one evaluation
     assert main(["sweep", path, "--axis", "delta=0:0.002:5", "--axis", "epsilon=0:0.002:3"]) == 0
     assert len(calls) == 1
     calls.clear()
-    # detection_loss = 1.0 drops the loss ops: two structures, two evaluations
+    # the grid keeps the loss ops where detection_loss reaches 1.0: still one
     assert main(["sweep", path, "--axis", "detection_loss=0.5:1.0:3", "--axis", "phi=0:1:4"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
+    calls.clear()
+    # one evaluation per --workers chunk, the chunks run here in turn
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    argv = ["sweep", path, "--axis", "detection_loss=0.5:1.0:3", "--axis", "phi=0:1:4"]
+    assert main([*argv, "--workers", "3"]) == 0
+    assert len(calls) == 3
+
+
+class _InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("depth", ["delta", "epsilon"])
+def test_mixture_channels_guard_the_linear_regime(tmp_path, capsys, depth):
+    # the mixture channels read both depths, so either one past the guard is
+    # refused at report time, as the EXACT MZI refuses its phase channel
+    payload = dsui_payload(modulation_mode="EXACT", **{depth: 0.2})
+    path = write(tmp_path, "dsui.json", payload)
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert f"modulation {depth} = 0.2 outside the linear regime guard" in err
+    mzi = write(tmp_path, "mzi.json", mzi_payload(modulation_mode="EXACT", delta=0.2))
+    assert main(["run", mzi]) == 3
+    assert "linear regime guard" in capsys.readouterr().err
+
+
+def test_large_exact_depth_still_validates_and_exports(tmp_path, capsys):
+    # the guard is a report-time rule: the oracle and the snapshots run any depth
+    payload = json.loads((SCENARIOS / "dsui_validate.json").read_text())
+    path = write(tmp_path, "dsui.json", {**payload, "delta": 0.2})
+    assert main(["validate", path, "--cutoff", "30"]) == 0
+    assert main(["export-states", path]) == 0
+
+
+def test_sweep_through_zero_light_writes_nan_without_warnings(tmp_path):
+    # alpha_re = 0 sends no light through the modulators: i_ps = 0 and the
+    # enhancement is undefined, nan in CSV and null in JSON, as for one point
+    path = write(tmp_path, "mzi.json", mzi_payload())
+    argv = ["sweep", path, "--axis", "alpha_re=-1:1:3"]
+    out_csv, out_json = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out_csv)]) == 0
+        assert main([*argv, "--format", "json", "--out", str(out_json)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
+    assert [row["enhancement[phase]"] for row in rows][1] == "nan"
+    assert all(row["enhancement[phase]"] != "nan" for row in rows[::2])
+    records = json.loads(out_json.read_text(), parse_constant=_reject_constant)
+    assert [r["enhancement[amplitude]"] is None for r in records] == [False, True, False]
 
 
 def test_invalid_transmissivity_exits_3(tmp_path, capsys):
