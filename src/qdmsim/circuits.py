@@ -154,9 +154,10 @@ class CircuitSpec:
 @dataclass(frozen=True, eq=False)
 class ElementKind:
     """One kind of circuit element: its Gaussian map, its Fock unitary
-    (``unitary(*params, cutoff)``), the oracle's envelope check, all called
-    with the op's parameters, and whether the oracle runs it on its mode
-    and a fresh vacuum ancilla (loss)."""
+    (``unitary(*params, cutoff, basis)``, where ``basis(family, cutoff)``
+    gives a :class:`qdmsim.elements.LadderBasis`), the oracle's envelope
+    check, all called with the op's parameters, and whether the oracle
+    runs it on its mode and a fresh vacuum ancilla (loss)."""
 
     name: str
     gaussian_map: Callable[..., GaussianMap]

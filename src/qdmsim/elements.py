@@ -21,6 +21,10 @@ basis for the displacement.  Each block's generator is written down from
 the ladder-operator matrix elements between the basis states of that
 block below the cutoff, which is the truncation, so the generator and the
 unitary over the whole cutoff^2 basis of two modes are never formed.
+Except for the phase shifter, every generator is a complex weight times
+the real chain of such matrix elements, the same chain for every element
+of one ladder family: a :class:`LadderBasis` diagonalises a family's
+chains once, and each element then only exponentiates their eigenvalues.
 """
 
 from __future__ import annotations
@@ -154,88 +158,130 @@ def alpha_envelope(re: float, im: float) -> None:
         raise ValidationError(f"oracle restricted to |alpha| <= {MAX_ORACLE_ALPHA}")
 
 
-def _destroy(d: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, d)), 1)
-
-
 @dataclass(frozen=True, eq=False)
 class BlockUnitary:
     """A unitary on the flattened basis of its target modes (mode 0 the
     major axis), kept as the blocks of a conserved label.
 
-    ``blocks`` holds ``(indices, block)`` pairs whose flat basis indices
+    ``blocks`` holds ``(rows, block)`` pairs whose flat basis indices
     partition the basis exactly once; the unitary maps the entries
-    ``indices`` of a state to ``block @ state[indices]``.
+    ``rows`` of a state to ``block @ state[rows]``.  The basis states of
+    one label are evenly spaced in the flat index, so ``rows`` is a
+    ``range``.  A block is a real array where the unitary is real.
     """
 
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    blocks: tuple[tuple[range, np.ndarray], ...]
 
 
-def _expm_antihermitian(generator: np.ndarray) -> np.ndarray:
-    hermitian = -1j * generator
-    evals, evecs = np.linalg.eigh(hermitian)
-    return (evecs * np.exp(1j * evals)) @ evecs.conj().T
+class LadderBasis:
+    """The eigenbasis of one ladder family at one cutoff.
+
+    A ladder family lists, per block of its conserved label, the block's
+    rows and the real, positive ``raising`` amplitudes of the step from
+    each basis state of the block to the next.  An element of the family
+    with weight w = |w| e^{i phi} has the block generator G with
+    G[k + 1, k] = w raising[k] and G[k, k + 1] = -conj(w) raising[k], that
+    is G = D (|w| A) D* with the real antisymmetric chain A of ``raising``
+    and D = diag(e^{i k phi}); for a real w of either sign, G = w A.
+
+    With the real symmetric chain C = V diag(lam) V^T of the same
+    amplitudes, A = Q (-i C) Q* for Q = diag(i^k), so
+    exp(s A) = Q V diag(e^{-i s lam}) V^T Q*.  That is real: cos(s C) has
+    entries at even offsets k - l only and sin(s C) at odd ones, so
+    exp(s A) = (V diag(cas(s lam)) V^T) * S entrywise, with cas = cos + sin
+    and S[k, l] = Re i^(k - l) + Im i^(k - l), which is 1, 1, -1, -1 for
+    k - l = 0, 1, 2, 3 mod 4.  The chains are diagonalised once here, and
+    :meth:`unitary` only exponentiates the eigenvalues.
+    """
+
+    def __init__(self, family, d: int):
+        blocks = []
+        for rows, raising in family(d):
+            chain = np.diag(raising, 1)
+            blocks.append((rows, *np.linalg.eigh(chain + chain.T)))
+        self.blocks = tuple(blocks)
+        self._sizes = np.cumsum([0] + [len(values) for _, values, _ in blocks])
+        self._values = np.concatenate([values for _, values, _ in blocks])
+        steps = np.arange(max(np.diff(self._sizes)))
+        self._offsets = steps[:, None] - steps
+        self._signs = np.array([1.0, 1.0, -1.0, -1.0])[self._offsets % 4]
+
+    def unitary(self, weight: complex) -> BlockUnitary:
+        """exp of ``weight`` times the family's generator, block by block;
+        the blocks are real when ``weight`` is."""
+        weight = complex(weight)
+        if weight.imag == 0.0:
+            scale, pattern = weight.real, self._signs
+        else:
+            scale, pattern = abs(weight), self._signs * np.exp(1j * np.angle(weight) * self._offsets)
+        cas = np.cos(scale * self._values) + np.sin(scale * self._values)
+        blocks = []
+        for (rows, values, vectors), lo, hi in zip(self.blocks, self._sizes, self._sizes[1:]):
+            m = len(values)
+            blocks.append((rows, ((vectors * cas[lo:hi]) @ vectors.T) * pattern[:m, :m]))
+        return BlockUnitary(tuple(blocks))
 
 
-def _ladder_block(raising: np.ndarray) -> np.ndarray:
-    """Exponential of the antihermitian generator that takes the i-th basis
-    state of a block to the next with amplitude ``raising[i]`` (and back
-    with ``-conj(raising[i])``)."""
-    size = len(raising) + 1
-    generator = np.zeros((size, size), dtype=complex)
-    step = np.arange(size - 1)
-    generator[step + 1, step] = raising
-    generator[step, step + 1] = -np.conj(raising)
-    return _expm_antihermitian(generator)
-
-
-def displacement_unitary(re: float, im: float, d: int) -> BlockUnitary:
-    a = _destroy(d)
-    alpha = complex(re, im)
-    block = _expm_antihermitian(alpha * a.conj().T - alpha.conjugate() * a)
-    return BlockUnitary(((np.arange(d), block),))
-
-
-def phase_unitary(phi: float, d: int) -> BlockUnitary:
-    """e^{i phi n} conserves the photon number n: one 1x1 block per level."""
-    levels = np.arange(d)
-    phases = np.exp(1j * phi * levels)
-    return BlockUnitary(tuple((levels[n : n + 1], phases[n : n + 1, None]) for n in levels))
-
-
-def splitter_unitary(T: float, d: int) -> BlockUnitary:
-    """theta (a0† a1 - a0 a1†) conserves the photon number n0 + n1; inside a
-    block, a0† a1 |n0, n1> = sqrt(n0 + 1) sqrt(n1) |n0 + 1, n1 - 1>."""
-    theta = math.atan2(math.sqrt(1.0 - T), math.sqrt(T))
-    blocks = []
+def photon_sum_family(d: int):
+    """Splitters and loss, theta (a0† a1 - a0 a1†): blocks of n0 + n1, each
+    listed by ascending n0 (so a block's state with n1 = 0, if it holds
+    one, is its last); a0† a1 |n0, n1> = sqrt(n0 + 1) sqrt(n1) |n0 + 1, n1 - 1>."""
     for total in range(2 * d - 1):
-        n0 = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
-        n1 = total - n0
-        raising = np.sqrt(n0[:-1] + 1.0) * np.sqrt(n1[:-1])
-        blocks.append((n0 * d + n1, _ladder_block(theta * raising)))
-    return BlockUnitary(tuple(blocks))
+        lo, hi = max(0, total - d + 1), min(total, d - 1)
+        n0 = np.arange(lo, hi)
+        rows = range(lo * d + total - lo, hi * d + total - hi + 1, d - 1)
+        yield rows, np.sqrt(n0 + 1.0) * np.sqrt(total - n0)
 
 
-def two_mode_squeezer_unitary(G: float, pump_phase: float, d: int) -> BlockUnitary:
-    """r (e^{i phase} a0† a1† - h.c.) conserves the photon difference n0 - n1;
-    inside a block, a0† a1† |n0, n1> = sqrt(n0 + 1) sqrt(n1 + 1) |n0 + 1, n1 + 1>."""
-    weight = math.acosh(G) * np.exp(1j * pump_phase)
-    blocks = []
+def photon_difference_family(d: int):
+    """Two-mode squeezers, r (e^{i phase} a0† a1† - h.c.): blocks of n0 - n1;
+    a0† a1† |n0, n1> = sqrt(n0 + 1) sqrt(n1 + 1) |n0 + 1, n1 + 1>."""
     for diff in range(1 - d, d):
-        n0 = np.arange(max(0, diff), d + min(0, diff))
-        n1 = n0 - diff
-        raising = np.sqrt(n0[:-1] + 1.0) * np.sqrt(n1[:-1] + 1.0)
-        blocks.append((n0 * d + n1, _ladder_block(weight * raising)))
-    return BlockUnitary(tuple(blocks))
+        lo, hi = max(0, diff), d - 1 + min(0, diff)
+        n0 = np.arange(lo, hi)
+        rows = range(lo * (d + 1) - diff, hi * (d + 1) - diff + 1, d + 1)
+        yield rows, np.sqrt(n0 + 1.0) * np.sqrt(n0 - diff + 1.0)
 
 
-def single_mode_squeezer_unitary(G: float, theta: float, d: int) -> BlockUnitary:
-    """(r / 2) (e^{i theta} a†² - h.c.) conserves the photon-number parity;
-    inside a block, a†² |n> = sqrt(n + 1) sqrt(n + 2) |n + 2>."""
-    weight = (math.acosh(G) / 2.0) * np.exp(1j * theta)
-    blocks = []
+def parity_family(d: int):
+    """Single-mode squeezers, (r / 2) (e^{i theta} a†² - h.c.): blocks of the
+    photon-number parity; a†² |n> = sqrt(n + 1) sqrt(n + 2) |n + 2>."""
     for parity in (0, 1):
-        n = np.arange(parity, d, 2)
-        raising = np.sqrt(n[:-1] + 1.0) * np.sqrt(n[:-1] + 2.0)
-        blocks.append((n, _ladder_block(weight * raising)))
-    return BlockUnitary(tuple(blocks))
+        n = np.arange(parity, d - 2, 2)
+        yield range(parity, d, 2), np.sqrt(n + 1.0) * np.sqrt(n + 2.0)
+
+
+def displacement_family(d: int):
+    """Displacements, alpha a† - conj(alpha) a: one block over the whole
+    basis; a† |n> = sqrt(n + 1) |n + 1>."""
+    yield range(d), np.sqrt(np.arange(1.0, d))
+
+
+def displacement_unitary(re: float, im: float, d: int, basis=LadderBasis) -> BlockUnitary:
+    """``basis(family, d)`` gives the family's :class:`LadderBasis`; a run
+    passes one that diagonalises each family once."""
+    return basis(displacement_family, d).unitary(complex(re, im))
+
+
+def phase_unitary(phi: float, d: int, basis=LadderBasis) -> BlockUnitary:
+    """e^{i phi n} conserves the photon number n: one 1x1 block per level,
+    diagonal already, so no ladder family (``basis`` is not used)."""
+    phases = np.exp(1j * phi * np.arange(d))
+    return BlockUnitary(tuple((range(n, n + 1), phases[n : n + 1, None]) for n in range(d)))
+
+
+def splitter_unitary(T: float, d: int, basis=LadderBasis) -> BlockUnitary:
+    """The splitter of transmissivity ``T``: photon-sum weight
+    theta = atan(sqrt(R / T))."""
+    theta = math.atan2(math.sqrt(1.0 - T), math.sqrt(T))
+    return basis(photon_sum_family, d).unitary(theta)
+
+
+def two_mode_squeezer_unitary(G: float, pump_phase: float, d: int, basis=LadderBasis) -> BlockUnitary:
+    """Photon-difference weight acosh(G) e^{i pump_phase}."""
+    return basis(photon_difference_family, d).unitary(math.acosh(G) * np.exp(1j * pump_phase))
+
+
+def single_mode_squeezer_unitary(G: float, theta: float, d: int, basis=LadderBasis) -> BlockUnitary:
+    """Parity weight (acosh(G) / 2) e^{i theta}."""
+    return basis(parity_family, d).unitary((math.acosh(G) / 2.0) * np.exp(1j * theta))

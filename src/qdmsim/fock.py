@@ -2,15 +2,22 @@
 Gaussian engine on small instances.
 
 Each op's kind (:class:`qdmsim.circuits.ElementKind`) supplies its unitary
-and its oracle envelope.  A kind that needs an ancilla (loss) couples the
-mode to a fresh vacuum mode through a beam splitter; the ancilla is simply
-kept in the (pure) joint state, so tracing out happens implicitly when
-monitored-mode moments are evaluated.  Unitaries are block-sparse
+and its oracle envelope.  Unitaries are block-sparse
 (:class:`qdmsim.elements.BlockUnitary`) and are applied block by block to
 the state's target-mode entries, so no operator over the whole two-mode
 basis is formed.  A run keeps the unitaries it builds for its own repeated
-elements only.  A failure while the circuit is checked or run names the
-op's index and kind.
+elements, and the eigenbasis of each ladder family it uses
+(:class:`qdmsim.elements.LadderBasis`), so splitters and loss share one
+diagonalisation and so do the two-mode squeezers; nothing outlives the run.
+
+A kind that needs an ancilla (loss) couples the mode to a fresh vacuum
+mode through a beam splitter.  Only the splitter's columns with the
+ancilla in vacuum meet a nonzero amplitude, so just those are applied,
+and the ancilla is then kept in the (pure) joint state to the end.  A
+monitor reads the three diagonals of its mode's reduced density matrix
+that the tridiagonal truncated quadrature and its square touch, which
+traces the ancillas and every other mode out.  A failure while the
+circuit is checked or run names the op's index and kind.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import elements
 from .circuits import (
     CircuitSpec,
     CompiledCircuit,
@@ -27,7 +35,6 @@ from .circuits import (
     build_circuit,
     monitor_stats,
 )
-from .elements import BlockUnitary, _destroy
 from .exceptions import NumericalError, TruncationError, ValidationError, annotate
 
 #: Hard cap on the truncated Hilbert-space dimension, ancillas included.
@@ -53,21 +60,67 @@ class FockConfig:
             )
 
 
+def _to_front(psi: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """``psi`` with ``modes`` moved to the front, as a C-contiguous matrix
+    whose rows are the flat basis of ``modes`` (mode 0 the major axis)."""
+    front = np.ascontiguousarray(np.moveaxis(psi, modes, range(len(modes))))
+    return front.reshape(-1, math.prod(front.shape[len(modes) :]))
+
+
 def _apply_blocks(psi: np.ndarray, blocks, modes: tuple[int, ...]) -> np.ndarray:
-    """Apply block-diagonal ``(indices, block)`` pairs over the flattened
-    basis of ``modes`` (see :class:`qdmsim.elements.BlockUnitary`)."""
-    k = len(modes)
-    front = np.moveaxis(psi, modes, tuple(range(k)))
-    flat = front.reshape(math.prod(front.shape[:k]), -1)
+    """Apply block-diagonal ``(rows, block)`` pairs over the flattened
+    basis of ``modes`` (see :class:`qdmsim.elements.BlockUnitary`); each
+    block reads and writes its rows as one strided slice.  Every axis of
+    a state has the cutoff's length."""
+    flat = _to_front(psi, modes)
     out = np.empty_like(flat)
-    for indices, block in blocks:
-        out[indices] = block @ flat[indices]
-    return np.moveaxis(out.reshape(front.shape), tuple(range(k)), modes)
+    for rows, block in blocks:
+        rows = slice(rows.start, rows.stop, rows.step)
+        source, target = flat[rows], out[rows]
+        if block.dtype.kind == "f":  # a real block maps real and imaginary parts alike
+            source, target = source.view(float), target.view(float)
+        np.matmul(block, source, out=target)
+    return np.moveaxis(out.reshape(psi.shape), range(len(modes)), modes)
 
 
-def _quadrature_operator(angle: float, d: int) -> np.ndarray:
-    a = _destroy(d)
-    return a * np.exp(-1j * angle) + a.conj().T * np.exp(1j * angle)
+def _apply_to_vacuum_ancilla(psi: np.ndarray, blocks, mode: int) -> np.ndarray:
+    """Apply photon-sum blocks (see :func:`qdmsim.elements.photon_sum_family`)
+    to ``mode`` and a fresh vacuum ancilla appended as the last axis.
+
+    The only input states are |n, 0>, each the last state of block n, so
+    each block contributes its last column times the amplitudes of level n
+    of ``mode``; every other entry of the extended state is zero."""
+    d = psi.shape[mode]
+    front = _to_front(psi, (mode,))
+    out = np.zeros((d * d, front.shape[1]), dtype=complex)
+    for rows, block in blocks:
+        level, ancilla = divmod(rows[-1], d)
+        if ancilla == 0:
+            rows = slice(rows.start, rows.stop, rows.step)
+            np.multiply(block[:, -1:], front[level], out=out[rows])
+    return np.moveaxis(out.reshape((d,) * (psi.ndim + 1)), (0, 1), (mode, psi.ndim))
+
+
+def _quadrature_moments(psi: np.ndarray, mode: int, angle: float) -> tuple[float, float]:
+    """<X> and <X^2> of the truncated quadrature X = a e^{-i angle} + a† e^{i angle}
+    on ``mode``, from the three diagonals of the mode's reduced density
+    matrix that the tridiagonal X and the pentadiagonal X^2 touch."""
+    d = psi.shape[mode]
+    front = _to_front(psi, (mode,))
+    levels = np.arange(d - 1.0)
+
+    def diagonal(offset: int) -> np.ndarray:
+        # rho[n + offset, n] = sum over the other modes of psi_{n + offset} conj(psi_n)
+        return np.array([np.vdot(front[n], front[n + offset]) for n in range(d - offset)])
+
+    # <a> = sum_n sqrt(n + 1) rho[n + 1, n]; <a^2> = sum_n sqrt((n + 1)(n + 2)) rho[n + 2, n]
+    mean = 2.0 * (np.exp(-1j * angle) * (np.sqrt(levels + 1.0) @ diagonal(1))).real
+    # X^2 = a a† + a† a + (e^{-2i angle} a^2 + h.c.); truncated, a a† + a† a = 2n + 1
+    # below the top level and n at it
+    number = np.append(2.0 * levels + 1.0, d - 1.0)
+    pairs = np.sqrt(levels[:-1] + 1.0) * np.sqrt(levels[:-1] + 2.0)
+    second = number @ diagonal(0).real + 2.0 * (np.exp(-2j * angle) * (pairs @ diagonal(2))).real
+    return float(mean), float(second)
 
 
 class _FockRun:
@@ -89,15 +142,27 @@ class _FockRun:
         psi = np.zeros((self.d,) * circuit.n_modes, dtype=complex)
         psi[(0,) * circuit.n_modes] = 1.0
         self.psi = psi
-        self._unitaries: dict[tuple, BlockUnitary] = {}
+        self._unitaries: dict[tuple, elements.BlockUnitary] = {}
+        self._bases: dict[tuple, elements.LadderBasis] = {}
+
+    def _basis(self, family, d: int) -> elements.LadderBasis:
+        """The run's eigenbasis of ``family``: diagonalised on first use."""
+        key = (family, d)
+        if key not in self._bases:
+            self._bases[key] = elements.LadderBasis(family, d)
+        return self._bases[key]
 
     def _check_state(self, where: str) -> None:
-        prob = np.abs(self.psi) ** 2
-        norm = float(prob.sum())
+        psi = self.psi
+        # the state is a view of one contiguous array with its axes permuted;
+        # read in that memory order, the norm is one contiguous dot product
+        contiguous = psi.transpose(np.argsort(psi.strides)[::-1])
+        norm = float(np.vdot(contiguous, contiguous).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise NumericalError(f"state norm drifted to {norm!r} {where}")
-        for mode in range(prob.ndim):
-            tail = float(np.moveaxis(prob, mode, 0)[-2:].sum())
+        for mode in range(psi.ndim):
+            top = np.moveaxis(psi, mode, 0)[-2:]
+            tail = float(np.vdot(top, top).real)
             if tail > self.config.tail_threshold:
                 raise TruncationError(
                     f"tail mass {tail:.3e} in the top two levels of mode {mode} "
@@ -106,17 +171,14 @@ class _FockRun:
                 )
 
     def _apply_op(self, op) -> None:
-        d = self.d
         key = (op.kind.unitary, op.params)
         if key not in self._unitaries:
-            self._unitaries[key] = op.kind.unitary(*op.params, d)
-        modes = op.modes
+            self._unitaries[key] = op.kind.unitary(*op.params, self.d, self._basis)
+        blocks = self._unitaries[key].blocks
         if op.kind.ancilla:
-            extended = np.zeros(self.psi.shape + (d,), dtype=complex)
-            extended[..., 0] = self.psi
-            self.psi = extended
-            modes = (op.modes[0], self.psi.ndim - 1)
-        self.psi = _apply_blocks(self.psi, self._unitaries[key].blocks, modes)
+            self.psi = _apply_to_vacuum_ancilla(self.psi, blocks, op.modes[0])
+        else:
+            self.psi = _apply_blocks(self.psi, blocks, op.modes)
 
     def run(self) -> dict[str, tuple[float, float]]:
         for index, op in enumerate(self.circuit.ops):
@@ -124,10 +186,7 @@ class _FockRun:
             self._check_state(f"at op {index} ({op.kind.name})")
         results = {}
         for mon in self.circuit.monitors:
-            operator = _quadrature_operator(mon.angle, self.d)
-            shifted = _apply_blocks(self.psi, ((np.arange(self.d), operator),), (mon.mode,))
-            mean = float(np.vdot(self.psi, shifted).real)
-            second = float(np.vdot(shifted, shifted).real)
+            mean, second = _quadrature_moments(self.psi, mon.mode, mon.angle)
             results[mon.label] = (mean, second - mean * mean)
         return results
 

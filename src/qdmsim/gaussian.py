@@ -190,15 +190,21 @@ class GaussianMap:
                "noise matrix must be symmetric; asymmetric by {:.3e}")
         omega_out = _omega(rows // 2)
         transported = linear @ _omega(cols // 2) @ _transpose(linear)
+        lossless = False
         if rows == cols:
             lossless = np.abs(noise).max(axis=(-2, -1)) == 0.0
             dev = np.abs(transported - omega_out).max(axis=(-2, -1))
             _check(lossless & (dev > SYMPLECTIC_TOL), dev, ValidationError,
                    "lossless map is not symplectic: |S Omega S^T - Omega| = {:.3e}")
-        validity = noise + 1j * (omega_out - transported)
-        eig_min = np.linalg.eigvalsh(validity)[..., 0]
-        _check(eig_min < -UNCERTAINTY_TOL, eig_min, ValidationError,
-               "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
+        # a lossless slice's validity matrix is i (Omega - S Omega S^T), whose
+        # smallest eigenvalue, minus its spectral norm, is at least
+        # -rows * SYMPLECTIC_TOL once the check above passed; while that
+        # bound clears -UNCERTAINTY_TOL, only a lossy slice can fail below
+        if not (np.all(lossless) and rows * SYMPLECTIC_TOL <= UNCERTAINTY_TOL):
+            validity = noise + 1j * (omega_out - transported)
+            eig_min = np.linalg.eigvalsh(validity)[..., 0]
+            _check(eig_min < -UNCERTAINTY_TOL, eig_min, ValidationError,
+                   "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "displacement", disp)

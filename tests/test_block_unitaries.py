@@ -4,7 +4,9 @@ The reference builds each generator from ``np.kron`` ladder operators over
 the whole cutoff^2 basis of a mode pair, exponentiates it block by block
 over its conserved label (the generator's block structure is checked in
 ``test_fock.py``) into a dense unitary, and applies that with one
-``tensordot``.
+``tensordot``.  The oracle's loss and monitor reads have dense references
+too: loss as the splitter on the state zero-padded with a vacuum ancilla,
+a monitor as the dense truncated quadrature applied to the state.
 """
 
 import math
@@ -16,7 +18,7 @@ import pytest
 import qdmsim as q
 from qdmsim import elements
 from qdmsim.circuits import ELEMENT_KINDS
-from qdmsim.fock import _apply_blocks
+from qdmsim.fock import _apply_blocks, _apply_to_vacuum_ancilla, _quadrature_moments
 from test_circuits import dsui_spec
 
 
@@ -136,6 +138,46 @@ def test_blocked_application_matches_dense(modes):
     got = _apply_blocks(psi, blocked(*params, d).blocks, modes)
     want = dense_apply(psi, dense(*params, d), modes, d)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def dense_quadrature(angle, d):
+    a = _destroy(d)
+    return a * np.exp(-1j * angle) + a.conj().T * np.exp(1j * angle)
+
+
+def padded_loss(psi, unitary, mode, d):
+    """The splitter ``unitary`` on ``mode`` and a vacuum ancilla appended last."""
+    extended = np.zeros(psi.shape + (d,), dtype=complex)
+    extended[..., 0] = psi
+    return dense_apply(extended, assemble(unitary, d * d), (mode, psi.ndim), d)
+
+
+def random_states(d):
+    """Normalised random 1-3 mode states, the 3-mode one with permuted axes."""
+    rng = np.random.default_rng(d)
+    for n, axes in ((1, (0,)), (2, (0, 1)), (3, (2, 0, 1))):
+        psi = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+        yield (psi / np.linalg.norm(psi)).transpose(axes)
+
+
+@pytest.mark.parametrize("d", [7, 20])
+def test_loss_on_the_vacuum_column_matches_the_padded_splitter(d):
+    unitary = ELEMENT_KINDS["loss_channel"].unitary(math.exp(-0.3), d)
+    for psi in random_states(d):
+        for mode in range(psi.ndim):
+            got = _apply_to_vacuum_ancilla(psi, unitary.blocks, mode)
+            assert np.max(np.abs(got - padded_loss(psi, unitary, mode, d))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [7, 20])
+@pytest.mark.parametrize("angle", [0.0, math.pi / 2, 0.7])
+def test_monitor_read_matches_the_dense_quadrature(d, angle):
+    for psi in random_states(d):
+        for mode in range(psi.ndim):
+            shifted = dense_apply(psi, dense_quadrature(angle, d), (mode,), d)
+            mean, second = _quadrature_moments(psi, mode, angle)
+            assert abs(mean - np.vdot(psi, shifted).real) <= 1e-12
+            assert abs(second - np.vdot(shifted, shifted).real) <= 1e-12
 
 
 def test_oracle_memory_stays_far_below_one_dense_unitary():

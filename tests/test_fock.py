@@ -6,7 +6,7 @@ import pytest
 
 import qdmsim as q
 from qdmsim.circuits import ELEMENT_KINDS, CircuitOp, CompiledCircuit, Monitor
-from test_circuits import dsui_spec, mzi_spec
+from test_circuits import dsui_spec, mzi_spec, nested_spec
 
 XY = (Monitor("x", 0, 0.0), Monitor("y", 0, math.pi / 2))
 
@@ -177,10 +177,8 @@ def test_compare_degenerate_interferometer():
 
 def test_generators_are_block_diagonal_over_labels():
     # the blocked exponentials rely on exact conservation laws
-    from qdmsim.fock import _destroy
-
     d = 8
-    a = _destroy(d)
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
     eye = np.eye(d)
     m0, m1 = np.kron(a, eye), np.kron(eye, a)
     grid = np.arange(d)
@@ -197,6 +195,18 @@ def _patch_unitary(monkeypatch, name, wrap):
     """Replace the unitary builder of table entry ``name`` by ``wrap(builder)``."""
     kind = ELEMENT_KINDS[name]
     monkeypatch.setitem(ELEMENT_KINDS, name, replace(kind, unitary=wrap(kind.unitary)))
+
+
+def _record_bases(monkeypatch, record):
+    """Make every eigenbasis a run builds call ``record(basis, family)``."""
+    from qdmsim import elements
+
+    class RecordedBasis(elements.LadderBasis):
+        def __init__(self, family, d):
+            super().__init__(family, d)
+            record(self, family)
+
+    monkeypatch.setattr(elements, "LadderBasis", RecordedBasis)
 
 
 def test_no_unitary_outlives_its_run(monkeypatch):
@@ -217,13 +227,35 @@ def test_no_unitary_outlives_its_run(monkeypatch):
 
     for name in list(ELEMENT_KINDS):
         _patch_unitary(monkeypatch, name, recording)
+    bases = []
+    _record_bases(monkeypatch, lambda basis, family: bases.append(weakref.ref(basis)))
     for T, delta in ((0.9, 0.01), (0.8, 0.02)):  # fresh parameters per call
         spec = mzi_spec(T=T, alpha=1.0, delta=delta, modulation_mode=q.ModulationMode.EXACT)
         assert q.compare_with_gaussian(spec, q.FockConfig(cutoff=20)).passed
     gc.collect()
-    assert built
-    assert all(ref() is None for ref in built)
+    assert built and bases
+    assert all(ref() is None for ref in built + bases)
     assert not any(hasattr(value, "cache_info") for value in vars(fock).values())
+
+
+def test_each_ladder_family_is_diagonalised_once_per_run(monkeypatch):
+    families = []
+    _record_bases(monkeypatch, lambda basis, family: families.append(family.__name__))
+    # a nested SUI with an amplitude modulator: two splitters and a loss
+    # share the photon-sum family, its two different squeezers the
+    # photon-difference one
+    spec = nested_spec(G1=1.1, G2=1.15, R=0.01, alpha=0.5, delta=0.01, epsilon=0.05,
+                       modulation_mode=q.ModulationMode.EXACT)
+    circuit = q.build_circuit(spec)
+    kinds = [op.kind.name for op in circuit.ops]
+    assert (kinds.count("beam_splitter"), kinds.count("loss_channel")) == (2, 1)
+    assert kinds.count("two_mode_squeezer") == 2
+    for _ in range(2):  # each run diagonalises afresh
+        families.clear()
+        assert q.compare_with_gaussian(circuit, q.FockConfig(cutoff=20)).passed
+        assert sorted(families) == [
+            "displacement_family", "photon_difference_family", "photon_sum_family",
+        ]
 
 
 def test_identical_elements_share_one_unitary_within_a_run(monkeypatch):
@@ -231,7 +263,7 @@ def test_identical_elements_share_one_unitary_within_a_run(monkeypatch):
 
     def counting(original):
         def build(*args):
-            builds.append(args)
+            builds.append(args[:-1])  # parameters and cutoff; last the run's eigenbasis lookup
             return original(*args)
 
         return build

@@ -114,6 +114,38 @@ def test_uncertainty_violation_is_internal_error():
         q.GaussianState(np.zeros(2), 0.5 * np.eye(2))
 
 
+@pytest.mark.parametrize("G", [1.05, 50.0])
+@pytest.mark.parametrize("element", [q.two_mode_squeezer, q.single_mode_squeezer])
+def test_perturbed_lossless_map_is_still_rejected(element, G):
+    # lossless maps skip the validity eigenvalue check; the symplectic
+    # check alone must still refuse a map that is off by 1e-6 relative
+    valid = element(q.PaGain(G, 0.3))
+    rng = np.random.default_rng(11)
+    linear = valid.linear * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, valid.linear.shape))
+    with pytest.raises(q.ValidationError, match="lossless map is not symplectic"):
+        q.GaussianMap(linear, valid.noise, valid.displacement)
+
+
+def test_validity_eigenvalues_run_for_lossy_maps_only(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    q.beam_splitter(q.SplitterSpec(0.3))
+    q.two_mode_squeezer(q.PaGain(1.5, 0.2))
+    assert calls == []
+    q.loss_channel(0.5)
+    assert calls == [(2, 2)]
+    # and it still refuses a lossy map with too little noise
+    t = 0.5
+    with pytest.raises(q.ValidationError, match="invalid Gaussian channel"):
+        q.GaussianMap(math.sqrt(t) * np.eye(2), 0.5 * (1.0 - t) * np.eye(2), np.zeros(2))
+
+
 def test_asymmetric_covariance_rejected():
     cov = np.eye(2)
     cov[0, 1] = 1e-6

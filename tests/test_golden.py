@@ -25,6 +25,7 @@ PAIRS = [
     ("export-states", "degenerate_sui_states", "json"),
     ("export-states", "dsui_validate", "json"),
     ("validate", "dsui_validate", "txt"),
+    ("validate", "nested_validate", "txt"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
