@@ -1,18 +1,21 @@
 """Command-line interface: run scenarios, sweep parameters, export
 phase-space snapshots, and validate against the Fock oracle.
 
-Exit codes: 0 success, 2 scenario parse error, 3 validation/physics error,
-4 numerical failure.
+Exit codes: 0 success, 2 unreadable or unparsable scenario or unwritable
+output, 3 validation/physics error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
+import itertools
 import json
 import math
+import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -35,6 +38,14 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
+
+#: Grid points per sweep evaluation: a sweep holds one chunk's arrays and
+#: rows at a time, so its memory does not grow with the grid.
+CHUNK_POINTS = 2048
+
+
+class OutputError(Exception):
+    """A command's output file cannot be written."""
 
 
 def _relative_error(numeric: float, analytic: float) -> float:
@@ -77,9 +88,10 @@ def _parse_axis_flag(flag: str) -> SweepAxis:
 
 
 def _sweep_columns(payload) -> list[np.ndarray]:
-    """Report columns (noise, SNR, enhancement per label) of a contiguous
-    run of grid points, evaluated as one grid spec."""
-    spec, axis_columns, labels = payload
+    """Row columns of a contiguous run of grid points from grid index
+    ``start`` on, evaluated as one grid spec: the axis values, then noise,
+    SNR and enhancement per label."""
+    spec, start, axis_columns, labels = payload
     try:
         for name, column in axis_columns:
             spec = apply_axis_value(spec, name, column)
@@ -89,15 +101,33 @@ def _sweep_columns(payload) -> list[np.ndarray]:
         if hasattr(exc, "batch_index"):
             # a check on a value every point shares fails at every point
             point = exc.batch_index or 0
+            if exc.batch_index is not None:
+                # name the point by its index in the whole grid
+                exc.batch_index = start + point
+                message = exc.args[0].replace(
+                    f"at batch index {point}", f"at batch index {start + point}", 1
+                )
+                exc.args = (message,) + exc.args[1:]
             values = ", ".join(f"{name}={column[point]:.12g}" for name, column in axis_columns)
             annotate(exc, f"(sweep point {values})")
         raise
     size = len(axis_columns[0][1])
-    return [
+    return [column for _, column in axis_columns] + [
         np.broadcast_to(value, (size,))
         for rep in reports
         for value in (rep.noise_var, rep.snr, rep.enhancement)
     ]
+
+
+def _evaluate_chunks(payloads, workers: int):
+    """``_sweep_columns`` of each payload, in order; with ``workers`` > 1
+    in a process pool, with at most ``workers`` chunks in flight."""
+    if workers == 1:
+        yield from map(_sweep_columns, payloads)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        while group := list(itertools.islice(payloads, workers)):
+            yield from pool.map(_sweep_columns, group)
 
 
 def _cmd_sweep(args) -> int:
@@ -107,38 +137,40 @@ def _cmd_sweep(args) -> int:
         raise ValidationError("sweep needs 1 or 2 axes (scenario 'sweep' block or --axis)")
     check_axes(spec, axes)
     labels = options.outputs
-    axis_names = [ax.name for ax in axes]
-    # the flattened product grid, last axis fastest
-    grid = [g.ravel() for g in np.meshgrid(*(np.array(ax.values()) for ax in axes), indexing="ij")]
-
-    # one grid spec per worker: contiguous chunks keep the rows in grid order
-    size = -(-len(grid[0]) // max(args.workers, 1))
-    payloads = [
-        (spec, [(name, column[i : i + size]) for name, column in zip(axis_names, grid)], labels)
-        for i in range(0, len(grid[0]), size)
-    ]
-    if len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            chunks = list(pool.map(_sweep_columns, payloads))
-    else:
-        chunks = [_sweep_columns(payload) for payload in payloads]
-    columns = grid + [np.concatenate(parts) for parts in zip(*chunks)]
-    rows = list(zip(*(column.tolist() for column in columns)))
-
-    header = list(axis_names)
+    header = [ax.name for ax in axes]
     for label in labels:
         header.extend([f"noise_var[{label}]", f"snr[{label}]", f"enhancement[{label}]"])
-    fmt = args.format or options.fmt or "csv"
-    if fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        _write_json(args.out, records)
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12g}" for v in row])
-        _write_output(args.out, buffer.getvalue())
+
+    # the flattened product grid, last axis fastest, in contiguous chunks:
+    # one grid spec and one evaluation each, written in grid order
+    values = [np.array(ax.values()) for ax in axes]
+    shape = tuple(len(v) for v in values)
+    points = math.prod(shape)
+    size = min(CHUNK_POINTS, -(-points // args.workers))
+
+    def chunk(start):
+        indices = np.unravel_index(np.arange(start, min(start + size, points)), shape)
+        return spec, start, [(ax.name, v[i]) for ax, v, i in zip(axes, values, indices)], labels
+
+    payloads = map(chunk, range(0, points, size))
+    with _streamed_output(args.out) as out:
+        chunks = _evaluate_chunks(payloads, args.workers if points > size else 1)
+        # write nothing before the first chunk is done: a sweep that fails
+        # there prints nothing, as a sweep of one chunk always did
+        if (args.format or options.fmt or "csv") == "json":
+            # the text of json.dumps(records, indent=2), one chunk at a time
+            for number, columns in enumerate(chunks):
+                records = [dict(zip(header, row)) for row in zip(*(c.tolist() for c in columns))]
+                text = json.dumps(_finite_or_null(records), indent=2, sort_keys=True, allow_nan=False)
+                out.write((",\n" if number else "[\n") + text[2:-2])
+            out.write("\n]\n")
+        else:
+            # '%.12g' % v is f"{v:.12g}", and no such field needs CSV quoting
+            template = ",".join(["%.12g"] * len(header)) + "\n"
+            for number, columns in enumerate(chunks):
+                if not number:
+                    csv.writer(out, lineterminator="\n").writerow(header)
+                out.write("".join(map(template.__mod__, zip(*(c.tolist() for c in columns)))))
     return EXIT_OK
 
 
@@ -197,11 +229,65 @@ def _write_json(path, document) -> None:
 
 
 def _write_output(path, text: str) -> None:
+    """Write a whole document, once complete: a command that fails before
+    it has one never opens ``path``."""
     if path:
-        with open(path, "w") as handle:
+        with _open_output(path, "w", path) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _open_output(target, mode: str, path):
+    """``open(target, mode)`` on the way to writing the output ``path``."""
+    try:
+        return open(target, mode)
+    except OSError as exc:
+        raise OutputError(f"cannot write output {path}: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def _streamed_output(path):
+    """A text sink for output written piece by piece while the command can
+    still fail: stdout without ``path``, else a temporary sibling of
+    ``path`` that replaces it once everything is written, so a failing
+    command leaves ``path`` as it was and no partial file.  An existing
+    ``path`` that is not a regular file (a device or pipe such as
+    /dev/stdout) is written directly."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:  # no such file: opening it below says why
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with _open_output(path, "w", path) as handle:
+            yield handle
+        return
+    real = os.path.realpath(path) if os.path.islink(path) else path  # replace the link's target
+    directory, name = os.path.split(real)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    handle = _open_output(temporary, "x", path)
+    try:
+        with handle:
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            yield handle
+        os.replace(temporary, real)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)  # built once; parsing keeps no state in it
@@ -221,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--axis", action="append", metavar="name=start:stop:count")
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", choices=("json", "csv"), default=None)
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=_positive_int, default=1)
 
     export = sub.add_parser("export-states", help="stage-by-stage phase-space snapshots")
     export.add_argument("scenario")
@@ -247,7 +333,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ScenarioParseError as exc:
+    except (ScenarioParseError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as exc:

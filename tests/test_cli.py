@@ -327,6 +327,113 @@ def test_sweep_workers_match_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_workers_below_one(capsys, workers):
+    scenario = str(SCENARIOS / "nested_sui_phase_sweep.json")
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", scenario, "--workers", workers])
+    assert info.value.code == 2
+    assert f"must be at least 1, got {workers}" in capsys.readouterr().err
+
+
+def _sweep_bytes(tmp_path, monkeypatch, chunk_points, path, axes, fmt):
+    """The file a sweep writes with ``CHUNK_POINTS`` set to ``chunk_points``."""
+    monkeypatch.setattr(cli, "CHUNK_POINTS", chunk_points)
+    out = tmp_path / f"sweep_{chunk_points}.{fmt}"
+    argv = ["sweep", path, *(a for axis in axes for a in ("--axis", axis))]
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("payload, axes", [
+    (mzi_payload(), ["phi=0:3:6"]),
+    (mzi_payload(), ["phi=0:3:7"]),
+    (mzi_payload(), ["phi=0:3:8"]),
+    # chunks of 7 end mid-row of a 3 x 5 grid
+    (mzi_payload(), ["delta=0.001:0.002:3", "epsilon=0.001:0.003:5"]),
+    # the nan (JSON null) rows at alpha_re = 0 are grid points 6 to 8
+    (mzi_payload(), ["alpha_re=-1:1:5", "phi=0:1:3"]),
+    # the last chunk, at detection_loss = 1.0 only, compiles without loss ops
+    (mzi_payload(), ["detection_loss=0.5:1.0:3", "phi=0:1:5"]),
+    (dsui_payload(modulation_mode="EXACT"), ["detection_loss=0.5:1.0:3", "phi=0:1:5"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_sweep_chunks_join_byte_identically(tmp_path, monkeypatch, payload, axes, fmt):
+    path = write(tmp_path, "scenario.json", payload)
+    whole = _sweep_bytes(tmp_path, monkeypatch, 10_000, path, axes, fmt)
+    assert _sweep_bytes(tmp_path, monkeypatch, 7, path, axes, fmt) == whole
+
+
+def test_failure_in_a_later_chunk_names_its_grid_point(tmp_path, monkeypatch, capsys):
+    # delta = 0.1 is past the linear limit from grid point 16 on, in chunk 3
+    scenario = str(SCENARIOS / "nested_sui_phase_sweep.json")
+    argv = ["sweep", scenario, "--axis", "delta=0:0.1:3", "--axis", "phi=0:1:8"]
+    assert main(argv) == 3
+    whole = capsys.readouterr()
+    assert whole.out == ""
+    assert "at batch index 16 (sweep point delta=0.1, phi=0)" in whole.err
+
+    monkeypatch.setattr(cli, "CHUNK_POINTS", 7)
+    assert main(argv) == 3
+    chunked = capsys.readouterr()
+    assert chunked.err == whole.err
+    # on stdout the rows of chunks 1 and 2 stay
+    assert len(chunked.out.splitlines()) == 1 + 14
+
+    out = tmp_path / "grid.csv"
+    out.write_text("earlier output\n")
+    out.chmod(0o640)
+    assert main([*argv, "--out", str(out)]) == 3
+    assert out.read_text() == "earlier output\n"
+    assert os.listdir(tmp_path) == ["grid.csv"]
+    # a successful sweep replaces the file and keeps its permissions
+    assert main(["sweep", scenario, "--axis", "phi=0:1:8", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 9
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["grid.csv"]
+
+
+def test_sweep_writes_a_device_directly(capsys):
+    # a path that is not a regular file is written, never replaced
+    scenario = str(SCENARIOS / "nested_sui_phase_sweep.json")
+    assert main(["sweep", scenario, "--axis", "phi=0:1:3", "--out", os.devnull]) == 0
+    assert not os.path.isfile(os.devnull) and os.path.exists(os.devnull)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "export-states", "validate"])
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
+    calls = _count_evaluations(monkeypatch)
+    out = tmp_path / "missing" / "x.json"
+    argv = [command, str(SCENARIOS / "dsui_validate.json"), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "phi=0:1:3"]
+    assert main(argv) == 2
+    assert f"error: cannot write output {out}: No such file or directory" in capsys.readouterr().err
+    assert not out.parent.exists()
+    if command == "sweep":
+        # refused before any grid point is evaluated
+        assert calls == []
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    import tracemalloc
+
+    scenario = str(SCENARIOS / "nested_sui_phase_sweep.json")
+
+    def traced_peak(n):
+        argv = ["sweep", scenario, "--axis", f"phi=0:6.283185307179586:{n}",
+                "--axis", f"G2=1:50:{n}", "--out", str(tmp_path / f"{n}.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = traced_peak(50)
+    assert traced_peak(200) <= 1.5 * small
+
+
 def test_consecutive_commands_share_no_parsed_state(capsys):
     path = str(SCENARIOS / "nested_sui_phase_sweep.json")
     assert main(["sweep", path, "--axis", "G2=1.5:2:3"]) == 0

@@ -22,6 +22,7 @@ PAIRS = [
     ("run", "degenerate_sui_states", "json"),
     ("run", "dsui_validate", "json"),
     ("sweep", "nested_sui_phase_sweep", "csv"),
+    ("sweep", "dsui_grid_json", "json"),
     ("export-states", "degenerate_sui_states", "json"),
     ("export-states", "dsui_validate", "json"),
     ("validate", "dsui_validate", "txt"),
