@@ -52,6 +52,7 @@ import numpy as np
 
 from . import elements
 from .elements import (
+    MAX_SQUARABLE,
     PaGain,
     SplitterSpec,
     beam_splitter,
@@ -60,11 +61,10 @@ from .elements import (
     single_mode_squeezer,
     two_mode_squeezer,
 )
-from .exceptions import NumericalError, ValidationError, annotate
+from .exceptions import NumericalError, ValidationError, annotate, check
 from .gaussian import (
     GaussianMap,
     GaussianState,
-    _check,
     apply_map,
     displacement_map,
     quadrature_direction,
@@ -75,8 +75,9 @@ from .gaussian import (
 LINEAR_MOD_LIMIT = 0.1
 #: ``CircuitOp.carrier`` of a physical modulator: it acts on the mode's own mean.
 OWN_FIELD = "own_field"
-#: Multiplication by i in quadrature space (the rotation generator).
-_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+_ALPHA_OVERFLOW = (f"alpha must have |alpha| <= {MAX_SQUARABLE:.4e} for a finite |alpha|^2, "
+                   "got alpha = ({}, {})")
+_MISMATCH = "spec topology mismatch"
 
 
 def _is_grid(value) -> bool:
@@ -128,8 +129,8 @@ class CircuitSpec:
     def __post_init__(self):
         object.__setattr__(self, "topology", Topology(self.topology))
         object.__setattr__(self, "modulation_mode", ModulationMode(self.modulation_mode))
-        alpha = self.alpha
-        object.__setattr__(self, "alpha", alpha.astype(complex) if _is_grid(alpha) else complex(alpha))
+        alpha = self.alpha.astype(complex) if _is_grid(self.alpha) else complex(self.alpha)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "splitters", tuple(self.splitters))
         object.__setattr__(self, "gains", tuple(self.gains))
         for s in self.splitters:
@@ -138,17 +139,20 @@ class CircuitSpec:
         for g in self.gains:
             if not isinstance(g, PaGain):
                 raise ValidationError("gains must be PaGain instances")
+        # |alpha| <= MAX_SQUARABLE, scaled so that no intermediate overflows
+        check(np.hypot(alpha.real / MAX_SQUARABLE, alpha.imag / MAX_SQUARABLE) <= 1.0,
+              (alpha.real, alpha.imag), ValidationError, _ALPHA_OVERFLOW)
         loss = self.detection_loss
-        _check(np.logical_not((0.0 < loss) & (loss <= 1.0)), loss, ValidationError,
-               "detection_loss must lie in (0, 1], got {}")
+        check((0.0 < loss) & (loss <= 1.0), loss, ValidationError,
+              "detection_loss must lie in (0, 1], got {}")
         if self.modulation_mode is ModulationMode.LINEARIZED:
             linear = (np.abs(self.delta) < LINEAR_MOD_LIMIT) & (np.abs(self.epsilon) < LINEAR_MOD_LIMIT)
-            _check(np.logical_not(linear), (self.delta, self.epsilon), ValidationError,
-                   f"linearized mode requires |delta|, |epsilon| < {LINEAR_MOD_LIMIT}, "
-                   "got delta={}, epsilon={}")
+            check(linear, (self.delta, self.epsilon), ValidationError,
+                  f"linearized mode requires |delta|, |epsilon| < {LINEAR_MOD_LIMIT}, "
+                  "got delta={}, epsilon={}")
         else:
-            _check(self.epsilon < 0.0, self.epsilon, ValidationError,
-                   "exact mode models amplitude modulation as loss, so epsilon >= 0")
+            check(self.epsilon >= 0.0, self.epsilon, ValidationError,
+                  "exact mode models amplitude modulation as loss, so epsilon >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,9 +221,8 @@ class Monitor:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """Ops and monitors compiled from ``spec``."""
+    """Ops and monitors compiled from a :class:`CircuitSpec`."""
 
-    spec: CircuitSpec
     n_modes: int
     ops: tuple[CircuitOp, ...]
     monitors: tuple[Monitor, ...]
@@ -251,7 +254,7 @@ def _tangent_source(op: CircuitOp, gmap: GaussianMap, state: GaussianState) -> n
     else:
         carrier = np.asarray(op.carrier, dtype=complex)
         field = np.stack((2.0 * carrier.real, 2.0 * carrier.imag), axis=-1)
-    return np.stack(((_J @ field[..., None])[..., 0], -field), axis=-1)
+    return np.stack(((elements._J @ field[..., None])[..., 0], -field), axis=-1)
 
 
 def evaluate_circuit(circuit: CompiledCircuit, upto: int | None = None) -> GaussianState:
@@ -305,11 +308,6 @@ def _modulation_op(spec: CircuitSpec, mode: int, arm_mean: complex) -> CircuitOp
     first order of e^{i delta - eps} acting on the arm's mean field."""
     shift = (1j * spec.delta - spec.epsilon) * arm_mean
     return CircuitOp("displace", (mode,), (shift.real, shift.imag), arm_mean)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
 
 
 def _displace_op(mode: int, amplitude: complex) -> CircuitOp:
@@ -369,25 +367,25 @@ def _mzi_block(
 
 
 def _sui_common_checks(spec: CircuitSpec, name: str) -> None:
-    _require(len(spec.gains) == 2, f"{name} needs two amplifier gains, got {len(spec.gains)}")
-    _require(
-        len(spec.splitters) == 2,
-        f"{name} needs the two embedded splitter transmissivities, got {len(spec.splitters)}",
-    )
+    check(len(spec.gains) == 2, len(spec.gains), ValidationError,
+          f"{name} needs two amplifier gains, got {{}}")
+    check(len(spec.splitters) == 2, len(spec.splitters), ValidationError,
+          f"{name} needs the two embedded splitter transmissivities, got {{}}")
     if spec.modulation_mode is ModulationMode.LINEARIZED:
         t1, t2 = spec.splitters[0].T, spec.splitters[1].T
-        _check(t1 != t2, (t1, t2), ValidationError,
-               f"{name} linearized encoding assumes identical splitters, got T1={{}}, T2={{}}")
-        _check(spec.mzi_phi != 0.0, spec.mzi_phi, ValidationError,
-               f"{name} linearized encoding assumes the embedded interferometer at dark "
-               "fringe, got mzi_phi={}")
+        check(t1 == t2, (t1, t2), ValidationError,
+              f"{name} linearized encoding assumes identical splitters, got T1={{}}, T2={{}}")
+        check(spec.mzi_phi == 0.0, spec.mzi_phi, ValidationError,
+              f"{name} linearized encoding assumes the embedded interferometer at dark "
+              "fringe, got mzi_phi={}")
 
 
 def build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
     """Modulators straight on the coherent beam, then a splitting BS onto
     two homodynes (phase channel transmitted, amplitude channel reflected)."""
-    _require(spec.topology is Topology.DIRECT_HOMODYNE, "spec topology mismatch")
-    _require(len(spec.splitters) == 1, "direct homodyne needs exactly the output splitter")
+    check(spec.topology is Topology.DIRECT_HOMODYNE, (), ValidationError, _MISMATCH)
+    check(len(spec.splitters) == 1, (), ValidationError,
+          "direct homodyne needs exactly the output splitter")
     t3 = spec.splitters[0]
     ops = [_displace_op(0, spec.alpha)]
     if spec.modulation_mode is ModulationMode.EXACT:
@@ -397,18 +395,16 @@ def build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
     ops.append(CircuitOp("beam_splitter", (0, 1), (t3.T,)))
     monitors = (Monitor("phase", 0, math.pi / 2), Monitor("amplitude", 1, 0.0))
     ops.extend(_detection_loss_ops(spec, (0, 1)))
-    return CompiledCircuit(spec, 2, tuple(ops), monitors)
+    return CompiledCircuit(2, tuple(ops), monitors)
 
 
 def build_mzi(spec: CircuitSpec) -> CompiledCircuit:
     """Mach-Zehnder: coherent input on mode 0, vacuum on mode 1; the dark
     port comes back out on mode 1.  An optional third splitter splits the
     dark port onto separate phase/amplitude detectors."""
-    _require(spec.topology is Topology.MZI, "spec topology mismatch")
-    _require(
-        len(spec.splitters) in (2, 3),
-        f"MZI needs splitters (T1, T2[, T3]), got {len(spec.splitters)}",
-    )
+    check(spec.topology is Topology.MZI, (), ValidationError, _MISMATCH)
+    check(len(spec.splitters) in (2, 3), len(spec.splitters), ValidationError,
+          "MZI needs splitters (T1, T2[, T3]), got {}")
     ops = [_displace_op(0, spec.alpha)]
     ops.extend(_mzi_block(spec, a_mode=0, b_mode=1))
     if len(spec.splitters) == 3:
@@ -421,7 +417,7 @@ def build_mzi(spec: CircuitSpec) -> CompiledCircuit:
         monitors = (Monitor("phase", 1, math.pi / 2), Monitor("amplitude", 1, 0.0))
         loss_modes = (1,)
     ops.extend(_detection_loss_ops(spec, loss_modes))
-    return CompiledCircuit(spec, n_modes, tuple(ops), monitors)
+    return CompiledCircuit(n_modes, tuple(ops), monitors)
 
 
 def build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
@@ -432,7 +428,7 @@ def build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
     d1), 1 = probe arm (b_in -> dark port -> d2), 2 = coherent input of the
     embedded Mach-Zehnder.
     """
-    _require(spec.topology is Topology.NESTED_SUI, "spec topology mismatch")
+    check(spec.topology is Topology.NESTED_SUI, (), ValidationError, _MISMATCH)
     _sui_common_checks(spec, "nested amplifier interferometer")
     g1, g2 = spec.gains
     ops = [_displace_op(2, spec.alpha)]
@@ -442,7 +438,7 @@ def build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
     ops.append(CircuitOp("two_mode_squeezer", (0, 1), (g2.G, g2.phase)))
     monitors = (Monitor("phase", 0, math.pi / 2), Monitor("amplitude", 1, 0.0))
     ops.extend(_detection_loss_ops(spec, (0, 1)))
-    return CompiledCircuit(spec, 3, tuple(ops), monitors)
+    return CompiledCircuit(3, tuple(ops), monitors)
 
 
 def build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
@@ -454,7 +450,7 @@ def build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
     modulation mixtures gamma_minus (amplified) and gamma_plus
     (de-amplified).
     """
-    _require(spec.topology is Topology.DEGENERATE_SUI, "spec topology mismatch")
+    check(spec.topology is Topology.DEGENERATE_SUI, (), ValidationError, _MISMATCH)
     _sui_common_checks(spec, "degenerate amplifier interferometer")
     g1, g2 = spec.gains
     ops = [_displace_op(1, spec.alpha)]
@@ -471,7 +467,7 @@ def build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
         Monitor("mix_plus", 0, half + math.pi / 2),
     )
     ops.extend(_detection_loss_ops(spec, (0,)))
-    return CompiledCircuit(spec, 2, tuple(ops), monitors, tuple(stage_bounds))
+    return CompiledCircuit(2, tuple(ops), monitors, tuple(stage_bounds))
 
 
 _BUILDERS = {
@@ -488,11 +484,10 @@ def build_circuit(spec: CircuitSpec) -> CompiledCircuit:
 
 @dataclass(frozen=True)
 class StageSnapshot:
-    """Single-mode state of the probe arm at one circuit stage, with its
-    covariance ellipse (variances along principal axes, major-axis angle)."""
+    """The probe arm's mean at one circuit stage, with its covariance
+    ellipse (variances along principal axes, major-axis angle)."""
 
     label: str
-    state: GaussianState
     center_x: float
     center_y: float
     major_variance: float
@@ -511,25 +506,13 @@ def _ellipse(block: np.ndarray) -> tuple[float, float, float]:
 def stage_snapshots(spec: CircuitSpec) -> list[StageSnapshot]:
     """Probe-mode phase-space snapshots of the degenerate topology:
     input vacuum, squeezed, encoded, re-amplified."""
-    if Topology(spec.topology) is not Topology.DEGENERATE_SUI:
+    if spec.topology is not Topology.DEGENERATE_SUI:
         raise ValidationError(
-            f"stage snapshots are defined for DEGENERATE_SUI only, got {spec.topology}"
+            f"stage snapshots are defined for DEGENERATE_SUI only, got {spec.topology.value}"
         )
     circuit = build_circuit(spec)
     snapshots = []
     for label, upto in circuit.stage_bounds:
-        state = evaluate_circuit(circuit, upto=upto)
-        probe = state.reduced(0)
-        major, minor, orientation = _ellipse(probe.cov)
-        snapshots.append(
-            StageSnapshot(
-                label=label,
-                state=probe,
-                center_x=float(probe.mean[0]),
-                center_y=float(probe.mean[1]),
-                major_variance=major,
-                minor_variance=minor,
-                orientation=orientation,
-            )
-        )
+        probe = evaluate_circuit(circuit, upto=upto).reduced(0)
+        snapshots.append(StageSnapshot(label, *probe.mean.tolist(), *_ellipse(probe.cov)))
     return snapshots

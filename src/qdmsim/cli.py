@@ -1,8 +1,9 @@
 """Command-line interface: run scenarios, sweep parameters, export
 phase-space snapshots, and validate against the Fock oracle.
 
-Exit codes: 0 success, 2 unreadable or unparsable scenario or unwritable
-output, 3 validation/physics error, 4 numerical failure.
+Exit codes: 0 success, else the ``exit_code`` of the error (see
+:mod:`qdmsim.exceptions`): 2 unreadable or unparsable scenario or
+unwritable output, 3 validation/physics error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .circuits import stage_snapshots
-from .exceptions import NumericalError, ScenarioParseError, ValidationError, annotate
+from .exceptions import NumericalError, OutputError, QdmsimError, ValidationError, annotate, check
 from .fock import FockConfig, compare_with_gaussian
 from .metrology import channel_report, closed_forms, operating_point
 from .scenario import (
@@ -34,18 +35,9 @@ from .scenario import (
     spec_to_dict,
 )
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_NUMERICAL = 4
-
 #: Grid points per sweep evaluation: a sweep holds one chunk's arrays and
 #: rows at a time, so its memory does not grow with the grid.
 CHUNK_POINTS = 2048
-
-
-class OutputError(Exception):
-    """A command's output file cannot be written."""
 
 
 def _relative_error(numeric: float, analytic: float) -> float:
@@ -72,7 +64,7 @@ def _cmd_run(args) -> int:
         "relative_error": rel,
     }
     _write_json(args.out, document)
-    return EXIT_OK
+    return 0
 
 
 def _parse_axis_flag(flag: str) -> SweepAxis:
@@ -97,17 +89,12 @@ def _sweep_columns(payload) -> list[np.ndarray]:
             spec = apply_axis_value(spec, name, column)
         readings = operating_point(spec)
         reports = [channel_report(spec, label, readings) for label in labels]
-    except (ValidationError, NumericalError) as exc:
-        if hasattr(exc, "batch_index"):
+    except QdmsimError as exc:
+        if hasattr(exc, "batch_index"):  # a failed check, not a structural error
             # a check on a value every point shares fails at every point
             point = exc.batch_index or 0
             if exc.batch_index is not None:
-                # name the point by its index in the whole grid
-                exc.batch_index = start + point
-                message = exc.args[0].replace(
-                    f"at batch index {point}", f"at batch index {start + point}", 1
-                )
-                exc.args = (message,) + exc.args[1:]
+                exc.batch_index = start + point  # the point's index in the whole grid
             values = ", ".join(f"{name}={column[point]:.12g}" for name, column in axis_columns)
             annotate(exc, f"(sweep point {values})")
         raise
@@ -171,7 +158,7 @@ def _cmd_sweep(args) -> int:
                 if not number:
                     csv.writer(out, lineterminator="\n").writerow(header)
                 out.write("".join(map(template.__mod__, zip(*(c.tolist() for c in columns)))))
-    return EXIT_OK
+    return 0
 
 
 def _cmd_export_states(args) -> int:
@@ -188,7 +175,7 @@ def _cmd_export_states(args) -> int:
         for snap in snapshots
     ]
     _write_json(args.out, document)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_validate(args) -> int:
@@ -206,11 +193,9 @@ def _cmd_validate(args) -> int:
         f"(tolerance {report.tolerance:.1e})"
     )
     _write_output(args.out, "\n".join(lines) + "\n")
-    if not report.passed:
-        raise NumericalError(
-            f"engines deviate by {report.max_abs_deviation:.3e} > {report.tolerance:.1e}"
-        )
-    return EXIT_OK
+    check(report.passed, (report.max_abs_deviation, report.tolerance), NumericalError,
+          "engines deviate by {:.3e} > {:.1e}")
+    return 0
 
 
 def _finite_or_null(value):
@@ -333,15 +318,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioParseError, OutputError) as exc:
+    except QdmsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return exc.exit_code
 
 
 def entry() -> None:

@@ -30,12 +30,13 @@ chains once, and each element then only exponentiates their eigenvalues.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ValidationError
-from .gaussian import GaussianMap, _check
+from .exceptions import ValidationError, check
+from .gaussian import GaussianMap
 
 _EYE2 = np.eye(2)
 _EYE4 = np.eye(4)
@@ -52,6 +53,9 @@ _PAIR_CONJ_I = np.kron(_CONJ_I, _CONJ_I)
 #: Oracle operating envelope: beyond this, truncation artifacts dominate.
 MAX_ORACLE_GAIN = 1.6
 MAX_ORACLE_ALPHA = 2.0
+#: The largest magnitude whose square is a finite float.
+MAX_SQUARABLE = math.sqrt(sys.float_info.max)
+_GAIN_OVERFLOW = f"amplifier gain G must be <= {MAX_SQUARABLE:.4e} for a finite G^2, got {{}}"
 
 
 def _scale(value, matrix: np.ndarray) -> np.ndarray:
@@ -68,8 +72,8 @@ class SplitterSpec:
     T: float
 
     def __post_init__(self):
-        _check(np.logical_not((0.0 <= self.T) & (self.T <= 1.0)), self.T, ValidationError,
-               "transmissivity must lie in [0, 1], got {}")
+        check((0.0 <= self.T) & (self.T <= 1.0), self.T, ValidationError,
+              "transmissivity must lie in [0, 1], got {}")
 
     @property
     def R(self) -> float:
@@ -78,7 +82,7 @@ class SplitterSpec:
 
 @dataclass(frozen=True)
 class PaGain:
-    """Parametric amplifier gain G >= 1 with g = sqrt(G^2 - 1).
+    """Parametric amplifier gain G >= 1, with G^2 finite, and g = sqrt(G^2 - 1).
 
     ``phase`` is the pump phase for the non-degenerate amplifier and the
     squeezing angle theta for the degenerate one.
@@ -88,8 +92,8 @@ class PaGain:
     phase: float = 0.0
 
     def __post_init__(self):
-        _check(np.logical_not(self.G >= 1.0), self.G, ValidationError,
-               "amplifier gain must be >= 1, got {}")
+        check(self.G >= 1.0, self.G, ValidationError, "amplifier gain must be >= 1, got {}")
+        check(self.G <= MAX_SQUARABLE, self.G, ValidationError, _GAIN_OVERFLOW)
 
     @property
     def g(self) -> float:
@@ -119,8 +123,8 @@ def loss_channel(transmission: float) -> GaussianMap:
     through the unused splitter port.
     """
     t = transmission
-    _check(np.logical_not((0.0 < t) & (t <= 1.0)), t, ValidationError,
-           "transmission must lie in (0, 1], got {}")
+    check((0.0 < t) & (t <= 1.0), t, ValidationError,
+          "transmission must lie in (0, 1], got {}")
     return GaussianMap(_scale(np.sqrt(t), _EYE2), _scale(1.0 - t, _EYE2), np.zeros(2))
 
 
@@ -148,14 +152,14 @@ def single_mode_squeezer(gain: PaGain) -> GaussianMap:
 
 def gain_envelope(G: float, phase: float) -> None:
     """Reject an amplifier gain the oracle cannot truncate faithfully (or NaN)."""
-    if not G <= MAX_ORACLE_GAIN:
-        raise ValidationError(f"oracle restricted to gains <= {MAX_ORACLE_GAIN}, got {G}")
+    check(G <= MAX_ORACLE_GAIN, G, ValidationError,
+          f"oracle restricted to gains <= {MAX_ORACLE_GAIN}, got {{}}")
 
 
 def alpha_envelope(re: float, im: float) -> None:
     """Reject a displacement the oracle cannot truncate faithfully (or NaN)."""
-    if not abs(complex(re, im)) <= MAX_ORACLE_ALPHA:
-        raise ValidationError(f"oracle restricted to |alpha| <= {MAX_ORACLE_ALPHA}")
+    check(abs(complex(re, im)) <= MAX_ORACLE_ALPHA, (), ValidationError,
+          f"oracle restricted to |alpha| <= {MAX_ORACLE_ALPHA}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,7 @@ from .circuits import (
     build_circuit,
     monitor_stats,
 )
-from .exceptions import NumericalError, TruncationError, ValidationError, annotate
+from .exceptions import NumericalError, TruncationError, ValidationError, annotate, check
 
 #: Hard cap on the truncated Hilbert-space dimension, ancillas included.
 DIMENSION_GUARD = 2_000_000
@@ -52,12 +52,9 @@ class FockConfig:
     tail_threshold: float = 1e-6
 
     def __post_init__(self):
-        if self.cutoff < 4:
-            raise ValidationError(f"cutoff must be >= 4, got {self.cutoff}")
-        if not 0.0 < self.tail_threshold <= 1e-3:
-            raise ValidationError(
-                f"tail_threshold must lie in (0, 1e-3], got {self.tail_threshold}"
-            )
+        check(self.cutoff >= 4, self.cutoff, ValidationError, "cutoff must be >= 4, got {}")
+        check(0.0 < self.tail_threshold <= 1e-3, self.tail_threshold, ValidationError,
+              "tail_threshold must lie in (0, 1e-3], got {}")
 
 
 def _to_front(psi: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
@@ -131,11 +128,9 @@ class _FockRun:
             except ValidationError as exc:
                 raise annotate(exc, f"at op {index} ({op.kind.name})")
         total_modes = circuit.n_modes + sum(op.kind.ancilla for op in circuit.ops)
-        if config.cutoff**total_modes > DIMENSION_GUARD:
-            raise ValidationError(
-                f"cutoff^modes = {config.cutoff}^{total_modes} exceeds the "
-                f"dimension guard {DIMENSION_GUARD}"
-            )
+        check(config.cutoff**total_modes <= DIMENSION_GUARD, (config.cutoff, total_modes),
+              ValidationError,
+              f"cutoff^modes = {{}}^{{}} exceeds the dimension guard {DIMENSION_GUARD}")
         self.circuit = circuit
         self.config = config
         self.d = config.cutoff
@@ -152,23 +147,20 @@ class _FockRun:
             self._bases[key] = elements.LadderBasis(family, d)
         return self._bases[key]
 
-    def _check_state(self, where: str) -> None:
+    def _check_state(self) -> None:
         psi = self.psi
         # the state is a view of one contiguous array with its axes permuted;
         # read in that memory order, the norm is one contiguous dot product
         contiguous = psi.transpose(np.argsort(psi.strides)[::-1])
         norm = float(np.vdot(contiguous, contiguous).real)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NumericalError(f"state norm drifted to {norm!r} {where}")
+        check(abs(norm - 1.0) <= NORM_TOL, norm, NumericalError, "state norm drifted to {!r}")
+        threshold = self.config.tail_threshold
         for mode in range(psi.ndim):
             top = np.moveaxis(psi, mode, 0)[-2:]
             tail = float(np.vdot(top, top).real)
-            if tail > self.config.tail_threshold:
-                raise TruncationError(
-                    f"tail mass {tail:.3e} in the top two levels of mode {mode} "
-                    f"exceeds {self.config.tail_threshold:.1e}; raise the cutoff {where}",
-                    tail_mass=tail,
-                )
+            check(tail <= threshold, (tail, mode, threshold), TruncationError,
+                  "tail mass {:.3e} in the top two levels of mode {} exceeds {:.1e}; "
+                  "raise the cutoff")
 
     def _apply_op(self, op) -> None:
         key = (op.kind.unitary, op.params)
@@ -182,8 +174,11 @@ class _FockRun:
 
     def run(self) -> dict[str, tuple[float, float]]:
         for index, op in enumerate(self.circuit.ops):
-            self._apply_op(op)
-            self._check_state(f"at op {index} ({op.kind.name})")
+            try:
+                self._apply_op(op)
+                self._check_state()
+            except (ValidationError, NumericalError) as exc:
+                raise annotate(exc, f"at op {index} ({op.kind.name})")
         results = {}
         for mon in self.circuit.monitors:
             mean, second = _quadrature_moments(self.psi, mon.mode, mon.angle)
@@ -237,8 +232,8 @@ def compare_with_gaussian(
     """Run both engines on the same circuit and report the worst absolute
     deviation over all monitored means and variances; the run passes when
     that deviation is below the finite, positive ``tolerance``."""
-    if not 0.0 < tolerance < math.inf:
-        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
+    check(0.0 < tolerance < math.inf, tolerance, ValidationError,
+          "tolerance must be finite and positive, got {}")
     circuit = _as_circuit(circuit_or_spec)
     gaussian = monitor_stats(circuit)
     fock = _FockRun(circuit, config).run()

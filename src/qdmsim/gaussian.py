@@ -16,9 +16,11 @@ a state's mean (B, 2n), cov (B, 2n, 2n) and tangent (B, 2n, p), a map's
 linear (B, 2n_out, 2n_in), noise (B, 2n_out, 2n_out) and displacement
 (B, 2n_out).  An object without the axis broadcasts against a stacked
 one, as a single object shared by every slice.  Each invariant check runs
-once per object over the whole stack (one ``eigvalsh`` call); a failure
-names the first failing batch index and its margin, and records that
-index as the exception's ``batch_index`` (None for an unstacked object).
+once per object over the whole stack (one ``eigvalsh`` call) through
+:func:`qdmsim.exceptions.check`.  A check states what must hold, so a NaN
+margin fails it.  A failure names the first failing batch index and its
+margin, and records that index as the exception's ``batch_index`` (None
+for an unstacked object).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import ConsistencyError, ValidationError
+from .exceptions import ConsistencyError, ValidationError, check
 
 #: Absolute tolerance for covariance symmetry.
 SYMMETRY_TOL = 1e-12
@@ -80,24 +82,6 @@ def _batch_shape(*shapes: tuple[int, ...]) -> tuple[int, ...]:
 _ASYMMETRIC_COV = f"cov is asymmetric by {{:.3e}} (tol {SYMMETRY_TOL})"
 
 
-def _check(failed, margins, error: type, message: str) -> None:
-    """Raise ``error`` for the first failing slice of a (possibly stacked)
-    check; ``message`` is formatted with that slice's margin, or margins
-    if a tuple of them is given (each a scalar or one per slice)."""
-    if failed is False or failed is np.False_:  # the common case, at no numpy cost
-        return
-    failed = np.asarray(failed)
-    if not failed.any():
-        return
-    index = int(np.argmax(failed)) if failed.ndim else None
-    at = () if index is None else index
-    margins = margins if isinstance(margins, tuple) else (margins,)
-    text = message.format(*(float(np.broadcast_to(m, failed.shape)[at]) for m in margins))
-    exc = error(text if index is None else f"{text} at batch index {index}")
-    exc.batch_index = index
-    raise exc
-
-
 @dataclass(frozen=True)
 class GaussianState:
     """Mean quadrature vector plus covariance matrix over n optical modes,
@@ -124,12 +108,12 @@ class GaussianState:
         if cov.shape != mean.shape + (dim,):
             raise ValidationError(f"cov shape {cov.shape} does not match mean length {dim}")
         skew = np.abs(cov - _transpose(cov)).max(axis=(-2, -1))
-        _check(skew > SYMMETRY_TOL, skew, ValidationError, _ASYMMETRIC_COV)
+        check(skew <= SYMMETRY_TOL, skew, ValidationError, _ASYMMETRIC_COV)
         cov = (cov + _transpose(cov)) / 2.0
         cov.setflags(write=False)
         eig_min = np.linalg.eigvalsh(cov + 1j * _omega(dim // 2))[..., 0]
-        _check(eig_min < -UNCERTAINTY_TOL, eig_min, ConsistencyError,
-               "uncertainty relation violated: min eig of cov + i*Omega is {:.3e}")
+        check(eig_min >= -UNCERTAINTY_TOL, eig_min, ConsistencyError,
+              "uncertainty relation violated: min eig of cov + i*Omega is {:.3e}")
         if self.tangent is not None:
             tangent = np.asarray(self.tangent, dtype=float)
             if tangent.ndim != mean.ndim + 1 or tangent.shape[:-1] != mean.shape:
@@ -186,16 +170,16 @@ class GaussianMap:
         noise = _as_locked_array(noise, batch + (rows, rows))
         disp = _as_locked_array(disp, batch + (rows,))
         skew = np.abs(noise - _transpose(noise)).max(axis=(-2, -1))
-        _check(skew > SYMMETRY_TOL, skew, ValidationError,
-               "noise matrix must be symmetric; asymmetric by {:.3e}")
+        check(skew <= SYMMETRY_TOL, skew, ValidationError,
+              "noise matrix must be symmetric; asymmetric by {:.3e}")
         omega_out = _omega(rows // 2)
         transported = linear @ _omega(cols // 2) @ _transpose(linear)
         lossless = False
         if rows == cols:
             lossless = np.abs(noise).max(axis=(-2, -1)) == 0.0
             dev = np.abs(transported - omega_out).max(axis=(-2, -1))
-            _check(lossless & (dev > SYMPLECTIC_TOL), dev, ValidationError,
-                   "lossless map is not symplectic: |S Omega S^T - Omega| = {:.3e}")
+            check(~lossless | (dev <= SYMPLECTIC_TOL), dev, ValidationError,
+                  "lossless map is not symplectic: |S Omega S^T - Omega| = {:.3e}")
         # a lossless slice's validity matrix is i (Omega - S Omega S^T), whose
         # smallest eigenvalue, minus its spectral norm, is at least
         # -rows * SYMPLECTIC_TOL once the check above passed; while that
@@ -203,8 +187,8 @@ class GaussianMap:
         if not (np.all(lossless) and rows * SYMPLECTIC_TOL <= UNCERTAINTY_TOL):
             validity = noise + 1j * (omega_out - transported)
             eig_min = np.linalg.eigvalsh(validity)[..., 0]
-            _check(eig_min < -UNCERTAINTY_TOL, eig_min, ValidationError,
-                   "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
+            check(eig_min >= -UNCERTAINTY_TOL, eig_min, ValidationError,
+                  "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "displacement", disp)

@@ -35,8 +35,7 @@ from .circuits import (
     monitor_stats,
 )
 from .elements import PaGain
-from .exceptions import NumericalError, ValidationError
-from .gaussian import _check
+from .exceptions import NumericalError, ValidationError, check
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class SnrReport:
 class MixtureAngle:
     """Orthogonal modulation mixtures selected by the readout angle theta2."""
 
-    theta2: float
     gamma_minus: float
     gamma_plus: float
 
@@ -75,7 +73,7 @@ def mixture_angles(theta2: float, delta: float, epsilon: float) -> MixtureAngle:
     cos, sin = np.cos(half), np.sin(half)
     gamma_minus = -epsilon * cos + delta * sin
     gamma_plus = epsilon * sin + delta * cos
-    return MixtureAngle(theta2, gamma_minus, gamma_plus)
+    return MixtureAngle(gamma_minus, gamma_plus)
 
 
 def probe_photon_number(spec: CircuitSpec) -> float:
@@ -140,9 +138,9 @@ def channel_report(
         raise ValidationError(f"no canonical channel for output {output!r}")
     for depth in _CHANNEL_DEPTHS[output]:
         value = getattr(spec, depth)
-        _check(np.logical_not(np.abs(value) < LINEAR_MOD_LIMIT), value, ValidationError,
-               f"modulation {depth} = {{}} outside the linear regime guard "
-               f"|{depth}| < {LINEAR_MOD_LIMIT}")
+        check(np.abs(value) < LINEAR_MOD_LIMIT, value, ValidationError,
+              f"modulation {depth} = {{}} outside the linear regime guard "
+              f"|{depth}| < {LINEAR_MOD_LIMIT}")
     if readings is None:
         readings = operating_point(spec)
     if output in ("phase", "amplitude"):
@@ -158,8 +156,8 @@ def channel_report(
         mix = mixture_angles(theta2, spec.delta, spec.epsilon)
         parameter = "gamma_minus" if output == "mix_minus" else "gamma_plus"
         slope, value = getattr(slopes, parameter), getattr(mix, parameter)
-    _check(np.logical_not(np.isfinite(slope)), slope, NumericalError,
-           f"non-finite slope for {parameter} on {output}")
+    check(np.isfinite(slope), slope, NumericalError,
+          f"non-finite slope for {parameter} on {output}")
     signal = slope * value
     i_ps = probe_photon_number(spec)
     return SnrReport(
@@ -305,8 +303,8 @@ def enhancement_and_resources(
     """Per-channel enhancement over the classical bound plus the shared
     resource total SNR_d/d^2 + SNR_e/e^2, to compare against
     4 i_ps (G1 + g1)^2."""
-    if report_delta.value == 0.0 or report_epsilon.value == 0.0:
-        raise ValidationError("resource accounting needs nonzero modulation depths")
+    check((report_delta.value != 0.0) & (report_epsilon.value != 0.0), (), ValidationError,
+          "resource accounting needs nonzero modulation depths")
     i_ps = report_delta.i_ps
     total = (
         report_delta.snr / report_delta.value**2
@@ -336,8 +334,7 @@ def loss_tolerance_scan(
     gains: retention = eta V / (eta V + 1 - eta) with V the lossless output
     noise, approaching 1 once the amplified noise dwarfs the injected vacuum.
     ``output`` defaults to the circuit's first monitor."""
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"detection efficiency must lie in (0, 1], got {eta}")
+    check(0.0 < eta <= 1.0, eta, ValidationError, "detection efficiency must lie in (0, 1], got {}")
     g2 = np.array(list(g2_values), dtype=float)
     lossless = replace(spec, gains=(spec.gains[0], PaGain(g2, spec.gains[1].phase)),
                        detection_loss=1.0)

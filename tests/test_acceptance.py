@@ -159,29 +159,28 @@ def test_criterion_7_detection_loss_tolerance():
 
 
 def _element_circuits():
-    spec = mzi_spec(alpha=1.0, modulation_mode=q.ModulationMode.EXACT)
     xy = (Monitor("x", 0, 0.0), Monitor("y", 0, math.pi / 2))
     both = (Monitor("x0", 0, 0.0), Monitor("y0", 0, math.pi / 2),
             Monitor("x1", 1, 0.0), Monitor("y1", 1, math.pi / 2))
     yield "displacement", CompiledCircuit(
-        spec, 1, (CircuitOp("displace", (0,), (0.6, 0.8)),), xy)
+        1, (CircuitOp("displace", (0,), (0.6, 0.8)),), xy)
     yield "phase shifter", CompiledCircuit(
-        spec, 1,
+        1,
         (CircuitOp("displace", (0,), (1.0, 0.0)), CircuitOp("phase_shifter", (0,), (0.7,))),
         xy)
     yield "beam splitter", CompiledCircuit(
-        spec, 2,
+        2,
         (CircuitOp("displace", (0,), (1.0, 0.0)), CircuitOp("beam_splitter", (0, 1), (0.7,))),
         both)
     yield "loss channel", CompiledCircuit(
-        spec, 1,
+        1,
         (CircuitOp("single_mode_squeezer", (0,), (1.25, math.pi)),
          CircuitOp("loss_channel", (0,), (0.5,))),
         xy)
     yield "degenerate amplifier", CompiledCircuit(
-        spec, 1, (CircuitOp("single_mode_squeezer", (0,), (1.25, 0.0)),), xy)
+        1, (CircuitOp("single_mode_squeezer", (0,), (1.25, 0.0)),), xy)
     yield "non-degenerate amplifier", CompiledCircuit(
-        spec, 2, (CircuitOp("two_mode_squeezer", (0, 1), (1.25, 0.0)),), both)
+        2, (CircuitOp("two_mode_squeezer", (0, 1), (1.25, 0.0)),), both)
 
 
 def test_criterion_8_fock_oracle_equivalence():

@@ -467,9 +467,12 @@ def test_export_states_equal_gains(tmp_path, capsys):
     assert last["minor_variance"] == pytest.approx(1.0, rel=1e-10)
 
 
-def test_export_states_wrong_topology_exits_3(tmp_path):
+def test_export_states_wrong_topology_exits_3(tmp_path, capsys):
     path = write(tmp_path, "mzi.json", mzi_payload())
     assert main(["export-states", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: stage snapshots are defined for DEGENERATE_SUI only, got MZI\n"
+    )
 
 
 def test_validate_small_circuit(tmp_path, capsys):
@@ -535,3 +538,92 @@ def test_console_script_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["spec"]["topology"] == "MZI"
+
+
+NESTED_SWEEP = str(SCENARIOS / "nested_sui_phase_sweep.json")
+DSUI_VALIDATE = str(SCENARIOS / "dsui_validate.json")
+
+
+def _nested_scenario(tmp_path, G2):
+    """The shipped nested scenario without its sweep, at second gain ``G2``."""
+    payload = json.loads(Path(NESTED_SWEEP).read_text())
+    del payload["sweep"]
+    payload["gains"][1]["G"] = G2
+    return write(tmp_path, "nested.json", payload)
+
+
+#: Failing commands with their CHUNK_POINTS (None for the default), exit
+#: code and the one line they print to stderr, held byte for byte: scripts
+#: match on these texts.  In argv, {nested_g1000} and {nan_token} stand for
+#: scenarios the test writes.
+FAILURES = {
+    "symplectic residual at op 4": (["run", "{nested_g1000}"], None, 3,
+        "lossless map is not symplectic: |S Omega S^T - Omega| = 1.164e-10 "
+        "at op 4 (two_mode_squeezer)"),
+    "gain below 1 on a sweep axis": (["sweep", NESTED_SWEEP, "--axis", "G2=0.5:2:4"], None, 3,
+        "amplifier gain must be >= 1, got 0.5 at batch index 0 (sweep point G2=0.5)"),
+    "gain below 1 on a sweep axis, two workers": (
+        ["sweep", NESTED_SWEEP, "--axis", "G2=0.5:2:4", "--workers", "2"], None, 3,
+        "amplifier gain must be >= 1, got 0.5 at batch index 0 (sweep point G2=0.5)"),
+    "linear limit in chunk 3": (
+        ["sweep", NESTED_SWEEP, "--axis", "delta=0:0.1:3", "--axis", "phi=0:1:8"], 7, 3,
+        "linearized mode requires |delta|, |epsilon| < 0.1, got delta=0.1, epsilon=0.001 "
+        "at batch index 16 (sweep point delta=0.1, phi=0)"),
+    "tail mass at op 0": (["validate", DSUI_VALIDATE, "--cutoff", "6"], None, 4,
+        "tail mass 1.878e-02 in the top two levels of mode 1 exceeds 1.0e-06; "
+        "raise the cutoff at op 0 (displace)"),
+    "infinite tolerance": (["validate", DSUI_VALIDATE, "--tolerance", "inf"], None, 3,
+        "tolerance must be finite and positive, got inf"),
+    "NaN token": (["run", "{nan_token}"], None, 2,
+        "scenario holds the non-finite number NaN; numbers must be finite"),
+    "unwritable output": (["run", str(SCENARIOS / "mzi_basic.json"), "--out", "/nonexistent/x.json"],
+        None, 2, "cannot write output /nonexistent/x.json: No such file or directory"),
+    "engines deviate": (["validate", DSUI_VALIDATE, "--tolerance", "1e-300"], None, 4,
+        "engines deviate by 1.157e-06 > 1.0e-300"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_failure_text_is_unchanged(tmp_path, monkeypatch, capsys, case):
+    argv, chunk_points, code, message = FAILURES[case]
+    files = {
+        "nested_g1000": _nested_scenario(tmp_path, 1000.0),
+        "nan_token": write(tmp_path, "nan.json", json.dumps(_with_number("delta", math.nan))),
+    }
+    if chunk_points is not None:
+        monkeypatch.setattr(cli, "CHUNK_POINTS", chunk_points)
+    assert main([arg.format(**files) for arg in argv]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_GAIN_OVERFLOW = "amplifier gain G must be <= 1.3408e+154 for a finite G^2, got "
+_ALPHA_OVERFLOW = "alpha must have |alpha| <= 1.3408e+154 for a finite |alpha|^2, got alpha = "
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["run", "{nested}"], _GAIN_OVERFLOW + "1e+155", id="run G2"),
+    pytest.param(["sweep", NESTED_SWEEP, "--axis", "G2=1:1e155:3"],
+                 _GAIN_OVERFLOW + "5e+154 at batch index 1 (sweep point G2=5e+154)", id="sweep G2"),
+    pytest.param(["sweep", NESTED_SWEEP, "--axis", "G2=1:1e155:3", "--workers", "2"],
+                 _GAIN_OVERFLOW + "5e+154 at batch index 1 (sweep point G2=5e+154)",
+                 id="sweep G2 two workers"),
+    pytest.param(["run", "{dsui}"], _GAIN_OVERFLOW + "1e+155", id="run G1"),
+    pytest.param(["export-states", "{dsui}"], _GAIN_OVERFLOW + "1e+155", id="export-states G1"),
+    pytest.param(["run", "{mzi}"], _ALPHA_OVERFLOW + "(1e+300, 0.0)", id="run alpha"),
+    # each part squares to a finite float, their sum does not
+    pytest.param(["run", "{mzi_parts}"], _ALPHA_OVERFLOW + "(1e+154, 1e+154)", id="run alpha parts"),
+    pytest.param(["sweep", str(SCENARIOS / "mzi_basic.json"), "--axis", "alpha_re=1:1e300:3"],
+                 _ALPHA_OVERFLOW + "(5e+299, 0.0) at batch index 1 (sweep point alpha_re=5e+299)",
+                 id="sweep alpha_re"),
+])
+def test_overflowing_square_is_refused(tmp_path, capsys, argv, message):
+    # under the suite's error::RuntimeWarning filter: no warning may escape
+    files = {
+        "nested": _nested_scenario(tmp_path, 1e155),
+        "dsui": write(tmp_path, "dsui.json", dsui_payload(
+            gains=[{"G": 1e155, "phase": math.pi}, {"G": 5 / 3, "phase": 0.0}])),
+        "mzi": write(tmp_path, "mzi.json", mzi_payload(alpha=1e300)),
+        "mzi_parts": write(tmp_path, "parts.json", mzi_payload(alpha={"re": 1e154, "im": 1e154})),
+    }
+    assert main([arg.format(**files) for arg in argv]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"

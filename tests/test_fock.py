@@ -12,9 +12,7 @@ XY = (Monitor("x", 0, 0.0), Monitor("y", 0, math.pi / 2))
 
 
 def tiny_circuit(ops, n_modes=1, monitors=XY):
-    # spec field is only metadata for hand-built element circuits
-    spec = mzi_spec(modulation_mode=q.ModulationMode.EXACT)
-    return CompiledCircuit(spec, n_modes, tuple(ops), tuple(monitors))
+    return CompiledCircuit(n_modes, tuple(ops), tuple(monitors))
 
 
 def test_coherent_state_through_identity():
