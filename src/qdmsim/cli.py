@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import itertools
 import json
@@ -48,6 +49,7 @@ def _relative_error(numeric: float, analytic: float) -> float:
 
 def _cmd_run(args) -> int:
     spec, options = load_scenario(args.scenario)
+    _refuse_unwritable(args.out)
     readings = operating_point(spec)
     reports = {label: channel_report(spec, label, readings) for label in options.outputs}
     analytic = closed_forms(spec)
@@ -163,6 +165,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_export_states(args) -> int:
     spec, _ = load_scenario(args.scenario)
+    _refuse_unwritable(args.out)
     snapshots = stage_snapshots(spec)
     document = [
         {
@@ -180,6 +183,7 @@ def _cmd_export_states(args) -> int:
 
 def _cmd_validate(args) -> int:
     spec, _ = load_scenario(args.scenario)
+    _refuse_unwritable(args.out)
     report = compare_with_gaussian(spec, FockConfig(cutoff=args.cutoff), tolerance=args.tolerance)
     lines = []
     for row in report.deviations:
@@ -221,6 +225,28 @@ def _write_output(path, text: str) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _refuse_unwritable(path) -> None:
+    """Refuse an output ``path`` that cannot be written before a command
+    does its work, creating nothing: a directory, an existing file without
+    write permission, or a new file whose parent is missing or is not a
+    writable directory.  Opening it afterwards stays the authority."""
+    if not path:
+        return
+    target = path
+    try:
+        code = errno.EISDIR if stat.S_ISDIR(os.stat(path).st_mode) else None
+    except OSError:  # a new file: its directory must take it
+        target = os.path.dirname(path) or os.curdir
+        try:
+            code = None if stat.S_ISDIR(os.stat(target).st_mode) else errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    if code is None and not os.access(target, os.W_OK):
+        code = errno.EACCES
+    if code is not None:
+        raise OutputError(f"cannot write output {path}: {os.strerror(code)}")
 
 
 def _open_output(target, mode: str, path):

@@ -16,15 +16,24 @@ a state's mean (B, 2n), cov (B, 2n, 2n) and tangent (B, 2n, p), a map's
 linear (B, 2n_out, 2n_in), noise (B, 2n_out, 2n_out) and displacement
 (B, 2n_out).  An object without the axis broadcasts against a stacked
 one, as a single object shared by every slice.  Each invariant check runs
-once per object over the whole stack (one ``eigvalsh`` call) through
+once per object over the whole stack through
 :func:`qdmsim.exceptions.check`.  A check states what must hold, so a NaN
 margin fails it.  A failure names the first failing batch index and its
 margin, and records that index as the exception's ``batch_index`` (None
 for an unstacked object).
+
+The two positivity checks (the uncertainty relation of a state, the
+channel validity of a lossy map) first try a certificate: one batched
+Cholesky factorisation of the matrix with ``UNCERTAINTY_TOL / 2`` added to
+its diagonal.  A factor with a finite diagonal proves every slice passes,
+with no eigendecomposition.  Otherwise one ``eigvalsh`` call over the
+stack decides, and a failure still reports the smallest eigenvalue as its
+margin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -53,6 +62,42 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _omega(n_modes: int) -> np.ndarray:
     return _as_locked_array(symplectic_form(n_modes))
+
+
+@lru_cache(maxsize=None)
+def _i_omega(n_modes: int) -> np.ndarray:
+    i_omega = 1j * _omega(n_modes)
+    i_omega.setflags(write=False)
+    return i_omega
+
+
+@lru_cache(maxsize=None)
+def _certificate_shift(dim: int) -> np.ndarray:
+    return _as_locked_array(UNCERTAINTY_TOL / 2 * np.eye(dim))
+
+
+def _check_positive(real: np.ndarray, imaginary: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error`` unless every slice of the Hermitian matrix
+    ``real + imaginary`` has its smallest eigenvalue >= -UNCERTAINTY_TOL.
+
+    A Cholesky factor of the matrix plus ``shift`` (half the tolerance on
+    the diagonal) certifies every eigenvalue above about -tol/2, a subset
+    of what the eigenvalue test accepts (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10).  A NaN or infinite slice can
+    factor without raising, so the factor must also have a finite
+    diagonal (which is real).  Without a certificate the eigenvalues
+    decide, and a failure reports the first failing slice's smallest one.
+    """
+    shift = _certificate_shift(real.shape[-1])
+    try:
+        factor = np.linalg.cholesky(real + shift + imaginary)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if math.isfinite(factor.diagonal(axis1=-2, axis2=-1).real.sum()):
+            return
+    eig_min = np.linalg.eigvalsh(real + imaginary)[..., 0]
+    check(eig_min >= -UNCERTAINTY_TOL, eig_min, error, message)
 
 
 def _as_locked_array(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -111,9 +156,8 @@ class GaussianState:
         check(skew <= SYMMETRY_TOL, skew, ValidationError, _ASYMMETRIC_COV)
         cov = (cov + _transpose(cov)) / 2.0
         cov.setflags(write=False)
-        eig_min = np.linalg.eigvalsh(cov + 1j * _omega(dim // 2))[..., 0]
-        check(eig_min >= -UNCERTAINTY_TOL, eig_min, ConsistencyError,
-              "uncertainty relation violated: min eig of cov + i*Omega is {:.3e}")
+        _check_positive(cov, _i_omega(dim // 2), ConsistencyError,
+                        "uncertainty relation violated: min eig of cov + i*Omega is {:.3e}")
         if self.tangent is not None:
             tangent = np.asarray(self.tangent, dtype=float)
             if tangent.ndim != mean.ndim + 1 or tangent.shape[:-1] != mean.shape:
@@ -185,10 +229,8 @@ class GaussianMap:
         # -rows * SYMPLECTIC_TOL once the check above passed; while that
         # bound clears -UNCERTAINTY_TOL, only a lossy slice can fail below
         if not (np.all(lossless) and rows * SYMPLECTIC_TOL <= UNCERTAINTY_TOL):
-            validity = noise + 1j * (omega_out - transported)
-            eig_min = np.linalg.eigvalsh(validity)[..., 0]
-            check(eig_min >= -UNCERTAINTY_TOL, eig_min, ValidationError,
-                  "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
+            _check_positive(noise, 1j * (omega_out - transported), ValidationError,
+                            "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "displacement", disp)

@@ -410,9 +410,23 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
     assert main(argv) == 2
     assert f"error: cannot write output {out}: No such file or directory" in capsys.readouterr().err
     assert not out.parent.exists()
-    if command == "sweep":
-        # refused before any grid point is evaluated
-        assert calls == []
+    # refused before any circuit is evaluated
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["run", "export-states", "validate"])
+@pytest.mark.parametrize("target, reason", [
+    ("", "Is a directory"), ("afile/x.json", "Not a directory"),
+])
+def test_output_in_place_of_a_directory_exits_2(tmp_path, capsys, monkeypatch, command,
+                                                target, reason):
+    (tmp_path / "afile").write_text("kept\n")
+    calls = _count_evaluations(monkeypatch)
+    out = os.path.join(tmp_path, target)
+    assert main([command, str(SCENARIOS / "dsui_validate.json"), "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot write output {out}: {reason}\n"
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == ["afile"]
 
 
 def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):

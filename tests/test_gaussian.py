@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qdmsim as q
 from conftest import embed_map, random_element, random_state
@@ -126,24 +128,173 @@ def test_perturbed_lossless_map_is_still_rejected(element, G):
         q.GaussianMap(linear, valid.noise, valid.displacement)
 
 
-def test_validity_eigenvalues_run_for_lossy_maps_only(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Shapes of the matrices each later ``np.linalg.<name>`` call receives."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    original = getattr(np.linalg, name)
 
     def counting(matrix):
         calls.append(matrix.shape)
-        return eigvalsh(matrix)
+        return original(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_validity_certificates_run_for_lossy_maps_only(monkeypatch):
+    factorisations = _count_calls(monkeypatch, "cholesky")
+    eigenvalues = _count_calls(monkeypatch, "eigvalsh")
     q.beam_splitter(q.SplitterSpec(0.3))
     q.two_mode_squeezer(q.PaGain(1.5, 0.2))
-    assert calls == []
+    assert factorisations == []
     q.loss_channel(0.5)
-    assert calls == [(2, 2)]
-    # and it still refuses a lossy map with too little noise
+    assert factorisations == [(2, 2)]
+    assert eigenvalues == []
+    # a lossy map with too little noise has no certificate: its
+    # eigenvalues refuse it
     t = 0.5
     with pytest.raises(q.ValidationError, match="invalid Gaussian channel"):
         q.GaussianMap(math.sqrt(t) * np.eye(2), 0.5 * (1.0 - t) * np.eye(2), np.zeros(2))
+    assert eigenvalues == [(2, 2)]
+
+
+def _shift_lowest_eigenvalue(real, i_part, target):
+    """``real`` plus a multiple of the identity that moves the smallest
+    eigenvalue of ``real + i_part`` to ``target``."""
+    lowest = np.linalg.eigvalsh(real + i_part)[0]
+    return real + (target - lowest) * np.eye(real.shape[-1])
+
+
+def _accepts(build, error) -> bool:
+    try:
+        build()
+    except error:
+        return False
+    return True
+
+
+# the lowest eigenvalue lands within a few tolerances of zero, on both
+# sides of the threshold -UNCERTAINTY_TOL and of the certificate's -tol/2
+_TARGETS = st.floats(-4.0, 4.0).map(lambda k: k * q.gaussian.UNCERTAINTY_TOL)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(2, 3),
+       gain=st.floats(1.0, 50.0), target=_TARGETS)
+def test_uncertainty_check_decides_as_eigenvalues_do(seed, n_modes, gain, target):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, n_modes, depth=4)
+    state = q.apply_map(state, q.single_mode_squeezer(q.PaGain(gain, rng.uniform(0, 6.3))), (0,))
+    assume(np.abs(state.cov).max() <= 1e4)
+    i_omega = 1j * q.symplectic_form(n_modes)
+    cov = _shift_lowest_eigenvalue(state.cov, i_omega, target)
+    lowest = np.linalg.eigvalsh(cov + i_omega)[0]
+    assume(abs(lowest + q.gaussian.UNCERTAINTY_TOL) > 1e-12)
+    accepted = _accepts(lambda: q.GaussianState(state.mean, cov), q.ConsistencyError)
+    assert accepted == (lowest >= -q.gaussian.UNCERTAINTY_TOL)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), gain=st.floats(1.0, 50.0),
+       eta=st.floats(0.01, 0.99), target=_TARGETS)
+def test_validity_check_decides_as_eigenvalues_do(seed, gain, eta, target):
+    rng = np.random.default_rng(seed)
+    squeezer = embed_map(q.two_mode_squeezer(q.PaGain(gain, rng.uniform(0, 6.3))), (0, 1), 2)
+    lossy = q.compose(embed_map(q.loss_channel(eta), (int(rng.integers(0, 2)),), 2), squeezer)
+    element, modes = random_element(rng, 2)
+    gmap = q.compose(embed_map(element, modes, 2), lossy)
+    assume(np.abs(gmap.noise).max() <= 1e4)
+    omega = q.symplectic_form(2)
+    i_part = 1j * (omega - gmap.linear @ omega @ gmap.linear.T)
+    noise = _shift_lowest_eigenvalue(gmap.noise, i_part, target)
+    assume(np.abs(noise).max() > 0.0)
+    lowest = np.linalg.eigvalsh(noise + i_part)[0]
+    assume(abs(lowest + q.gaussian.UNCERTAINTY_TOL) > 1e-12)
+    accepted = _accepts(lambda: q.GaussianMap(gmap.linear, noise, gmap.displacement),
+                       q.ValidationError)
+    assert accepted == (lowest >= -q.gaussian.UNCERTAINTY_TOL)
+
+
+_CHANNEL = "invalid Gaussian channel: min eig of validity matrix is nan"
+_ASYMMETRIC_NOISE = "noise matrix must be symmetric; asymmetric by nan"
+
+
+def _loss_stack(slices=8):
+    eta = np.linspace(0.05, 0.95, slices)
+    return np.sqrt(eta)[:, None, None] * np.eye(2), (1.0 - eta)[:, None, None] * np.eye(2)
+
+
+def _non_finite_maps():
+    linear, noise = 0.5 * np.eye(2), 0.75 * np.eye(2)
+    stack_linear, stack_noise = _loss_stack()
+    for value in (math.nan, math.inf):
+        bad_linear, bad_noise, bad_stack = linear.copy(), noise.copy(), stack_linear.copy()
+        bad_linear[0, 0] = bad_noise[0, 0] = bad_stack[5, 0, 0] = value
+        yield pytest.param(bad_linear, noise, _CHANNEL, None, id=f"linear {value}")
+        yield pytest.param(linear, bad_noise, _ASYMMETRIC_NOISE, None, id=f"noise {value}")
+        yield pytest.param(bad_stack, stack_noise, _CHANNEL, 5, id=f"stack linear {value}")
+    bad_offdiagonal = linear.copy()
+    bad_offdiagonal[0, 1] = math.nan
+    yield pytest.param(bad_offdiagonal, noise, _CHANNEL, None, id="linear off-diagonal nan")
+    bad_stack_noise = stack_noise.copy()
+    bad_stack_noise[5, 0, 0] = math.nan
+    yield pytest.param(stack_linear, bad_stack_noise, _ASYMMETRIC_NOISE, 5, id="stack noise nan")
+
+
+@pytest.mark.parametrize("linear, noise, message, index", _non_finite_maps())
+def test_non_finite_lossy_map_is_refused(linear, noise, message, index):
+    # a NaN can pass through a Cholesky factorisation without raising; the
+    # finite-diagonal guard sends it to the eigenvalues, which refuse it
+    with np.errstate(invalid="ignore"), pytest.raises(q.ValidationError) as info:
+        q.GaussianMap(linear, noise, np.zeros(2))
+    want = message if index is None else f"{message} at batch index {index}"
+    assert str(info.value) == want
+    assert info.value.batch_index == index
+    assert math.isnan(info.value.margins[0])
+
+
+def _two_mode_squeezed_stack(slices=2048):
+    gains = q.PaGain(np.linspace(1.0, 50.0, slices), 0.0)
+    return q.apply_map(q.vacuum_state(2), q.two_mode_squeezer(gains), (0, 1))
+
+
+def test_stacked_refusal_names_the_one_violating_slice():
+    # the message, margin and index the eigenvalue-only check gave
+    state = _two_mode_squeezed_stack()
+    cov = state.cov.copy()
+    cov[1337] -= 0.01 * np.eye(4)
+    with pytest.raises(q.ConsistencyError) as info:
+        q.GaussianState(state.mean, cov)
+    assert str(info.value) == (
+        "uncertainty relation violated: min eig of cov + i*Omega is -1.000e-02 at batch index 1337"
+    )
+    assert info.value.margins == pytest.approx((-0.010000000000218279,), rel=1e-9)
+    assert info.value.batch_index == 1337
+
+    linear, noise = _loss_stack(2048)
+    noise[1337] *= 0.5
+    with pytest.raises(q.ValidationError) as info:
+        q.GaussianMap(linear, noise, np.zeros(2))
+    assert str(info.value) == (
+        "invalid Gaussian channel: min eig of validity matrix is -1.811e-01 at batch index 1337"
+    )
+    assert info.value.margins == pytest.approx((-0.18108207132388865,), rel=1e-9)
+    assert info.value.batch_index == 1337
+
+
+def test_pure_states_pass_without_eigenvalues(monkeypatch):
+    # a pure state's cov + i*Omega is singular: it sits on the boundary
+    states = [
+        lambda: q.vacuum_state(3),
+        lambda: q.apply_map(q.vacuum_state(1), q.single_mode_squeezer(q.PaGain(50.0)), (0,)),
+        _two_mode_squeezed_stack,
+    ]
+    eigenvalues = _count_calls(monkeypatch, "eigvalsh")
+    factorisations = _count_calls(monkeypatch, "cholesky")
+    for build in states:
+        build()
+    assert eigenvalues == []
+    assert (2048, 4, 4) in factorisations
 
 
 def test_asymmetric_covariance_rejected():
