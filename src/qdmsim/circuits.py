@@ -351,7 +351,7 @@ def _mzi_block(
     closed forms take the very unbalanced limit).
     """
     if elide_linearized and spec.modulation_mode is ModulationMode.LINEARIZED:
-        return [_modulation_op(spec, b_mode, -math.sqrt(spec.splitters[0].R) * spec.alpha)]
+        return [_modulation_op(spec, b_mode, -np.sqrt(spec.splitters[0].R) * spec.alpha)]
 
     t1, t2 = spec.splitters[0], spec.splitters[1]
     ops = [CircuitOp("beam_splitter", (a_mode, b_mode), (t1.T,))]

@@ -125,6 +125,7 @@ def _cmd_sweep(args) -> int:
     if not 1 <= len(axes) <= 2:
         raise ValidationError("sweep needs 1 or 2 axes (scenario 'sweep' block or --axis)")
     check_axes(spec, axes)
+    _refuse_unwritable(args.out)
     labels = options.outputs
     header = [ax.name for ax in axes]
     for label in labels:

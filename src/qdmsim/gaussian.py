@@ -13,14 +13,14 @@ carries forward with it (forward-mode differentiation).
 Batch axis: every array of a state or map may carry one leading batch
 axis of length B, which stacks B independent objects of the same shape:
 a state's mean (B, 2n), cov (B, 2n, 2n) and tangent (B, 2n, p), a map's
-linear (B, 2n_out, 2n_in), noise (B, 2n_out, 2n_out) and displacement
-(B, 2n_out).  An object without the axis broadcasts against a stacked
-one, as a single object shared by every slice.  Each invariant check runs
-once per object over the whole stack through
-:func:`qdmsim.exceptions.check`.  A check states what must hold, so a NaN
-margin fails it.  A failure names the first failing batch index and its
-margin, and records that index as the exception's ``batch_index`` (None
-for an unstacked object).
+linear (B, 2n, 2n), noise (B, 2n, 2n) and displacement (B, 2n).  Every
+map is square: it acts in place on its own n modes.  An object without
+the axis broadcasts against a stacked one, as a single object shared by
+every slice.  Each invariant check runs once per object over the whole
+stack through :func:`qdmsim.exceptions.check`.  A check states what must
+hold, so a NaN margin fails it.  A failure names the first failing batch
+index and its margin, and records that index as the exception's
+``batch_index`` (None for an unstacked object).
 
 The two positivity checks (the uncertainty relation of a state, the
 channel validity of a lossy map) first try a certificate: one batched
@@ -189,9 +189,9 @@ class GaussianMap:
     cov -> linear@cov@linear^T + noise, optionally stacked along a leading
     batch axis (arrays without it are shared by every slice).
 
-    Lossless maps (zero noise) must be symplectic; every map must satisfy
-    the Gaussian-channel validity inequality
-    noise + i*Omega_out - i*linear Omega_in linear^T >= 0.
+    The linear part is square, (2n, 2n) on n modes.  Lossless maps (zero
+    noise) must be symplectic; every map must satisfy the Gaussian-channel
+    validity inequality noise + i*Omega - i*linear Omega linear^T >= 0.
     """
 
     linear: np.ndarray
@@ -202,34 +202,32 @@ class GaussianMap:
         linear = np.asarray(self.linear, dtype=float)
         noise = np.asarray(self.noise, dtype=float)
         disp = np.asarray(self.displacement, dtype=float)
-        if linear.ndim not in (2, 3) or any(s == 0 or s % 2 for s in linear.shape[-2:]):
-            raise ValidationError(f"linear part must be 2n_out x 2n_in, got {linear.shape}")
-        rows, cols = linear.shape[-2:]
-        if noise.shape[-2:] != (rows, rows):
-            raise ValidationError(f"noise shape {noise.shape} does not match output size {rows}")
-        if disp.shape[-1:] != (rows,):
-            raise ValidationError(f"displacement shape {disp.shape} does not match output size {rows}")
+        dim = linear.shape[-1] if linear.ndim in (2, 3) else 0
+        if not dim or dim % 2 or linear.shape[-2] != dim:
+            raise ValidationError(f"linear part must be 2n x 2n, got {linear.shape}")
+        if noise.shape[-2:] != (dim, dim):
+            raise ValidationError(f"noise shape {noise.shape} does not match map size {dim}")
+        if disp.shape[-1:] != (dim,):
+            raise ValidationError(f"displacement shape {disp.shape} does not match map size {dim}")
         batch = _batch_shape(linear.shape[:-2], noise.shape[:-2], disp.shape[:-1])
-        linear = _as_locked_array(linear, batch + (rows, cols))
-        noise = _as_locked_array(noise, batch + (rows, rows))
-        disp = _as_locked_array(disp, batch + (rows,))
+        linear = _as_locked_array(linear, batch + (dim, dim))
+        noise = _as_locked_array(noise, batch + (dim, dim))
+        disp = _as_locked_array(disp, batch + (dim,))
         skew = np.abs(noise - _transpose(noise)).max(axis=(-2, -1))
         check(skew <= SYMMETRY_TOL, skew, ValidationError,
               "noise matrix must be symmetric; asymmetric by {:.3e}")
-        omega_out = _omega(rows // 2)
-        transported = linear @ _omega(cols // 2) @ _transpose(linear)
-        lossless = False
-        if rows == cols:
-            lossless = np.abs(noise).max(axis=(-2, -1)) == 0.0
-            dev = np.abs(transported - omega_out).max(axis=(-2, -1))
-            check(~lossless | (dev <= SYMPLECTIC_TOL), dev, ValidationError,
-                  "lossless map is not symplectic: |S Omega S^T - Omega| = {:.3e}")
+        omega = _omega(dim // 2)
+        transported = linear @ omega @ _transpose(linear)
+        lossless = np.abs(noise).max(axis=(-2, -1)) == 0.0
+        dev = np.abs(transported - omega).max(axis=(-2, -1))
+        check(~lossless | (dev <= SYMPLECTIC_TOL), dev, ValidationError,
+              "lossless map is not symplectic: |S Omega S^T - Omega| = {:.3e}")
         # a lossless slice's validity matrix is i (Omega - S Omega S^T), whose
         # smallest eigenvalue, minus its spectral norm, is at least
-        # -rows * SYMPLECTIC_TOL once the check above passed; while that
+        # -dim * SYMPLECTIC_TOL once the check above passed; while that
         # bound clears -UNCERTAINTY_TOL, only a lossy slice can fail below
-        if not (np.all(lossless) and rows * SYMPLECTIC_TOL <= UNCERTAINTY_TOL):
-            _check_positive(noise, 1j * (omega_out - transported), ValidationError,
+        if not (np.all(lossless) and dim * SYMPLECTIC_TOL <= UNCERTAINTY_TOL):
+            _check_positive(noise, 1j * (omega - transported), ValidationError,
                             "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "noise", noise)
@@ -237,11 +235,8 @@ class GaussianMap:
 
     @property
     def n_in(self) -> int:
+        """The number of modes the map acts on."""
         return self.linear.shape[-1] // 2
-
-    @property
-    def n_out(self) -> int:
-        return self.linear.shape[-2] // 2
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -263,10 +258,8 @@ def displacement_map(alpha) -> GaussianMap:
 
 def compose(second: GaussianMap, first: GaussianMap) -> GaussianMap:
     """Map equivalent to applying ``first`` then ``second``."""
-    if first.n_out != second.n_in:
-        raise ValidationError(
-            f"cannot compose: first outputs {first.n_out} modes, second expects {second.n_in}"
-        )
+    if first.n_in != second.n_in:
+        raise ValidationError(f"cannot compose maps on {first.n_in} and {second.n_in} modes")
     linear = second.linear @ first.linear
     noise = second.linear @ first.noise @ _transpose(second.linear) + second.noise
     noise = (noise + _transpose(noise)) / 2.0
@@ -323,11 +316,7 @@ def _register_rows(modes: tuple[int, ...]) -> tuple:
 
 def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
     """Shift one mode's mean by the coherent amplitude ``alpha``; cov unchanged."""
-    _check_mode(state, mode)
-    mean = state.mean.copy()
-    mean[..., 2 * mode] += 2.0 * complex(alpha).real
-    mean[..., 2 * mode + 1] += 2.0 * complex(alpha).imag
-    return GaussianState(mean, state.cov, state.tangent)
+    return apply_map(state, displacement_map(alpha), (mode,))
 
 
 def apply_map(
@@ -338,7 +327,7 @@ def apply_map(
 ) -> GaussianState:
     """Apply ``gmap`` to the selected modes, leaving the others untouched.
 
-    The map's k-th input/output mode is wired to global mode ``modes[k]``,
+    The map's k-th mode is wired to global mode ``modes[k]``,
     so mode order in ``modes`` carries the same meaning as the map's own
     mode order.  Only the selected modes' quadrature rows and columns are
     updated.  A state's tangent is mapped by the linear part; for such a
@@ -351,8 +340,6 @@ def apply_map(
         raise ValidationError(f"mode indices must be distinct, got {modes}")
     for m in modes:
         _check_mode(state, m)
-    if gmap.n_in != gmap.n_out:
-        raise ValidationError("in-place application requires a square map")
     if gmap.n_in != len(modes):
         raise ValidationError(f"map acts on {gmap.n_in} modes but {len(modes)} were selected")
     if source is not None and state.tangent is None:

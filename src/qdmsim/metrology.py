@@ -111,12 +111,20 @@ def _classical_bound(i_ps: float, noise_var: float, slope: float) -> float:
     return math.nan if i_ps == 0.0 else slope * slope / (4.0 * i_ps * noise_var)
 
 
-#: The modulation depths each canonical channel reads.
-_CHANNEL_DEPTHS = {
-    "phase": ("delta",),
-    "amplitude": ("epsilon",),
-    "mix_minus": ("delta", "epsilon"),
-    "mix_plus": ("delta", "epsilon"),
+def _mixture(parameter: str):
+    """Projection of a (delta, epsilon) pair onto the mixture ``parameter``
+    selected by the spec's readout angle theta2."""
+    return lambda spec, d, e: getattr(mixture_angles(spec.gains[1].phase, d, e), parameter)
+
+
+#: Each canonical channel: the parameter it reports, the modulation depths
+#: it reads, and its projection of a (delta, epsilon) pair onto that
+#: parameter.  Phase and amplitude are the two axis-aligned mixtures.
+_CHANNELS = {
+    "phase": ("delta", ("delta",), lambda spec, d, e: d),
+    "amplitude": ("epsilon", ("epsilon",), lambda spec, d, e: e),
+    "mix_minus": ("gamma_minus", ("delta", "epsilon"), _mixture("gamma_minus")),
+    "mix_plus": ("gamma_plus", ("delta", "epsilon"), _mixture("gamma_plus")),
 }
 
 
@@ -127,35 +135,27 @@ def channel_report(
 
     ``phase`` reads delta and ``amplitude`` reads epsilon.  The degenerate
     topology's two outputs read the mixtures gamma_minus / gamma_plus of
-    both; their response per unit mixture is the projection of the delta
-    and epsilon slopes onto the mixture direction.  Every depth a channel
+    both.  A channel's value is its projection of the modulation depths and
+    its slope the same projection of the delta and epsilon slopes, the
+    response per unit of the channel's parameter.  Every depth a channel
     reads must lie within the linear-regime guard.  ``readings`` is the
     spec's :func:`operating_point`, evaluated here when not given, so that
     the reports of one operating point can share one evaluation.  For a
     grid spec every field holds one value per grid point.
     """
-    if output not in _CHANNEL_DEPTHS:
+    if output not in _CHANNELS:
         raise ValidationError(f"no canonical channel for output {output!r}")
-    for depth in _CHANNEL_DEPTHS[output]:
+    parameter, depths, project = _CHANNELS[output]
+    for depth in depths:
         value = getattr(spec, depth)
         check(np.abs(value) < LINEAR_MOD_LIMIT, value, ValidationError,
               f"modulation {depth} = {{}} outside the linear regime guard "
               f"|{depth}| < {LINEAR_MOD_LIMIT}")
     if readings is None:
         readings = operating_point(spec)
-    if output in ("phase", "amplitude"):
-        (parameter,) = _CHANNEL_DEPTHS[output]
-        value = getattr(spec, parameter)
-        reading = _reading(readings, output)
-        slope = getattr(reading, f"slope_{parameter}")
-    else:
-        reading = _reading(readings, output)
-        theta2 = spec.gains[1].phase
-        # the mixture of the slopes is the response per unit mixture
-        slopes = mixture_angles(theta2, reading.slope_delta, reading.slope_epsilon)
-        mix = mixture_angles(theta2, spec.delta, spec.epsilon)
-        parameter = "gamma_minus" if output == "mix_minus" else "gamma_plus"
-        slope, value = getattr(slopes, parameter), getattr(mix, parameter)
+    reading = _reading(readings, output)
+    slope = project(spec, reading.slope_delta, reading.slope_epsilon)
+    value = project(spec, spec.delta, spec.epsilon)
     check(np.isfinite(slope), slope, NumericalError,
           f"non-finite slope for {parameter} on {output}")
     signal = slope * value

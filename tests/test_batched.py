@@ -139,6 +139,23 @@ def test_mixed_structure_sweep_matches_reference(topology, mode):
     assert_matches_reference(grid_spec, specs)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("topology", ["NESTED_SUI", "DEGENERATE_SUI"])
+def test_amplifier_phase_axes_match_reference(topology, mode):
+    axes = (SweepAxis("theta1", 0.5, 3.5, 4), SweepAxis("theta2", -1.0, 2.0, 3))
+    assert_matches_reference(*grid(BASES[topology](mode), *axes))
+
+
+@pytest.mark.parametrize("topology", ["NESTED_SUI", "DEGENERATE_SUI"])
+def test_linearized_sui_grid_spec_takes_one_splitter_column(topology):
+    # T1 = T2 as one array: the linearized encoding reads sqrt(R) per grid point
+    base = BASES[topology](q.ModulationMode.LINEARIZED)
+    T = np.array([0.9, 0.99, 0.999])
+    grid_spec = replace(base, splitters=(q.SplitterSpec(T), q.SplitterSpec(T)))
+    specs = [replace(base, splitters=(q.SplitterSpec(float(t)),) * 2) for t in T]
+    assert_matches_reference(grid_spec, specs)
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_shipped_scenarios_match_reference(name):
     spec, options = load_scenario(SCENARIOS / name)
@@ -273,6 +290,11 @@ def test_report_check_names_its_sweep_point(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # axes rejected at load time
 # ---------------------------------------------------------------------------
+
+
+def test_unknown_axis_rejected_by_the_library():
+    with pytest.raises(q.ValidationError, match="^axis 'gamma' is not sweepable$"):
+        apply_axis_value(BASES["MZI"](q.ModulationMode.LINEARIZED), "gamma", 1.0)
 
 
 @pytest.mark.parametrize("axis", ["T1", "T2"])

@@ -209,6 +209,102 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
 
+def _swept(*axes, **sweep):
+    """An MZI payload whose scenario sweeps ``axes`` (phi from 0 to 1 in 3
+    points, with each given field replaced); ``sweep`` replaces the block."""
+    axis = {"name": "phi", "start": 0.0, "stop": 1.0, "count": 3}
+    block = sweep or {"axes": [{**axis, **a} if isinstance(a, dict) else a for a in axes]}
+    return mzi_payload(sweep=block)
+
+
+#: Malformed scenario documents: (argv after the scenario path, document,
+#: exit code, the one error line).  Each case reaches one refusal of the
+#: scenario schema or of a sweep axis.
+MALFORMED = {
+    "not JSON": ([], "{", 2,
+        "scenario is not valid JSON: Expecting property name enclosed in double quotes "
+        "at line 1 column 2"),
+    "not an object": ([], "[]", 3, "scenario must be a JSON object"),
+    "no topology": ([], {"alpha": 1.0}, 3, "scenario is missing the topology"),
+    "unknown topology": ([], mzi_payload(topology="SU3"), 3,
+        "unknown topology 'SU3'; one of ['DIRECT_HOMODYNE', 'MZI', 'NESTED_SUI', 'DEGENERATE_SUI']"),
+    "unknown mode": ([], mzi_payload(modulation_mode="FAST"), 3,
+        "unknown modulation_mode 'FAST'"),
+    "alpha a string": ([], mzi_payload(alpha="big"), 3,
+        "alpha must be a number or {re, im} object"),
+    "alpha an extra key": ([], mzi_payload(alpha={"re": 1.0, "abs": 1.0}), 3,
+        "alpha must be a number or {re, im} object"),
+    "alpha.re a string": ([], mzi_payload(alpha={"re": "1"}), 3,
+        "alpha.re must be a number, got '1'"),
+    "alpha.im a bool": ([], mzi_payload(alpha={"im": True}), 3,
+        "alpha.im must be a number, got True"),
+    "delta a bool": ([], mzi_payload(delta=True), 3, "delta must be a number, got True"),
+    "phi a string": ([], mzi_payload(phi="pi"), 3, "phi must be a number, got 'pi'"),
+    "splitters a number": ([], mzi_payload(splitters=0.99), 3,
+        "splitters must be a list of transmissivities"),
+    "splitter a string": ([], mzi_payload(splitters=["0.99", 0.99]), 3,
+        "splitter T must be a number, got '0.99'"),
+    "gains an object": ([], dsui_payload(gains={"G": 1.5}), 3,
+        "gains must be a list of {G, phase} objects"),
+    "gain a number": ([], dsui_payload(gains=[1.5, 1.5]), 3,
+        "gain entries must be {G, phase} objects, got 1.5"),
+    "gain an extra key": ([], dsui_payload(gains=[{"G": 1.5, "gain": 2}, {"G": 1.5}]), 3,
+        "gain entries must be {G, phase} objects, got {'G': 1.5, 'gain': 2}"),
+    "gain without G": ([], dsui_payload(gains=[{"phase": 0.0}]), 3, "gain entry is missing G"),
+    "G a string": ([], dsui_payload(gains=[{"G": "1.5"}, {"G": 1.5}]), 3,
+        "G must be a number, got '1.5'"),
+    "phase null": ([], dsui_payload(gains=[{"G": 1.5, "phase": None}, {"G": 1.5}]), 3,
+        "phase must be a number, got None"),
+    "outputs a string": ([], mzi_payload(outputs="phase"), 3,
+        "outputs must be a list of monitor labels"),
+    "outputs a number": ([], mzi_payload(outputs=[1]), 3,
+        "outputs must be a list of monitor labels"),
+    "sweep a list": ([], mzi_payload(sweep=[]), 3, 'sweep must be an object {"axes": [...]}'),
+    "sweep an extra key": ([], _swept(axes=[], step=1), 3,
+        'sweep must be an object {"axes": [...]}'),
+    "axes an object": ([], _swept(axes={}), 3, 'sweep must be an object {"axes": [...]}'),
+    "no axes": ([], _swept(axes=[]), 3, "sweeps take 1 or 2 axes, got 0"),
+    "three axes": ([], _swept({}, {"name": "delta"}, {"name": "epsilon"}), 3,
+        "sweeps take 1 or 2 axes, got 3"),
+    "axis a string": ([], _swept("phi"), 3,
+        "sweep axis must be {name, start, stop, count}, got 'phi'"),
+    "axis an extra key": ([], _swept({"step": 0.5}), 3,
+        "sweep axis must be {name, start, stop, count}, got "
+        "{'name': 'phi', 'start': 0.0, 'stop': 1.0, 'count': 3, 'step': 0.5}"),
+    "axis without count": ([], _swept(axes=[{"name": "phi", "start": 0.0, "stop": 1.0}]), 3,
+        "sweep axis is missing count"),
+    "count a float": ([], _swept({"count": 3.0}), 3, "axis count must be an integer, got 3.0"),
+    "count a bool": ([], _swept({"count": True}), 3, "axis count must be an integer, got True"),
+    "start a string": ([], _swept({"start": "0"}), 3, "axis 'phi' start must be a number, got '0'"),
+    "stop null": ([], _swept({"stop": None}), 3, "axis 'phi' stop must be a number, got None"),
+    "axis not sweepable": ([], _swept({"name": "gamma"}), 3,
+        "axis 'gamma' is not sweepable; choose from ('phi', 'mzi_phi', 'delta', 'epsilon', "
+        "'detection_loss', 'alpha_re', 'alpha_im', 'T1', 'T2', 'T3', 'G1', 'G2', 'theta1', "
+        "'theta2', 'theta2_dark')"),
+    "no points": ([], _swept({"count": 0}), 3, "axis 'phi' needs 1..10000 points, got 0"),
+    "too many points": ([], _swept({"count": 10001}), 3,
+        "axis 'phi' needs 1..10000 points, got 10001"),
+    "format xml": ([], mzi_payload(format="xml"), 3, "format must be json or csv, got 'xml'"),
+    # axes the schema takes that the topology cannot: refused when applied
+    "T3 on two splitters": (["--axis", "T3=0.1:0.9:3"], mzi_payload(), 3,
+        "T3 sweeps a splitter the topology does not have"),
+    "G1 without gains": (["--axis", "G1=1:2:3"], mzi_payload(), 3,
+        "G1 sweeps a gain the topology does not have"),
+    "theta1 without gains": (["--axis", "theta1=0:1:3"], mzi_payload(), 3,
+        "theta1 sweeps a gain phase the topology does not have"),
+    "theta2_dark without gains": (["--axis", "theta2_dark=0:1:3"], mzi_payload(), 3,
+        "theta2_dark needs the two amplifier gains"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_scenario_is_refused(tmp_path, capsys, case):
+    extra, document, code, message = MALFORMED[case]
+    path = write(tmp_path, "bad.json", document)
+    assert main(["sweep" if extra else "run", path, *extra]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _with_number(field, value):
     """An EXACT degenerate-SUI payload (valid for every command) with one
     number replaced; ``json.dumps`` writes NaN, Infinity and -Infinity."""
@@ -427,6 +523,30 @@ def test_output_in_place_of_a_directory_exits_2(tmp_path, capsys, monkeypatch, c
     assert capsys.readouterr().err == f"error: cannot write output {out}: {reason}\n"
     assert calls == []
     assert sorted(os.listdir(tmp_path)) == ["afile"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "export-states", "validate"])
+def test_read_only_output_exits_2(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "kept.txt"
+    out.write_text("kept\n")
+    real_access = os.access
+
+    def access(path, mode, **kwargs):
+        # root writes through any file mode, so write access is denied here
+        if os.fspath(path) == str(out) and mode & os.W_OK:
+            return False
+        return real_access(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli.os, "access", access)
+    calls = _count_evaluations(monkeypatch)
+    argv = [command, str(SCENARIOS / "dsui_validate.json"), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "phi=0:1:3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write output {out}: Permission denied\n"
+    assert out.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["kept.txt"]
+    assert calls == []
 
 
 def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):

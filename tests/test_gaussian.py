@@ -89,6 +89,27 @@ def test_apply_map_repeated_modes_rejected():
         q.apply_map(q.vacuum_state(2), q.beam_splitter(q.SplitterSpec(0.5)), (1, 1))
 
 
+@pytest.mark.parametrize("shape", [(2, 4), (4, 2), (0, 0), (3, 3), (2,), (1, 1, 2, 2)])
+def test_map_linear_part_must_be_square(shape):
+    with pytest.raises(q.ValidationError, match=r"^linear part must be 2n x 2n, got \("):
+        q.GaussianMap(np.ones(shape), np.zeros((2, 2)), np.zeros(2))
+
+
+def test_compose_refuses_maps_on_different_modes():
+    with pytest.raises(q.ValidationError, match="^cannot compose maps on 1 and 2 modes$"):
+        q.compose(q.beam_splitter(q.SplitterSpec(0.5)), q.phase_shifter(0.3))
+
+
+def test_displace_shifts_the_mean_only():
+    rng = np.random.default_rng(11)
+    base = random_state(rng, 2)
+    state = q.GaussianState(base.mean, base.cov, rng.normal(size=(4, 2)))
+    out = q.displace(state, 1, 0.5 - 2.0j)
+    assert np.array_equal(out.mean, state.mean + [0.0, 0.0, 1.0, -4.0])
+    assert np.array_equal(out.cov, state.cov)
+    assert np.array_equal(out.tangent, state.tangent)
+
+
 def test_tangent_follows_the_linear_part_plus_source():
     rng = np.random.default_rng(3)
     base = random_state(rng, 2)
