@@ -38,10 +38,6 @@ from .circuits import (
     StageSnapshot,
     Topology,
     build_circuit,
-    build_degenerate_sui,
-    build_direct_homodyne,
-    build_mzi,
-    build_nested_sui,
     evaluate_circuit,
     monitor_stats,
     stage_snapshots,
@@ -77,8 +73,7 @@ __all__ = [
     "MixtureAngle", "ModulationMode", "MonitorReading", "NumericalError", "PaGain",
     "ResourceSummary", "ScenarioParseError", "SnrReport", "SplitterSpec",
     "StageSnapshot", "Topology", "TruncationError", "ValidationError",
-    "apply_map", "beam_splitter", "build_circuit", "build_degenerate_sui",
-    "build_direct_homodyne", "build_mzi", "build_nested_sui",
+    "apply_map", "beam_splitter", "build_circuit",
     "channel_report", "closed_forms", "compare_with_gaussian", "compose",
     "displace", "displacement_map", "dsui_output_noise", "dsui_snr",
     "enhancement_and_resources", "evaluate_circuit", "identity_map",

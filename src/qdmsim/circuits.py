@@ -44,7 +44,7 @@ not corrected here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import elements
 from .elements import (
-    MAX_SQUARABLE,
+    MAX_ALPHA,
     PaGain,
     SplitterSpec,
     beam_splitter,
@@ -75,9 +75,8 @@ from .gaussian import (
 LINEAR_MOD_LIMIT = 0.1
 #: ``CircuitOp.carrier`` of a physical modulator: it acts on the mode's own mean.
 OWN_FIELD = "own_field"
-_ALPHA_OVERFLOW = (f"alpha must have |alpha| <= {MAX_SQUARABLE:.4e} for a finite |alpha|^2, "
+_ALPHA_OVERFLOW = (f"alpha must have |alpha| <= {MAX_ALPHA:g}, the engine's envelope, "
                    "got alpha = ({}, {})")
-_MISMATCH = "spec topology mismatch"
 
 
 def _is_grid(value) -> bool:
@@ -139,8 +138,8 @@ class CircuitSpec:
         for g in self.gains:
             if not isinstance(g, PaGain):
                 raise ValidationError("gains must be PaGain instances")
-        # |alpha| <= MAX_SQUARABLE, scaled so that no intermediate overflows
-        check(np.hypot(alpha.real / MAX_SQUARABLE, alpha.imag / MAX_SQUARABLE) <= 1.0,
+        # |alpha| <= MAX_ALPHA, scaled so that no intermediate overflows
+        check(np.hypot(alpha.real / MAX_ALPHA, alpha.imag / MAX_ALPHA) <= 1.0,
               (alpha.real, alpha.imag), ValidationError, _ALPHA_OVERFLOW)
         loss = self.detection_loss
         check((0.0 < loss) & (loss <= 1.0), loss, ValidationError,
@@ -257,16 +256,14 @@ def _tangent_source(op: CircuitOp, gmap: GaussianMap, state: GaussianState) -> n
     return np.stack(((elements._J @ field[..., None])[..., 0], -field), axis=-1)
 
 
-def evaluate_circuit(circuit: CompiledCircuit, upto: int | None = None) -> GaussianState:
-    """Run the compiled circuit on vacuum inputs; optionally only the first
-    ``upto`` ops (used for stage snapshots).  The state's tangent holds
+def evaluate_circuit(circuit: CompiledCircuit) -> GaussianState:
+    """Run the compiled circuit on vacuum inputs.  The state's tangent holds
     d mean/d(delta, eps) at the circuit's modulation depths.  A grid
     circuit's state carries the batch axis from its first op with array
     parameters on.  A failing check names the op's index and kind."""
     dim = 2 * circuit.n_modes
     state = GaussianState(np.zeros(dim), np.eye(dim), np.zeros((dim, 2)))
-    ops = circuit.ops if upto is None else circuit.ops[:upto]
-    for index, op in enumerate(ops):
+    for index, op in enumerate(circuit.ops):
         try:
             gmap = op.kind.gaussian_map(*op.params)
             state = apply_map(state, gmap, op.modes, _tangent_source(op, gmap, state))
@@ -380,10 +377,9 @@ def _sui_common_checks(spec: CircuitSpec, name: str) -> None:
               "fringe, got mzi_phi={}")
 
 
-def build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
+def _build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
     """Modulators straight on the coherent beam, then a splitting BS onto
     two homodynes (phase channel transmitted, amplitude channel reflected)."""
-    check(spec.topology is Topology.DIRECT_HOMODYNE, (), ValidationError, _MISMATCH)
     check(len(spec.splitters) == 1, (), ValidationError,
           "direct homodyne needs exactly the output splitter")
     t3 = spec.splitters[0]
@@ -398,11 +394,10 @@ def build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
     return CompiledCircuit(2, tuple(ops), monitors)
 
 
-def build_mzi(spec: CircuitSpec) -> CompiledCircuit:
+def _build_mzi(spec: CircuitSpec) -> CompiledCircuit:
     """Mach-Zehnder: coherent input on mode 0, vacuum on mode 1; the dark
     port comes back out on mode 1.  An optional third splitter splits the
     dark port onto separate phase/amplitude detectors."""
-    check(spec.topology is Topology.MZI, (), ValidationError, _MISMATCH)
     check(len(spec.splitters) in (2, 3), len(spec.splitters), ValidationError,
           "MZI needs splitters (T1, T2[, T3]), got {}")
     ops = [_displace_op(0, spec.alpha)]
@@ -420,7 +415,7 @@ def build_mzi(spec: CircuitSpec) -> CompiledCircuit:
     return CompiledCircuit(n_modes, tuple(ops), monitors)
 
 
-def build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
+def _build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
     """Non-degenerate amplifier interferometer with the Mach-Zehnder dark
     port on its internal arm.
 
@@ -428,7 +423,6 @@ def build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
     d1), 1 = probe arm (b_in -> dark port -> d2), 2 = coherent input of the
     embedded Mach-Zehnder.
     """
-    check(spec.topology is Topology.NESTED_SUI, (), ValidationError, _MISMATCH)
     _sui_common_checks(spec, "nested amplifier interferometer")
     g1, g2 = spec.gains
     ops = [_displace_op(2, spec.alpha)]
@@ -441,7 +435,7 @@ def build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
     return CompiledCircuit(3, tuple(ops), monitors)
 
 
-def build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
+def _build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
     """Degenerate (phase-sensitive) amplifier interferometer.
 
     Modes: 0 = probe arm (squeezed, encoded, re-amplified), 1 = coherent
@@ -450,7 +444,6 @@ def build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
     modulation mixtures gamma_minus (amplified) and gamma_plus
     (de-amplified).
     """
-    check(spec.topology is Topology.DEGENERATE_SUI, (), ValidationError, _MISMATCH)
     _sui_common_checks(spec, "degenerate amplifier interferometer")
     g1, g2 = spec.gains
     ops = [_displace_op(1, spec.alpha)]
@@ -471,10 +464,10 @@ def build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
 
 
 _BUILDERS = {
-    Topology.DIRECT_HOMODYNE: build_direct_homodyne,
-    Topology.MZI: build_mzi,
-    Topology.NESTED_SUI: build_nested_sui,
-    Topology.DEGENERATE_SUI: build_degenerate_sui,
+    Topology.DIRECT_HOMODYNE: _build_direct_homodyne,
+    Topology.MZI: _build_mzi,
+    Topology.NESTED_SUI: _build_nested_sui,
+    Topology.DEGENERATE_SUI: _build_degenerate_sui,
 }
 
 
@@ -484,12 +477,11 @@ def build_circuit(spec: CircuitSpec) -> CompiledCircuit:
 
 @dataclass(frozen=True)
 class StageSnapshot:
-    """The probe arm's mean at one circuit stage, with its covariance
+    """The probe arm's mean (x, y) at one circuit stage, with its covariance
     ellipse (variances along principal axes, major-axis angle)."""
 
     label: str
-    center_x: float
-    center_y: float
+    center: tuple[float, float]
     major_variance: float
     minor_variance: float
     orientation: float
@@ -513,6 +505,6 @@ def stage_snapshots(spec: CircuitSpec) -> list[StageSnapshot]:
     circuit = build_circuit(spec)
     snapshots = []
     for label, upto in circuit.stage_bounds:
-        probe = evaluate_circuit(circuit, upto=upto).reduced(0)
-        snapshots.append(StageSnapshot(label, *probe.mean.tolist(), *_ellipse(probe.cov)))
+        probe = evaluate_circuit(replace(circuit, ops=circuit.ops[:upto])).reduced(0)
+        snapshots.append(StageSnapshot(label, tuple(probe.mean.tolist()), *_ellipse(probe.cov)))
     return snapshots

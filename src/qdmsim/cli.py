@@ -53,17 +53,13 @@ def _cmd_run(args) -> int:
     readings = operating_point(spec)
     reports = {label: channel_report(spec, label, readings) for label in options.outputs}
     analytic = closed_forms(spec)
-    rel = {}
-    for label, rep in reports.items():
-        key = f"{label}_snr"
-        if key in analytic:
-            rel[key] = _relative_error(rep.snr, analytic[key])
     document = {
         "spec": spec_to_dict(spec),
         "outputs": list(options.outputs),
         "reports": {label: asdict(rep) for label, rep in reports.items()},
         "analytic": analytic,
-        "relative_error": rel,
+        "relative_error": {f"{label}_snr": _relative_error(rep.snr, analytic[f"{label}_snr"])
+                           for label, rep in reports.items()},
     }
     _write_json(args.out, document)
     return 0
@@ -167,18 +163,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_export_states(args) -> int:
     spec, _ = load_scenario(args.scenario)
     _refuse_unwritable(args.out)
-    snapshots = stage_snapshots(spec)
-    document = [
-        {
-            "label": snap.label,
-            "center": [snap.center_x, snap.center_y],
-            "major_variance": snap.major_variance,
-            "minor_variance": snap.minor_variance,
-            "orientation": snap.orientation,
-        }
-        for snap in snapshots
-    ]
-    _write_json(args.out, document)
+    _write_json(args.out, [asdict(snap) for snap in stage_snapshots(spec)])
     return 0
 
 
@@ -207,7 +192,7 @@ def _finite_or_null(value):
     """``value`` with every non-finite float, nested or not, replaced by None."""
     if isinstance(value, dict):
         return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_finite_or_null(item) for item in value]
     return None if isinstance(value, float) and not math.isfinite(value) else value
 

@@ -30,7 +30,6 @@ chains once, and each element then only exponentiates their eigenvalues.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +52,12 @@ _PAIR_CONJ_I = np.kron(_CONJ_I, _CONJ_I)
 #: Oracle operating envelope: beyond this, truncation artifacts dominate.
 MAX_ORACLE_GAIN = 1.6
 MAX_ORACLE_ALPHA = 2.0
-#: The largest magnitude whose square is a finite float.
-MAX_SQUARABLE = math.sqrt(sys.float_info.max)
-_GAIN_OVERFLOW = f"amplifier gain G must be <= {MAX_SQUARABLE:.4e} for a finite G^2, got {{}}"
+#: The engine's envelope, refused at load: the largest entry the engine
+#: forms is a covariance entry of order |alpha|^2 G1^2 G2^2 <= 1e40, far
+#: inside the float range.
+MAX_GAIN = 1e6
+MAX_ALPHA = 1e8
+_GAIN_OVERFLOW = f"amplifier gain G must be <= {MAX_GAIN:g}, the engine's envelope, got {{}}"
 
 
 def _scale(value, matrix: np.ndarray) -> np.ndarray:
@@ -82,7 +84,7 @@ class SplitterSpec:
 
 @dataclass(frozen=True)
 class PaGain:
-    """Parametric amplifier gain G >= 1, with G^2 finite, and g = sqrt(G^2 - 1).
+    """Parametric amplifier gain 1 <= G <= MAX_GAIN, and g = sqrt(G^2 - 1).
 
     ``phase`` is the pump phase for the non-degenerate amplifier and the
     squeezing angle theta for the degenerate one.
@@ -93,7 +95,7 @@ class PaGain:
 
     def __post_init__(self):
         check(self.G >= 1.0, self.G, ValidationError, "amplifier gain must be >= 1, got {}")
-        check(self.G <= MAX_SQUARABLE, self.G, ValidationError, _GAIN_OVERFLOW)
+        check(self.G <= MAX_GAIN, self.G, ValidationError, _GAIN_OVERFLOW)
 
     @property
     def g(self) -> float:

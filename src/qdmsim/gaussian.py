@@ -100,6 +100,16 @@ def _check_positive(real: np.ndarray, imaginary: np.ndarray, error: type, messag
     check(eig_min >= -UNCERTAINTY_TOL, eig_min, error, message)
 
 
+def _check_finite(arr: np.ndarray, core: int, name: str) -> None:
+    """Raise a ValidationError unless every entry of ``arr`` is finite; its
+    last ``core`` axes make up one slice.  A finite sum of squares (one BLAS
+    call) certifies the whole stack; only a failed one looks for the slice."""
+    flat = arr.reshape(-1)
+    if not math.isfinite(flat.dot(flat)):
+        check(np.isfinite(arr).all(axis=tuple(range(-core, 0))), (), ValidationError,
+              f"{name} must be finite")
+
+
 def _as_locked_array(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """A read-only float copy of ``values``, broadcast to ``shape`` if given."""
     arr = np.array(values, dtype=float)
@@ -152,18 +162,23 @@ class GaussianState:
         dim = mean.shape[-1]
         if cov.shape != mean.shape + (dim,):
             raise ValidationError(f"cov shape {cov.shape} does not match mean length {dim}")
-        skew = np.abs(cov - _transpose(cov)).max(axis=(-2, -1))
-        check(skew <= SYMMETRY_TOL, skew, ValidationError, _ASYMMETRIC_COV)
-        cov = (cov + _transpose(cov)) / 2.0
+        tangent = None if self.tangent is None else np.asarray(self.tangent, dtype=float)
+        if tangent is not None and tangent.shape != mean.shape + tangent.shape[-1:]:
+            raise ValidationError(f"tangent shape {tangent.shape} does not match mean length {dim}")
+        # a non-finite entry fails a check, with no numpy warning on the way:
+        # a vector's its own, a matrix's the check its NaN margin fails
+        with np.errstate(invalid="ignore", over="ignore"):
+            _check_finite(mean, 1, "mean")
+            if tangent is not None:
+                _check_finite(tangent, 2, "tangent")
+            skew = np.abs(cov - _transpose(cov)).max(axis=(-2, -1))
+            check(skew <= SYMMETRY_TOL, skew, ValidationError, _ASYMMETRIC_COV)
+            cov = (cov + _transpose(cov)) / 2.0
         cov.setflags(write=False)
+        # outside the errstate: LAPACK keeps its own, and nesting one costs
         _check_positive(cov, _i_omega(dim // 2), ConsistencyError,
                         "uncertainty relation violated: min eig of cov + i*Omega is {:.3e}")
-        if self.tangent is not None:
-            tangent = np.asarray(self.tangent, dtype=float)
-            if tangent.ndim != mean.ndim + 1 or tangent.shape[:-1] != mean.shape:
-                raise ValidationError(
-                    f"tangent shape {tangent.shape} does not match mean length {dim}"
-                )
+        if tangent is not None:
             object.__setattr__(self, "tangent", _as_locked_array(tangent))
         object.__setattr__(self, "mean", _as_locked_array(mean))
         object.__setattr__(self, "cov", cov)
@@ -213,22 +228,24 @@ class GaussianMap:
         linear = _as_locked_array(linear, batch + (dim, dim))
         noise = _as_locked_array(noise, batch + (dim, dim))
         disp = _as_locked_array(disp, batch + (dim,))
-        skew = np.abs(noise - _transpose(noise)).max(axis=(-2, -1))
-        check(skew <= SYMMETRY_TOL, skew, ValidationError,
-              "noise matrix must be symmetric; asymmetric by {:.3e}")
-        omega = _omega(dim // 2)
-        transported = linear @ omega @ _transpose(linear)
-        lossless = np.abs(noise).max(axis=(-2, -1)) == 0.0
-        dev = np.abs(transported - omega).max(axis=(-2, -1))
-        check(~lossless | (dev <= SYMPLECTIC_TOL), dev, ValidationError,
-              "lossless map is not symplectic: |S Omega S^T - Omega| = {:.3e}")
-        # a lossless slice's validity matrix is i (Omega - S Omega S^T), whose
-        # smallest eigenvalue, minus its spectral norm, is at least
-        # -dim * SYMPLECTIC_TOL once the check above passed; while that
-        # bound clears -UNCERTAINTY_TOL, only a lossy slice can fail below
-        if not (np.all(lossless) and dim * SYMPLECTIC_TOL <= UNCERTAINTY_TOL):
-            _check_positive(noise, 1j * (omega - transported), ValidationError,
-                            "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
+        with np.errstate(invalid="ignore", over="ignore"):  # as in GaussianState
+            skew = np.abs(noise - _transpose(noise)).max(axis=(-2, -1))
+            check(skew <= SYMMETRY_TOL, skew, ValidationError,
+                  "noise matrix must be symmetric; asymmetric by {:.3e}")
+            omega = _omega(dim // 2)
+            transported = linear @ omega @ _transpose(linear)
+            lossless = np.abs(noise).max(axis=(-2, -1)) == 0.0
+            dev = np.abs(transported - omega).max(axis=(-2, -1))
+            check(~lossless | (dev <= SYMPLECTIC_TOL), dev, ValidationError,
+                  "lossless map is not symplectic: |S Omega S^T - Omega| = {:.3e}")
+            # a lossless slice's validity matrix is i (Omega - S Omega S^T), whose
+            # smallest eigenvalue, minus its spectral norm, is at least
+            # -dim * SYMPLECTIC_TOL once the check above passed; while that
+            # bound clears -UNCERTAINTY_TOL, only a lossy slice can fail below
+            if not (np.all(lossless) and dim * SYMPLECTIC_TOL <= UNCERTAINTY_TOL):
+                _check_positive(noise, 1j * (omega - transported), ValidationError,
+                                "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
+            _check_finite(disp, 1, "displacement")
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "displacement", disp)

@@ -20,17 +20,17 @@ from .exceptions import ScenarioParseError, ValidationError
 
 MAX_AXIS_POINTS = 10_000
 
-_SPEC_KEYS = {
-    "topology", "alpha", "splitters", "gains", "phi", "mzi_phi",
-    "delta", "epsilon", "modulation_mode", "detection_loss",
-}
+#: The spec's float fields: each is read from, echoed to and swept as the
+#: scenario key of its own name.
+_FLOAT_FIELDS = ("phi", "mzi_phi", "delta", "epsilon", "detection_loss")
+_SPEC_KEYS = {"topology", "alpha", "splitters", "gains", "modulation_mode", *_FLOAT_FIELDS}
 _OPTION_KEYS = {"outputs", "sweep", "format"}
 
 #: Scalar spec fields a sweep may vary, with how each value lands in the spec.
 #: theta2_dark moves the readout angle theta2 while keeping the amplifier
 #: pair at dark fringe (theta1 = theta2 + pi), the canonical mixture sweep.
 SWEEPABLE = (
-    "phi", "mzi_phi", "delta", "epsilon", "detection_loss",
+    *_FLOAT_FIELDS,
     "alpha_re", "alpha_im", "T1", "T2", "T3", "G1", "G2",
     "theta1", "theta2", "theta2_dark",
 )
@@ -163,12 +163,8 @@ def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
         alpha=_parse_alpha(doc.get("alpha", 0.0)),
         splitters=_parse_splitters(doc.get("splitters", [])),
         gains=_parse_gains(doc.get("gains", [])),
-        phi=_as_float(doc.get("phi", math.pi), "phi"),
-        mzi_phi=_as_float(doc.get("mzi_phi", 0.0), "mzi_phi"),
-        delta=_as_float(doc.get("delta", 0.0), "delta"),
-        epsilon=_as_float(doc.get("epsilon", 0.0), "epsilon"),
         modulation_mode=modulation,
-        detection_loss=_as_float(doc.get("detection_loss", 1.0), "detection_loss"),
+        **{key: _as_float(doc[key], key) for key in _FLOAT_FIELDS if key in doc},
     )
     circuit = build_circuit(spec)  # re-validates topology requirements
 
@@ -179,6 +175,8 @@ def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
         raise ValidationError("outputs must be a list of monitor labels")
     for label in outputs:
         circuit.monitor(label)
+        if outputs.count(label) > 1:
+            raise ValidationError(f"outputs must name each monitor once, got {label!r} twice")
 
     axes: tuple[SweepAxis, ...] = ()
     sweep = doc.get("sweep")
@@ -214,8 +212,22 @@ _LINEARIZED_SUI_FIXED = {
 }
 
 
+#: The spec values an axis sets, where they are not just the axis's own.
+_SETS = {"theta2_dark": ("theta1", "theta2")}
+
+
 def check_axes(spec: CircuitSpec, axes) -> None:
-    """Reject axes that no grid point of ``spec`` could take."""
+    """Reject axes that no grid point of ``spec`` could take, and two axes
+    that set one spec value, of which the later would undo the earlier."""
+    setters = {}
+    for axis in axes:
+        for value in _SETS.get(axis.name, (axis.name,)):
+            if value in setters:
+                raise ValidationError(
+                    f"axes {setters[value]!r} and {axis.name!r} both set {value}; "
+                    "a sweep sets each value once"
+                )
+            setters[value] = axis.name
     amplified = (Topology.NESTED_SUI, Topology.DEGENERATE_SUI)
     if spec.modulation_mode is ModulationMode.LINEARIZED and spec.topology in amplified:
         for axis in axes:
@@ -236,7 +248,7 @@ def _complex(re, im):
 def apply_axis_value(spec: CircuitSpec, name: str, value) -> CircuitSpec:
     """Return a spec with one sweepable scalar replaced: by ``value``, or,
     given an array, by one value per grid point (a grid spec)."""
-    if name in ("phi", "mzi_phi", "delta", "epsilon", "detection_loss"):
+    if name in _FLOAT_FIELDS:
         return replace(spec, **{name: value})
     if name == "alpha_re":
         return replace(spec, alpha=_complex(value, spec.alpha.imag))
@@ -281,10 +293,6 @@ def spec_to_dict(spec: CircuitSpec) -> dict:
         "alpha": {"re": spec.alpha.real, "im": spec.alpha.imag},
         "splitters": [s.T for s in spec.splitters],
         "gains": [{"G": g.G, "phase": g.phase} for g in spec.gains],
-        "phi": spec.phi,
-        "mzi_phi": spec.mzi_phi,
-        "delta": spec.delta,
-        "epsilon": spec.epsilon,
         "modulation_mode": spec.modulation_mode.value,
-        "detection_loss": spec.detection_loss,
+        **{name: getattr(spec, name) for name in _FLOAT_FIELDS},
     }

@@ -278,7 +278,7 @@ def test_unknown_monitor_label_rejected():
 def test_snapshot_input_is_unit_circle():
     snap = q.stage_snapshots(dsui_spec())[0]
     assert snap.label == "input"
-    assert (snap.center_x, snap.center_y) == (0.0, 0.0)
+    assert snap.center == (0.0, 0.0)
     assert snap.major_variance == pytest.approx(1.0, rel=1e-12)
     assert snap.minor_variance == pytest.approx(1.0, rel=1e-12)
 
@@ -297,8 +297,8 @@ def test_snapshot_encoding_displaces_center():
     encoded = snaps[2]
     assert encoded.label == "after_encoding"
     root_r = math.sqrt(1e-4)
-    assert encoded.center_x == pytest.approx(2 * 1000.0 * root_r * 2e-3, rel=1e-12)
-    assert encoded.center_y == pytest.approx(-2 * 1000.0 * root_r * 1e-3, rel=1e-12)
+    assert encoded.center[0] == pytest.approx(2 * 1000.0 * root_r * 2e-3, rel=1e-12)
+    assert encoded.center[1] == pytest.approx(-2 * 1000.0 * root_r * 1e-3, rel=1e-12)
     # covariance untouched by the encoding displacement
     assert encoded.major_variance == pytest.approx(snaps[1].major_variance, rel=1e-12)
 
@@ -311,7 +311,7 @@ def test_snapshot_output_equal_gains_is_displaced_circle():
     assert out.minor_variance == pytest.approx(1.0, rel=1e-10)
     # second amplifier at theta2 = 0 amplifies X by (G + g) = 3
     encoded_x = 2 * 1000.0 * math.sqrt(1e-4) * 1e-3
-    assert out.center_x == pytest.approx(3.0 * encoded_x, rel=1e-10)
+    assert out.center[0] == pytest.approx(3.0 * encoded_x, rel=1e-10)
 
 
 def test_snapshots_only_for_degenerate_topology():
@@ -339,6 +339,16 @@ def test_detection_loss_bounds():
         mzi_spec(detection_loss=0.0)
     with pytest.raises(q.ValidationError):
         mzi_spec(detection_loss=1.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("splitters", (0.99, 0.99), "splitters must be SplitterSpec instances"),
+    ("gains", (1.5, 1.5), "gains must be PaGain instances"),
+])
+def test_spec_parts_must_be_typed(field, value, message):
+    with pytest.raises(q.ValidationError) as info:
+        q.CircuitSpec(q.Topology.NESTED_SUI, **{field: value})
+    assert str(info.value) == message
 
 
 def test_detection_loss_attenuates_monitored_output():

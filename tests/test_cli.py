@@ -259,6 +259,8 @@ MALFORMED = {
         "outputs must be a list of monitor labels"),
     "outputs a number": ([], mzi_payload(outputs=[1]), 3,
         "outputs must be a list of monitor labels"),
+    "output twice": ([], mzi_payload(outputs=["phase", "amplitude", "phase"]), 3,
+        "outputs must name each monitor once, got 'phase' twice"),
     "sweep a list": ([], mzi_payload(sweep=[]), 3, 'sweep must be an object {"axes": [...]}'),
     "sweep an extra key": ([], _swept(axes=[], step=1), 3,
         'sweep must be an object {"axes": [...]}'),
@@ -285,6 +287,12 @@ MALFORMED = {
     "too many points": ([], _swept({"count": 10001}), 3,
         "axis 'phi' needs 1..10000 points, got 10001"),
     "format xml": ([], mzi_payload(format="xml"), 3, "format must be json or csv, got 'xml'"),
+    "axis flag without count": (["--axis", "phi=0:1"], mzi_payload(), 3,
+        "--axis expects name=start:stop:count, got 'phi=0:1'"),
+    "axis flag without range": (["--axis", "phi"], mzi_payload(), 3,
+        "--axis expects name=start:stop:count, got 'phi'"),
+    "axis flag count a word": (["--axis", "phi=0:1:x"], mzi_payload(), 3,
+        "--axis expects name=start:stop:count, got 'phi=0:1:x'"),
     # axes the schema takes that the topology cannot: refused when applied
     "T3 on two splitters": (["--axis", "T3=0.1:0.9:3"], mzi_payload(), 3,
         "T3 sweeps a splitter the topology does not have"),
@@ -413,6 +421,44 @@ def test_sweep_two_axes_lexicographic(tmp_path, capsys):
     assert deltas == sorted(deltas)
     epsilons = [float(r["epsilon"]) for r in rows[:3]]
     assert epsilons == sorted(epsilons)
+
+
+_TWICE = "; a sweep sets each value once"
+
+
+@pytest.mark.parametrize("argv, document, message", [
+    (["--axis", "phi=0:1:2", "--axis", "phi=3:3.14159:2"], mzi_payload(),
+     "axes 'phi' and 'phi' both set phi" + _TWICE),
+    (["--axis", "theta1=0:1:2", "--axis", "theta2_dark=0:1:2"], dsui_payload(),
+     "axes 'theta1' and 'theta2_dark' both set theta1" + _TWICE),
+    (["--axis", "theta2_dark=0:1:2", "--axis", "theta2=0:1:2"], dsui_payload(),
+     "axes 'theta2_dark' and 'theta2' both set theta2" + _TWICE),
+    ([], _swept({}, {"start": 3.0}), "axes 'phi' and 'phi' both set phi" + _TWICE),
+    ([], dsui_payload(sweep={"axes": [
+        {"name": "theta2_dark", "start": 0.0, "stop": 1.0, "count": 2},
+        {"name": "theta1", "start": 0.0, "stop": 1.0, "count": 2},
+    ]}), "axes 'theta2_dark' and 'theta1' both set theta1" + _TWICE),
+], ids=["flags phi twice", "flags theta1 theta2_dark", "flags theta2_dark theta2",
+        "scenario phi twice", "scenario theta2_dark theta1"])
+def test_sweep_setting_one_value_twice_is_refused(tmp_path, monkeypatch, capsys,
+                                                  argv, document, message):
+    calls = _count_evaluations(monkeypatch)
+    assert main(["sweep", write(tmp_path, "twice.json", document), *argv]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("document, axes", [
+    (mzi_payload(), ("alpha_re=1:10:2", "alpha_im=0:5:2")),
+    (dsui_payload(), ("G1=1.2:2:2", "theta1=0:1:2")),
+    (mzi_payload(splitters=[0.99, 0.99, 0.5]), ("T1=0.9:0.99:2", "T3=0.2:0.8:2")),
+])
+def test_sweep_axes_on_parts_of_one_field(tmp_path, capsys, document, axes):
+    # two parts of one field are two values: each axis moves the rows
+    path = write(tmp_path, "parts.json", document)
+    assert main(["sweep", path, "--axis", axes[0], "--axis", axes[1]]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert len({tuple(row[2:]) for row in rows}) == 4
 
 
 def test_sweep_workers_match_serial(tmp_path):
@@ -730,8 +776,8 @@ def test_failure_text_is_unchanged(tmp_path, monkeypatch, capsys, case):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-_GAIN_OVERFLOW = "amplifier gain G must be <= 1.3408e+154 for a finite G^2, got "
-_ALPHA_OVERFLOW = "alpha must have |alpha| <= 1.3408e+154 for a finite |alpha|^2, got alpha = "
+_GAIN_OVERFLOW = "amplifier gain G must be <= 1e+06, the engine's envelope, got "
+_ALPHA_OVERFLOW = "alpha must have |alpha| <= 1e+08, the engine's envelope, got alpha = "
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -749,6 +795,11 @@ _ALPHA_OVERFLOW = "alpha must have |alpha| <= 1.3408e+154 for a finite |alpha|^2
     pytest.param(["sweep", str(SCENARIOS / "mzi_basic.json"), "--axis", "alpha_re=1:1e300:3"],
                  _ALPHA_OVERFLOW + "(5e+299, 0.0) at batch index 1 (sweep point alpha_re=5e+299)",
                  id="sweep alpha_re"),
+    # squares to a finite float, yet lies past what the engine computes
+    pytest.param(["sweep", "{nested_alpha}", "--axis", "G2=1:100:3"],
+                 _ALPHA_OVERFLOW + "(1.3e+154, 0.0)", id="sweep alpha 1.3e154"),
+    pytest.param(["export-states", "{dsui_edge}"], _GAIN_OVERFLOW + "1.3e+154",
+                 id="export-states G1 1.3e154"),
 ])
 def test_overflowing_square_is_refused(tmp_path, capsys, argv, message):
     # under the suite's error::RuntimeWarning filter: no warning may escape
@@ -758,6 +809,32 @@ def test_overflowing_square_is_refused(tmp_path, capsys, argv, message):
             gains=[{"G": 1e155, "phase": math.pi}, {"G": 5 / 3, "phase": 0.0}])),
         "mzi": write(tmp_path, "mzi.json", mzi_payload(alpha=1e300)),
         "mzi_parts": write(tmp_path, "parts.json", mzi_payload(alpha={"re": 1e154, "im": 1e154})),
+        "nested_alpha": write(tmp_path, "alpha.json",
+                              {**json.loads(Path(NESTED_SWEEP).read_text()), "alpha": 1.3e154}),
+        "dsui_edge": write(tmp_path, "edge.json", dsui_payload(
+            gains=[{"G": 1.3e154, "phase": math.pi}, {"G": 5 / 3, "phase": 0.0}])),
     }
     assert main([arg.format(**files) for arg in argv]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("G", 1e6, None),
+    ("G", math.nextafter(1e6, math.inf), _GAIN_OVERFLOW + "1000000.0000000001"),
+    ("alpha", 1e8, None),
+    ("alpha", math.nextafter(1e8, math.inf), _ALPHA_OVERFLOW + "(100000000.00000001, 0.0)"),
+    ("alpha", {"im": -1e8}, None),
+    ("alpha", {"im": math.nextafter(-1e8, -math.inf)},
+     _ALPHA_OVERFLOW + "(0.0, -100000000.00000001)"),
+], ids=["G at the edge", "G past it", "alpha at the edge", "alpha past it",
+        "alpha.im at the edge", "alpha.im past it"])
+def test_envelope_boundary_at_load(tmp_path, capsys, field, value, message):
+    from qdmsim.scenario import parse_scenario
+
+    document = json.dumps(_with_number(field, value))
+    if message is None:
+        parse_scenario(document)
+        return
+    assert main(["run", write(tmp_path, "edge.json", document)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+

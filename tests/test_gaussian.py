@@ -266,12 +266,63 @@ def _non_finite_maps():
 def test_non_finite_lossy_map_is_refused(linear, noise, message, index):
     # a NaN can pass through a Cholesky factorisation without raising; the
     # finite-diagonal guard sends it to the eigenvalues, which refuse it
-    with np.errstate(invalid="ignore"), pytest.raises(q.ValidationError) as info:
+    with pytest.raises(q.ValidationError) as info:
         q.GaussianMap(linear, noise, np.zeros(2))
     want = message if index is None else f"{message} at batch index {index}"
     assert str(info.value) == want
     assert info.value.batch_index == index
     assert math.isnan(info.value.margins[0])
+
+
+def _stacked_tangent(bad_slice):
+    tangent = np.zeros((3, 2, 2))
+    tangent[bad_slice, 1, 0] = math.inf
+    return tangent
+
+
+#: Objects each refused with one exact message: malformed shapes, and
+#: non-finite entries that no other check would see.
+REFUSED = {
+    "batch shapes": (lambda: q.GaussianMap(np.eye(2), np.zeros((4, 2, 2)), np.zeros((3, 2))),
+                     "batch shapes ((), (4,), (3,)) do not match one batch axis"),
+    "mean of odd length": (lambda: q.GaussianState(np.zeros(3), np.eye(3)),
+                           "mean must be a non-empty vector of even length, got shape (3,)"),
+    "cov shape": (lambda: q.GaussianState(np.zeros(2), np.eye(4)),
+                  "cov shape (4, 4) does not match mean length 2"),
+    "noise shape": (lambda: q.GaussianMap(np.eye(2), np.zeros((4, 4)), np.zeros(2)),
+                    "noise shape (4, 4) does not match map size 2"),
+    "displacement shape": (lambda: q.GaussianMap(np.eye(2), np.zeros((2, 2)), np.zeros(4)),
+                           "displacement shape (4,) does not match map size 2"),
+    "source without tangent": (
+        lambda: q.apply_map(q.vacuum_state(1), q.phase_shifter(0.3), (0,), np.zeros((2, 2))),
+        "a tangent source needs a state that carries a tangent"),
+    "displacement nan": (lambda: q.GaussianMap(np.eye(2), np.zeros((2, 2)), [math.nan, 0.0]),
+                         "displacement must be finite"),
+    "stacked displacement inf": (
+        lambda: q.GaussianMap(np.eye(2), np.zeros((2, 2)), [[0.0, 0.0], [0.0, 0.0], [0, -math.inf]]),
+        "displacement must be finite at batch index 2"),
+    "mean nan": (lambda: q.GaussianState([math.nan, 0.0], np.eye(2)), "mean must be finite"),
+    "stacked mean inf": (
+        lambda: q.GaussianState([[0.0, 0.0], [math.inf, 0.0]], np.eye(2)[None].repeat(2, 0)),
+        "mean must be finite at batch index 1"),
+    "tangent nan": (lambda: q.GaussianState(np.zeros(2), np.eye(2), [[0.0, math.nan], [0.0, 0.0]]),
+                    "tangent must be finite"),
+    "stacked tangent inf": (
+        lambda: q.GaussianState(np.zeros((3, 2)), np.eye(2)[None].repeat(3, 0), _stacked_tangent(1)),
+        "tangent must be finite at batch index 1"),
+    # the symmetry check refuses it, with no warning from inf - inf first
+    "cov inf": (lambda: q.GaussianState(np.zeros(2), [[math.inf, 0.0], [0.0, 1.0]]),
+                "cov is asymmetric by nan (tol 1e-12)"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_malformed_object_is_refused(case):
+    # under the suite's error::RuntimeWarning filter: no warning may escape
+    build, message = REFUSED[case]
+    with pytest.raises(q.ValidationError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def _two_mode_squeezed_stack(slices=2048):

@@ -34,6 +34,16 @@ def test_mzi_dark_port_phase_only_in_y():
     assert q.operating_point(mzi_spec())["amplitude"].slope_delta == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("output, message", [
+    ("bogus", "no canonical channel for output 'bogus'"),
+    ("mix_minus", "unknown output 'mix_minus'; circuit monitors: phase, amplitude"),
+])
+def test_unknown_output_is_refused(output, message):
+    with pytest.raises(q.ValidationError) as info:
+        q.channel_report(mzi_spec(), output)
+    assert str(info.value) == message
+
+
 def test_exact_mode_slopes_carry_the_splitter_factor():
     # the physical circuit keeps the full interferometer, so the dark-port
     # coupling is sqrt(T R) and the slope sits a factor sqrt(T) below the
