@@ -20,7 +20,8 @@ Mach-Zehnder, so finite-R corrections are observable.  In ``LINEARIZED``
 mode the modulators become a pure mean-field displacement, first order in
 (delta, eps) with the vacuum contribution dropped; for the two amplifier
 topologies the displacement uses the dark-port coupling sqrt(R) of the
-T ~ 1 limit, which is the regime the closed-form results describe.
+T ~ 1 limit, which is the regime the closed-form results describe, and
+stands for the whole embedded Mach-Zehnder, its input mode included.
 
 Slopes: evaluation carries d mean/d(delta, eps) forward with the state,
 seeded by the op that carries the modulation (``CircuitOp.carrier``), so
@@ -316,12 +317,6 @@ def _anywhere(condition) -> bool:
     return bool(condition.any()) if _is_grid(condition) else bool(condition)
 
 
-def _detection_loss_ops(spec: CircuitSpec, modes: tuple[int, ...]) -> list[CircuitOp]:
-    if not _anywhere(spec.detection_loss < 1.0):
-        return []
-    return [CircuitOp("loss_channel", (m,), (spec.detection_loss,)) for m in modes]
-
-
 def _exact_modulator_ops(spec: CircuitSpec, mode: int, phase) -> list[CircuitOp]:
     """Physical modulators: the rotation by ``phase`` (which includes delta)
     and, where epsilon is nonzero, the loss e^{-2 eps}."""
@@ -334,22 +329,8 @@ def _exact_modulator_ops(spec: CircuitSpec, mode: int, phase) -> list[CircuitOp]
     return ops
 
 
-def _mzi_block(
-    spec: CircuitSpec,
-    a_mode: int,
-    b_mode: int,
-    elide_linearized: bool = False,
-) -> list[CircuitOp]:
-    """Ops for the two-splitter Mach-Zehnder with modulators in arm B.
-
-    ``elide_linearized`` makes the linearized encoding displacement-only:
-    the modulators act on the arm-B mean field ``-sqrt(R) alpha`` and the
-    splitters are elided (used for the amplifier topologies, where the
-    closed forms take the very unbalanced limit).
-    """
-    if elide_linearized and spec.modulation_mode is ModulationMode.LINEARIZED:
-        return [_modulation_op(spec, b_mode, -np.sqrt(spec.splitters[0].R) * spec.alpha)]
-
+def _mzi_block(spec: CircuitSpec, a_mode: int, b_mode: int) -> list[CircuitOp]:
+    """Ops for the two-splitter Mach-Zehnder with modulators in arm B."""
     t1, t2 = spec.splitters[0], spec.splitters[1]
     ops = [CircuitOp("beam_splitter", (a_mode, b_mode), (t1.T,))]
     if spec.modulation_mode is ModulationMode.EXACT:
@@ -361,6 +342,25 @@ def _mzi_block(
     # second splitter: same element with the mode roles swapped
     ops.append(CircuitOp("beam_splitter", (b_mode, a_mode), (t2.T,)))
     return ops
+
+
+def _embedded_mzi(spec: CircuitSpec, a_mode: int, b_mode: int) -> tuple[list, list]:
+    """The embedded Mach-Zehnder's input ops and own ops; LINEARIZED mode
+    elides both to one displacement of the arm-B mean field -sqrt(R) alpha."""
+    if spec.modulation_mode is ModulationMode.LINEARIZED:
+        return [], [_modulation_op(spec, b_mode, -np.sqrt(spec.splitters[0].R) * spec.alpha)]
+    return [_displace_op(a_mode, spec.alpha)], _mzi_block(spec, a_mode, b_mode)
+
+
+def _compiled(spec: CircuitSpec, ops: list[CircuitOp], monitors: tuple[Monitor, ...],
+              stage_bounds=()) -> CompiledCircuit:
+    """``ops``, then, if any point has ``detection_loss < 1``, that loss on
+    each monitored mode: the circuit on modes 0 up to the highest it names."""
+    if _anywhere(spec.detection_loss < 1.0):
+        monitored = dict.fromkeys(mon.mode for mon in monitors)
+        ops = ops + [CircuitOp("loss_channel", (m,), (spec.detection_loss,)) for m in monitored]
+    n_modes = 1 + max([m for op in ops for m in op.modes] + [mon.mode for mon in monitors])
+    return CompiledCircuit(n_modes, tuple(ops), monitors, tuple(stage_bounds))
 
 
 def _sui_common_checks(spec: CircuitSpec, name: str) -> None:
@@ -390,8 +390,7 @@ def _build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
         ops.append(_modulation_op(spec, 0, spec.alpha))
     ops.append(CircuitOp("beam_splitter", (0, 1), (t3.T,)))
     monitors = (Monitor("phase", 0, math.pi / 2), Monitor("amplitude", 1, 0.0))
-    ops.extend(_detection_loss_ops(spec, (0, 1)))
-    return CompiledCircuit(2, tuple(ops), monitors)
+    return _compiled(spec, ops, monitors)
 
 
 def _build_mzi(spec: CircuitSpec) -> CompiledCircuit:
@@ -403,16 +402,11 @@ def _build_mzi(spec: CircuitSpec) -> CompiledCircuit:
     ops = [_displace_op(0, spec.alpha)]
     ops.extend(_mzi_block(spec, a_mode=0, b_mode=1))
     if len(spec.splitters) == 3:
-        n_modes = 3
         ops.append(CircuitOp("beam_splitter", (1, 2), (spec.splitters[2].T,)))
         monitors = (Monitor("phase", 1, math.pi / 2), Monitor("amplitude", 2, 0.0))
-        loss_modes: tuple[int, ...] = (1, 2)
     else:
-        n_modes = 2
         monitors = (Monitor("phase", 1, math.pi / 2), Monitor("amplitude", 1, 0.0))
-        loss_modes = (1,)
-    ops.extend(_detection_loss_ops(spec, loss_modes))
-    return CompiledCircuit(n_modes, tuple(ops), monitors)
+    return _compiled(spec, ops, monitors)
 
 
 def _build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
@@ -421,36 +415,35 @@ def _build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
 
     Modes: 0 = idler arm (first amplifier output C, then detector output
     d1), 1 = probe arm (b_in -> dark port -> d2), 2 = coherent input of the
-    embedded Mach-Zehnder.
+    embedded Mach-Zehnder, in EXACT mode only.
     """
     _sui_common_checks(spec, "nested amplifier interferometer")
     g1, g2 = spec.gains
-    ops = [_displace_op(2, spec.alpha)]
+    ops, mzi = _embedded_mzi(spec, a_mode=2, b_mode=1)
     ops.append(CircuitOp("two_mode_squeezer", (0, 1), (g1.G, g1.phase)))
-    ops.extend(_mzi_block(spec, a_mode=2, b_mode=1, elide_linearized=True))
+    ops.extend(mzi)
     ops.append(CircuitOp("phase_shifter", (0,), (spec.phi,)))
     ops.append(CircuitOp("two_mode_squeezer", (0, 1), (g2.G, g2.phase)))
     monitors = (Monitor("phase", 0, math.pi / 2), Monitor("amplitude", 1, 0.0))
-    ops.extend(_detection_loss_ops(spec, (0, 1)))
-    return CompiledCircuit(3, tuple(ops), monitors)
+    return _compiled(spec, ops, monitors)
 
 
 def _build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
     """Degenerate (phase-sensitive) amplifier interferometer.
 
     Modes: 0 = probe arm (squeezed, encoded, re-amplified), 1 = coherent
-    input of the embedded Mach-Zehnder.  The two monitored quadratures sit
-    at theta2/2 and theta2/2 + pi/2; they read the two orthogonal
-    modulation mixtures gamma_minus (amplified) and gamma_plus
-    (de-amplified).
+    input of the embedded Mach-Zehnder, in EXACT mode only.  The two
+    monitored quadratures sit at theta2/2 and theta2/2 + pi/2; they read
+    the two orthogonal modulation mixtures gamma_minus (amplified) and
+    gamma_plus (de-amplified).
     """
     _sui_common_checks(spec, "degenerate amplifier interferometer")
     g1, g2 = spec.gains
-    ops = [_displace_op(1, spec.alpha)]
-    stage_bounds = [("input", 1)]
+    ops, mzi = _embedded_mzi(spec, a_mode=1, b_mode=0)
+    stage_bounds = [("input", len(ops))]
     ops.append(CircuitOp("single_mode_squeezer", (0,), (g1.G, g1.phase)))
-    stage_bounds.append(("after_first_amplifier", 2))
-    ops.extend(_mzi_block(spec, a_mode=1, b_mode=0, elide_linearized=True))
+    stage_bounds.append(("after_first_amplifier", len(ops)))
+    ops.extend(mzi)
     stage_bounds.append(("after_encoding", len(ops)))
     ops.append(CircuitOp("single_mode_squeezer", (0,), (g2.G, g2.phase)))
     stage_bounds.append(("output", len(ops)))
@@ -459,8 +452,7 @@ def _build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
         Monitor("mix_minus", 0, half),
         Monitor("mix_plus", 0, half + math.pi / 2),
     )
-    ops.extend(_detection_loss_ops(spec, (0,)))
-    return CompiledCircuit(2, tuple(ops), monitors, tuple(stage_bounds))
+    return _compiled(spec, ops, monitors, stage_bounds)
 
 
 _BUILDERS = {

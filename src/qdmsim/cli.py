@@ -19,7 +19,6 @@ import math
 import os
 import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -110,6 +109,8 @@ def _evaluate_chunks(payloads, workers: int):
     if workers == 1:
         yield from map(_sweep_columns, payloads)
         return
+    # imported here: it loads multiprocessing, which a serial command never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         while group := list(itertools.islice(payloads, workers)):
             yield from pool.map(_sweep_columns, group)

@@ -173,7 +173,8 @@ class BlockUnitary:
     partition the basis exactly once; the unitary maps the entries
     ``rows`` of a state to ``block @ state[rows]``.  The basis states of
     one label are evenly spaced in the flat index, so ``rows`` is a
-    ``range``.  A block is a real array where the unitary is real.
+    ``range``.  A block is a real array where the unitary is real; labels
+    may share one, so blocks are only read.
     """
 
     blocks: tuple[tuple[range, np.ndarray], ...]
@@ -197,17 +198,21 @@ class LadderBasis:
     exp(s A) = (V diag(cas(s lam)) V^T) * S entrywise, with cas = cos + sin
     and S[k, l] = Re i^(k - l) + Im i^(k - l), which is 1, 1, -1, -1 for
     k - l = 0, 1, 2, 3 mod 4.  The chains are diagonalised once here, and
-    :meth:`unitary` only exponentiates the eigenvalues.
+    :meth:`unitary` only exponentiates the eigenvalues, once per distinct
+    chain (those of photon difference +k and -k are equal bit for bit).
     """
 
     def __init__(self, family, d: int):
-        blocks = []
+        self._eigen = {}  # chain bytes -> (eigenvalues, eigenvectors)
+        self._layout = []  # (rows, chain bytes) per block
         for rows, raising in family(d):
-            chain = np.diag(raising, 1)
-            blocks.append((rows, *np.linalg.eigh(chain + chain.T)))
-        self.blocks = tuple(blocks)
-        self._sizes = np.cumsum([0] + [len(values) for _, values, _ in blocks])
-        self._values = np.concatenate([values for _, values, _ in blocks])
+            key = raising.tobytes()
+            if key not in self._eigen:
+                chain = np.diag(raising, 1)
+                self._eigen[key] = np.linalg.eigh(chain + chain.T)
+            self._layout.append((rows, key))
+        self._sizes = np.cumsum([0] + [len(values) for values, _ in self._eigen.values()])
+        self._values = np.concatenate([values for values, _ in self._eigen.values()])
         steps = np.arange(max(np.diff(self._sizes)))
         self._offsets = steps[:, None] - steps
         self._signs = np.array([1.0, 1.0, -1.0, -1.0])[self._offsets % 4]
@@ -221,11 +226,11 @@ class LadderBasis:
         else:
             scale, pattern = abs(weight), self._signs * np.exp(1j * np.angle(weight) * self._offsets)
         cas = np.cos(scale * self._values) + np.sin(scale * self._values)
-        blocks = []
-        for (rows, values, vectors), lo, hi in zip(self.blocks, self._sizes, self._sizes[1:]):
+        distinct = {}
+        for (key, (values, vectors)), lo, hi in zip(self._eigen.items(), self._sizes, self._sizes[1:]):
             m = len(values)
-            blocks.append((rows, ((vectors * cas[lo:hi]) @ vectors.T) * pattern[:m, :m]))
-        return BlockUnitary(tuple(blocks))
+            distinct[key] = ((vectors * cas[lo:hi]) @ vectors.T) * pattern[:m, :m]
+        return BlockUnitary(tuple((rows, distinct[key]) for rows, key in self._layout))
 
 
 def photon_sum_family(d: int):

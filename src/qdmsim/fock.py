@@ -22,6 +22,7 @@ circuit is checked or run names the op's index and kind.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,10 +66,15 @@ def _to_front(psi: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
 
 
 def _apply_blocks(psi: np.ndarray, blocks, modes: tuple[int, ...]) -> np.ndarray:
-    """Apply block-diagonal ``(rows, block)`` pairs over the flattened
-    basis of ``modes`` (see :class:`qdmsim.elements.BlockUnitary`); each
-    block reads and writes its rows as one strided slice.  Every axis of
-    a state has the cutoff's length."""
+    """Apply block-diagonal ``(rows, block)`` pairs over the flattened basis
+    of ``modes`` (see :class:`qdmsim.elements.BlockUnitary`): each block's
+    rows as one strided slice, a one-mode diagonal as one multiply along
+    its axis with no reordered copy.  Every axis has the cutoff's length."""
+    if len(modes) == 1 and len(blocks) == psi.shape[0]:
+        diagonal = np.empty(psi.shape[0], dtype=complex)
+        for rows, block in blocks:
+            diagonal[rows.start] = block[0, 0]
+        return psi * diagonal.reshape((-1,) + (1,) * (psi.ndim - 1 - modes[0]))
     flat = _to_front(psi, modes)
     out = np.empty_like(flat)
     for rows, block in blocks:
@@ -98,26 +104,32 @@ def _apply_to_vacuum_ancilla(psi: np.ndarray, blocks, mode: int) -> np.ndarray:
     return np.moveaxis(out.reshape((d,) * (psi.ndim + 1)), (0, 1), (mode, psi.ndim))
 
 
-def _quadrature_moments(psi: np.ndarray, mode: int, angle: float) -> tuple[float, float]:
-    """<X> and <X^2> of the truncated quadrature X = a e^{-i angle} + a† e^{i angle}
-    on ``mode``, from the three diagonals of the mode's reduced density
-    matrix that the tridiagonal X and the pentadiagonal X^2 touch."""
-    d = psi.shape[mode]
+def _reduced_diagonals(psi: np.ndarray, mode: int) -> tuple[np.ndarray, ...]:
+    """The diagonals rho[n + k, n] = sum over the other modes of psi_{n + k}
+    conj(psi_n), k = 0, 1, 2, of ``mode``'s reduced density matrix: those
+    the tridiagonal truncated quadrature and its pentadiagonal square touch."""
     front = _to_front(psi, (mode,))
-    levels = np.arange(d - 1.0)
+    return tuple(np.array([np.vdot(front[n], front[n + k]) for n in range(len(front) - k)])
+                 for k in range(3))
 
-    def diagonal(offset: int) -> np.ndarray:
-        # rho[n + offset, n] = sum over the other modes of psi_{n + offset} conj(psi_n)
-        return np.array([np.vdot(front[n], front[n + offset]) for n in range(d - offset)])
 
+def _moments(diagonals: tuple[np.ndarray, ...], angle: float) -> tuple[float, float]:
+    """<X> and <X^2> of the truncated quadrature X = a e^{-i angle} + a† e^{i angle}
+    from its mode's :func:`_reduced_diagonals`."""
+    levels = np.arange(len(diagonals[0]) - 1.0)
     # <a> = sum_n sqrt(n + 1) rho[n + 1, n]; <a^2> = sum_n sqrt((n + 1)(n + 2)) rho[n + 2, n]
-    mean = 2.0 * (np.exp(-1j * angle) * (np.sqrt(levels + 1.0) @ diagonal(1))).real
+    mean = 2.0 * (np.exp(-1j * angle) * (np.sqrt(levels + 1.0) @ diagonals[1])).real
     # X^2 = a a† + a† a + (e^{-2i angle} a^2 + h.c.); truncated, a a† + a† a = 2n + 1
     # below the top level and n at it
-    number = np.append(2.0 * levels + 1.0, d - 1.0)
+    number = np.append(2.0 * levels + 1.0, len(levels))
     pairs = np.sqrt(levels[:-1] + 1.0) * np.sqrt(levels[:-1] + 2.0)
-    second = number @ diagonal(0).real + 2.0 * (np.exp(-2j * angle) * (pairs @ diagonal(2))).real
+    second = number @ diagonals[0].real + 2.0 * (np.exp(-2j * angle) * (pairs @ diagonals[2])).real
     return float(mean), float(second)
+
+
+def _quadrature_moments(psi: np.ndarray, mode: int, angle: float) -> tuple[float, float]:
+    """<X> and <X^2> of the truncated quadrature at ``angle`` on ``mode``."""
+    return _moments(_reduced_diagonals(psi, mode), angle)
 
 
 class _FockRun:
@@ -133,19 +145,11 @@ class _FockRun:
               f"cutoff^modes = {{}}^{{}} exceeds the dimension guard {DIMENSION_GUARD}")
         self.circuit = circuit
         self.config = config
-        self.d = config.cutoff
-        psi = np.zeros((self.d,) * circuit.n_modes, dtype=complex)
-        psi[(0,) * circuit.n_modes] = 1.0
-        self.psi = psi
-        self._unitaries: dict[tuple, elements.BlockUnitary] = {}
-        self._bases: dict[tuple, elements.LadderBasis] = {}
-
-    def _basis(self, family, d: int) -> elements.LadderBasis:
-        """The run's eigenbasis of ``family``: diagonalised on first use."""
-        key = (family, d)
-        if key not in self._bases:
-            self._bases[key] = elements.LadderBasis(family, d)
-        return self._bases[key]
+        d = config.cutoff
+        self.psi = np.zeros((d,) * circuit.n_modes, dtype=complex)
+        self.psi[(0,) * circuit.n_modes] = 1.0
+        basis = functools.cache(elements.LadderBasis)
+        self._unitary = functools.cache(lambda make, params: make(*params, d, basis))
 
     def _check_state(self) -> None:
         psi = self.psi
@@ -163,10 +167,7 @@ class _FockRun:
                   "raise the cutoff")
 
     def _apply_op(self, op) -> None:
-        key = (op.kind.unitary, op.params)
-        if key not in self._unitaries:
-            self._unitaries[key] = op.kind.unitary(*op.params, self.d, self._basis)
-        blocks = self._unitaries[key].blocks
+        blocks = self._unitary(op.kind.unitary, op.params).blocks
         if op.kind.ancilla:
             self.psi = _apply_to_vacuum_ancilla(self.psi, blocks, op.modes[0])
         else:
@@ -180,8 +181,9 @@ class _FockRun:
             except (ValidationError, NumericalError) as exc:
                 raise annotate(exc, f"at op {index} ({op.kind.name})")
         results = {}
-        for mon in self.circuit.monitors:
-            mean, second = _quadrature_moments(self.psi, mon.mode, mon.angle)
+        diagonals = functools.cache(lambda mode: _reduced_diagonals(self.psi, mode))
+        for mon in self.circuit.monitors:  # monitors on one mode share its diagonals
+            mean, second = _moments(diagonals(mon.mode), mon.angle)
             results[mon.label] = (mean, second - mean * mean)
         return results
 

@@ -156,6 +156,52 @@ def test_linearized_sui_grid_spec_takes_one_splitter_column(topology):
     assert_matches_reference(grid_spec, specs)
 
 
+def _with_mzi_input(circuit, alpha):
+    """``circuit`` with the elided Mach-Zehnder's coherent input displaced
+    first, on one extra mode that no other op or monitor touches."""
+    n = circuit.n_modes
+    displace = q.circuits.CircuitOp("displace", (n,), (np.real(alpha), np.imag(alpha)))
+    return replace(circuit, n_modes=n + 1, ops=(displace, *circuit.ops))
+
+
+@pytest.mark.parametrize("shape", ["scalar", "grid"])
+@pytest.mark.parametrize("topology, n_modes", [("NESTED_SUI", 2), ("DEGENERATE_SUI", 1)])
+def test_linearized_amplifier_leaves_out_only_a_spectator_mode(topology, n_modes, shape):
+    spec = replace(BASES[topology](q.ModulationMode.LINEARIZED), delta=1e-3, epsilon=2e-3)
+    if shape == "grid":  # the spectator's displacement then varies over the grid too
+        spec, _ = grid(spec, SweepAxis("alpha_re", 50.0, 150.0, 3), AXES[topology][0])
+    circuit = q.build_circuit(spec)
+    assert circuit.n_modes == n_modes
+    got = q.monitor_stats(circuit)
+    want = q.monitor_stats(_with_mzi_input(circuit, spec.alpha))
+    for label, reading in want.items():
+        for field, value in enumerate(reading):
+            assert np.array_equal(got[label][field], value), (label, field)
+
+
+def test_exact_amplifiers_keep_the_mzi_input_mode():
+    nested = q.build_circuit(replace(BASES["NESTED_SUI"](q.ModulationMode.EXACT), epsilon=1e-3))
+    assert nested.n_modes == 3
+    assert [(op.kind.name, op.modes) for op in nested.ops] == [
+        ("displace", (2,)), ("two_mode_squeezer", (0, 1)), ("beam_splitter", (2, 1)),
+        ("phase_shifter", (1,)), ("loss_channel", (1,)), ("beam_splitter", (1, 2)),
+        ("phase_shifter", (0,)), ("two_mode_squeezer", (0, 1)),
+    ]
+    degenerate = q.build_circuit(
+        replace(BASES["DEGENERATE_SUI"](q.ModulationMode.EXACT), epsilon=1e-3))
+    assert degenerate.n_modes == 2
+    assert [(op.kind.name, op.modes) for op in degenerate.ops] == [
+        ("displace", (1,)), ("single_mode_squeezer", (0,)), ("beam_splitter", (1, 0)),
+        ("phase_shifter", (0,)), ("loss_channel", (0,)), ("beam_splitter", (0, 1)),
+        ("single_mode_squeezer", (0,)),
+    ]
+    assert degenerate.stage_bounds == (
+        ("input", 1), ("after_first_amplifier", 2), ("after_encoding", 6), ("output", 7))
+    linearized = q.build_circuit(BASES["DEGENERATE_SUI"](q.ModulationMode.LINEARIZED))
+    assert linearized.stage_bounds == (
+        ("input", 0), ("after_first_amplifier", 1), ("after_encoding", 2), ("output", 3))
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_shipped_scenarios_match_reference(name):
     spec, options = load_scenario(SCENARIOS / name)
@@ -255,7 +301,7 @@ def test_evaluation_names_op_and_sweep_point(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "lossless map is not symplectic" in err
     assert "at batch index 2" in err
-    assert "at op 3 (phase_shifter)" in err
+    assert "at op 2 (phase_shifter)" in err
     assert "(sweep point phi=2)" in err
 
 

@@ -140,6 +140,23 @@ def test_blocked_application_matches_dense(modes):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_diagonal_application_matches_dense():
+    # the phase shifter's 1x1 blocks are applied as one multiply along the
+    # mode's axis, here of a state whose axes are not in memory order
+    for psi in random_states(9):
+        for mode in range(psi.ndim):
+            got = _apply_blocks(psi, elements.phase_unitary(0.9, 9).blocks, (mode,))
+            assert np.max(np.abs(got - dense_apply(psi, dense_phase(0.9, 9), (mode,), 9))) <= 1e-12
+
+
+def test_mirror_photon_difference_blocks_share_one_diagonalisation():
+    # the 2d - 1 photon-difference labels have d distinct chains: +k and -k share one
+    d = 12
+    blocks = elements.two_mode_squeezer_unitary(1.3, 0.8, d).blocks
+    assert len(blocks) == 2 * d - 1
+    assert len({id(block) for _, block in blocks}) == d
+
+
 def dense_quadrature(angle, d):
     a = _destroy(d)
     return a * np.exp(-1j * angle) + a.conj().T * np.exp(1j * angle)
