@@ -11,7 +11,7 @@ import pytest
 
 import qdmsim as q
 from qdmsim.cli import main
-from qdmsim.scenario import SweepAxis, apply_axis_value, load_scenario
+from qdmsim.scenario import SWEEPABLE, SweepAxis, apply_axis_value, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -331,6 +331,48 @@ def test_report_check_names_its_sweep_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "modulation epsilon = 0.1 outside the linear regime guard" in err
     assert "at batch index 2 (sweep point epsilon=0.1)" in err
+
+
+# ---------------------------------------------------------------------------
+# what each axis sets
+# ---------------------------------------------------------------------------
+
+#: a spec with every value an axis can set, each distinct from the axis value
+FULL_SPEC = q.CircuitSpec(
+    q.Topology.MZI, alpha=complex(3.0, 4.0), phi=0.1, mzi_phi=0.2, delta=0.01,
+    epsilon=0.02, detection_loss=0.9,
+    splitters=(q.SplitterSpec(0.1), q.SplitterSpec(0.2), q.SplitterSpec(0.3)),
+    gains=(q.PaGain(1.1, 0.4), q.PaGain(1.2, 0.5)),
+)
+_S, _G = q.SplitterSpec, q.PaGain
+#: axis -> (value, the spec fields that value sets, written out by hand)
+AXIS_SETS = {
+    "phi": (0.07, {"phi": 0.07}),
+    "mzi_phi": (0.07, {"mzi_phi": 0.07}),
+    "delta": (0.07, {"delta": 0.07}),
+    "epsilon": (0.07, {"epsilon": 0.07}),
+    "detection_loss": (0.07, {"detection_loss": 0.07}),
+    "alpha_re": (0.07, {"alpha": complex(0.07, 4.0)}),
+    "alpha_im": (0.07, {"alpha": complex(3.0, 0.07)}),
+    "T1": (0.07, {"splitters": (_S(0.07), _S(0.2), _S(0.3))}),
+    "T2": (0.07, {"splitters": (_S(0.1), _S(0.07), _S(0.3))}),
+    "T3": (0.07, {"splitters": (_S(0.1), _S(0.2), _S(0.07))}),
+    "G1": (1.7, {"gains": (_G(1.7, 0.4), _G(1.2, 0.5))}),
+    "G2": (1.7, {"gains": (_G(1.1, 0.4), _G(1.7, 0.5))}),
+    "theta1": (0.07, {"gains": (_G(1.1, 0.07), _G(1.2, 0.5))}),
+    "theta2": (0.07, {"gains": (_G(1.1, 0.4), _G(1.2, 0.07))}),
+    "theta2_dark": (0.07, {"gains": (_G(1.1, 0.07 + math.pi), _G(1.2, 0.07))}),
+}
+
+
+def test_axis_table_covers_every_sweepable_name():
+    assert tuple(AXIS_SETS) == SWEEPABLE
+
+
+@pytest.mark.parametrize("name", AXIS_SETS)
+def test_axis_sets_exactly_its_value(name):
+    value, fields = AXIS_SETS[name]
+    assert apply_axis_value(FULL_SPEC, name, value) == replace(FULL_SPEC, **fields)
 
 
 # ---------------------------------------------------------------------------
