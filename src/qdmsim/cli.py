@@ -121,7 +121,8 @@ def _cmd_sweep(args) -> int:
     axes = tuple(_parse_axis_flag(flag) for flag in args.axis) if args.axis else options.axes
     if not 1 <= len(axes) <= 2:
         raise ValidationError("sweep needs 1 or 2 axes (scenario 'sweep' block or --axis)")
-    check_axes(spec, axes)
+    if args.axis:  # a scenario's own axes are checked at load
+        check_axes(spec, axes)
     _refuse_unwritable(args.out)
     labels = options.outputs
     header = [ax.name for ax in axes]

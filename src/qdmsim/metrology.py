@@ -36,6 +36,7 @@ from .circuits import (
 )
 from .elements import PaGain
 from .exceptions import NumericalError, ValidationError, check
+from .scenario import apply_axis_value
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,7 @@ def loss_tolerance_scan(
     ``output`` defaults to the circuit's first monitor."""
     check(0.0 < eta <= 1.0, eta, ValidationError, "detection efficiency must lie in (0, 1], got {}")
     g2 = np.array(list(g2_values), dtype=float)
-    lossless = replace(spec, gains=(spec.gains[0], PaGain(g2, spec.gains[1].phase)),
-                       detection_loss=1.0)
+    lossless = replace(apply_axis_value(spec, "G2", g2), detection_loss=1.0)
     lossy = replace(lossless, detection_loss=eta)
     free_readings, lossy_readings = operating_point(lossless), operating_point(lossy)
     label = output or next(iter(free_readings))

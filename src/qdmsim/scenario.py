@@ -1,8 +1,8 @@
 """Scenario files: one JSON document describing a circuit plus run options.
 
-Unknown keys are rejected and every physical constraint is re-validated on
-load, so a report produced from a scenario is reproducible from its
-embedded spec echo alone.
+Unknown keys and sweep axes the circuit cannot take are rejected and every
+physical constraint is re-validated on load, so a report produced from a
+scenario is reproducible from its embedded spec echo alone.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +27,37 @@ _FLOAT_FIELDS = ("phi", "mzi_phi", "delta", "epsilon", "detection_loss")
 _SPEC_KEYS = {"topology", "alpha", "splitters", "gains", "modulation_mode", *_FLOAT_FIELDS}
 _OPTION_KEYS = {"outputs", "sweep", "format"}
 
-#: Scalar spec fields a sweep may vary, with how each value lands in the spec.
-#: theta2_dark moves the readout angle theta2 while keeping the amplifier
-#: pair at dark fringe (theta1 = theta2 + pi), the canonical mixture sweep.
-SWEEPABLE = (
-    *_FLOAT_FIELDS,
-    "alpha_re", "alpha_im", "T1", "T2", "T3", "G1", "G2",
-    "theta1", "theta2", "theta2_dark",
-)
+
+class _Axis(NamedTuple):
+    """A spec ``field`` and, in a tuple field, the ``part`` of entry ``index``;
+    ``sets`` names the values no other axis may set (default: the axis's own),
+    and ``assumed`` what the LINEARIZED amplifier topologies assume of it."""
+
+    field: str
+    index: int | None = None
+    part: str | None = None
+    sets: tuple[str, ...] = ()
+    assumed: str | None = None
+
+
+#: Every sweepable axis, in the order errors list them (mzi_phi keeps its
+#: place); theta2_dark moves theta2 at dark fringe, theta1 = theta2 + pi.
+_AXES = {
+    **{name: _Axis(name) for name in _FLOAT_FIELDS},
+    "mzi_phi": _Axis("mzi_phi", assumed="the embedded interferometer at dark fringe, mzi_phi = 0"),
+    "alpha_re": _Axis("alpha", part="re"),
+    "alpha_im": _Axis("alpha", part="im"),
+    "T1": _Axis("splitters", 0, "T", assumed="identical splitters T1 = T2"),
+    "T2": _Axis("splitters", 1, "T", assumed="identical splitters T1 = T2"),
+    "T3": _Axis("splitters", 2, "T"),
+    "G1": _Axis("gains", 0, "G"),
+    "G2": _Axis("gains", 1, "G"),
+    "theta1": _Axis("gains", 0, "phase"),
+    "theta2": _Axis("gains", 1, "phase"),
+    "theta2_dark": _Axis("gains", 1, "phase", sets=("theta1", "theta2")),
+}
+SWEEPABLE = tuple(_AXES)
+_PART_NOUNS = {"T": "a splitter", "G": "a gain", "phase": "a gain phase"}
 
 
 @dataclass(frozen=True)
@@ -202,26 +226,12 @@ def load_scenario(path) -> tuple[CircuitSpec, RunOptions]:
     return parse_scenario(text)
 
 
-#: What the linearized encoding of the amplifier topologies assumes of each
-#: axis it fixes: sweeping one would break that assumption at every point
-#: the axis moves.
-_LINEARIZED_SUI_FIXED = {
-    "T1": "identical splitters T1 = T2",
-    "T2": "identical splitters T1 = T2",
-    "mzi_phi": "the embedded interferometer at dark fringe, mzi_phi = 0",
-}
-
-
-#: The spec values an axis sets, where they are not just the axis's own.
-_SETS = {"theta2_dark": ("theta1", "theta2")}
-
-
 def check_axes(spec: CircuitSpec, axes) -> None:
     """Reject axes that no grid point of ``spec`` could take, and two axes
     that set one spec value, of which the later would undo the earlier."""
     setters = {}
     for axis in axes:
-        for value in _SETS.get(axis.name, (axis.name,)):
+        for value in _AXES[axis.name].sets or (axis.name,):
             if value in setters:
                 raise ValidationError(
                     f"axes {setters[value]!r} and {axis.name!r} both set {value}; "
@@ -231,11 +241,22 @@ def check_axes(spec: CircuitSpec, axes) -> None:
     amplified = (Topology.NESTED_SUI, Topology.DEGENERATE_SUI)
     if spec.modulation_mode is ModulationMode.LINEARIZED and spec.topology in amplified:
         for axis in axes:
-            if axis.name in _LINEARIZED_SUI_FIXED:
+            if assumed := _AXES[axis.name].assumed:
                 raise ValidationError(
                     f"axis {axis.name!r} cannot be swept on a LINEARIZED {spec.topology.value}: "
-                    f"its linearized encoding assumes {_LINEARIZED_SUI_FIXED[axis.name]}"
+                    f"its linearized encoding assumes {assumed}"
                 )
+    for axis in axes:
+        _check_entry(spec, axis.name)
+
+
+def _check_entry(spec: CircuitSpec, name: str) -> None:
+    """Refuse axis ``name`` on a spec without the entry it sets."""
+    axis = _AXES[name]
+    if name == "theta2_dark" and len(spec.gains) != 2:
+        raise ValidationError("theta2_dark needs the two amplifier gains")
+    if axis.index is not None and axis.index >= len(getattr(spec, axis.field)):
+        raise ValidationError(f"{name} sweeps {_PART_NOUNS[axis.part]} the topology does not have")
 
 
 def _complex(re, im):
@@ -248,42 +269,19 @@ def _complex(re, im):
 def apply_axis_value(spec: CircuitSpec, name: str, value) -> CircuitSpec:
     """Return a spec with one sweepable scalar replaced: by ``value``, or,
     given an array, by one value per grid point (a grid spec)."""
-    if name in _FLOAT_FIELDS:
-        return replace(spec, **{name: value})
-    if name == "alpha_re":
-        return replace(spec, alpha=_complex(value, spec.alpha.imag))
-    if name == "alpha_im":
-        return replace(spec, alpha=_complex(spec.alpha.real, value))
-    if name in ("T1", "T2", "T3"):
-        index = int(name[1]) - 1
-        if index >= len(spec.splitters):
-            raise ValidationError(f"{name} sweeps a splitter the topology does not have")
-        splitters = list(spec.splitters)
-        splitters[index] = SplitterSpec(value)
-        return replace(spec, splitters=tuple(splitters))
-    if name in ("G1", "G2"):
-        index = int(name[1]) - 1
-        if index >= len(spec.gains):
-            raise ValidationError(f"{name} sweeps a gain the topology does not have")
-        gains = list(spec.gains)
-        gains[index] = PaGain(value, gains[index].phase)
-        return replace(spec, gains=tuple(gains))
-    if name in ("theta1", "theta2"):
-        index = int(name[5]) - 1
-        if index >= len(spec.gains):
-            raise ValidationError(f"{name} sweeps a gain phase the topology does not have")
-        gains = list(spec.gains)
-        gains[index] = PaGain(gains[index].G, value)
-        return replace(spec, gains=tuple(gains))
+    if name not in _AXES:
+        raise ValidationError(f"axis {name!r} is not sweepable")
+    _check_entry(spec, name)
     if name == "theta2_dark":
-        if len(spec.gains) != 2:
-            raise ValidationError("theta2_dark needs the two amplifier gains")
-        gains = (
-            PaGain(spec.gains[0].G, value + math.pi),
-            PaGain(spec.gains[1].G, value),
-        )
-        return replace(spec, gains=gains)
-    raise ValidationError(f"axis {name!r} is not sweepable")
+        spec = apply_axis_value(spec, "theta1", value + math.pi)
+    axis = _AXES[name]
+    if axis.field == "alpha":
+        value = _complex(**{"re": spec.alpha.real, "im": spec.alpha.imag, axis.part: value})
+    elif axis.index is not None:  # SplitterSpec and PaGain re-run their own checks
+        entries = list(getattr(spec, axis.field))
+        entries[axis.index] = replace(entries[axis.index], **{axis.part: value})
+        value = tuple(entries)
+    return replace(spec, **{axis.field: value})
 
 
 def spec_to_dict(spec: CircuitSpec) -> dict:

@@ -294,7 +294,7 @@ MALFORMED = {
         "--axis expects name=start:stop:count, got 'phi'"),
     "axis flag count a word": (["--axis", "phi=0:1:x"], mzi_payload(), 3,
         "--axis expects name=start:stop:count, got 'phi=0:1:x'"),
-    # axes the schema takes that the topology cannot: refused when applied
+    # axes the schema takes that the topology cannot: refused at load
     "T3 on two splitters": (["--axis", "T3=0.1:0.9:3"], mzi_payload(), 3,
         "T3 sweeps a splitter the topology does not have"),
     "G1 without gains": (["--axis", "G1=1:2:3"], mzi_payload(), 3,
@@ -312,6 +312,34 @@ def test_malformed_scenario_is_refused(tmp_path, capsys, case):
     path = write(tmp_path, "bad.json", document)
     assert main(["sweep" if extra else "run", path, *extra]) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+#: a sweep block axis the topology lacks -> the refusal, as for --axis above
+MISSING_PART = {
+    "T3": "T3 sweeps a splitter the topology does not have",
+    "G1": "G1 sweeps a gain the topology does not have",
+    "G2": "G2 sweeps a gain the topology does not have",
+    "theta1": "theta1 sweeps a gain phase the topology does not have",
+    "theta2": "theta2 sweeps a gain phase the topology does not have",
+    "theta2_dark": "theta2_dark needs the two amplifier gains",
+}
+
+
+@pytest.mark.parametrize("axis", MISSING_PART)
+def test_sweep_block_axis_the_topology_lacks_is_refused_at_load(tmp_path, capsys, axis):
+    from qdmsim.scenario import load_scenario
+
+    sweep = {"axes": [{"name": axis, "start": 0.1, "stop": 0.2, "count": 2}]}
+    path = write(tmp_path, "mzi.json", mzi_payload(sweep=sweep))
+    with pytest.raises(q.ValidationError, match=f"^{MISSING_PART[axis]}$"):
+        load_scenario(path)
+    # every command, before its output is checked
+    unwritable = str(tmp_path / "missing" / "out")
+    for argv in (["run", path], ["export-states", path], ["validate", path],
+                 ["sweep", path, "--out", unwritable],
+                 ["sweep", path, "--axis", f"{axis}=0.1:0.2:2", "--out", unwritable]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr() == ("", f"error: {MISSING_PART[axis]}\n")
 
 
 def _with_number(field, value):

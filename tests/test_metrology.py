@@ -442,3 +442,9 @@ def test_loss_tolerance_scan_is_two_evaluations(monkeypatch, count):
 def test_loss_tolerance_rejects_bad_eta():
     with pytest.raises(q.ValidationError):
         q.loss_tolerance_scan(dsui_spec(), 0.0, [1.0])
+
+
+@pytest.mark.parametrize("spec", [mzi_spec, direct_spec])
+def test_loss_tolerance_refuses_a_spec_without_a_second_gain(spec):
+    with pytest.raises(q.ValidationError, match="^G2 sweeps a gain the topology does not have$"):
+        q.loss_tolerance_scan(spec(), 0.5, [1.0, 2.0])
