@@ -10,6 +10,14 @@ elements, and the eigenbasis of each ladder family it uses
 (:class:`qdmsim.elements.LadderBasis`), so splitters and loss share one
 diagonalisation and so do the two-mode squeezers; nothing outlives the run.
 
+A run also owns two flat complex work buffers, each sized for its largest
+state (``cutoff ** (modes + ancillas)``, bounded by :data:`DIMENSION_GUARD`).
+Each op reads the state from one buffer and writes it into the other: the
+reordered copy that brings the target modes to the front (skipped when they
+already lead in memory), the op's output, and a monitor's gathered mode all
+go into the buffer the state does not occupy, so no op allocates a
+state-sized array.  The buffers live as long as the run.
+
 A kind that needs an ancilla (loss) couples the mode to a fresh vacuum
 mode through a beam splitter.  Only the splitter's columns with the
 ancilla in vacuum meet a nonzero amplitude, so just those are applied,
@@ -53,30 +61,54 @@ class FockConfig:
     tail_threshold: float = 1e-6
 
     def __post_init__(self):
+        integral = isinstance(self.cutoff, (int, np.integer)) and not isinstance(self.cutoff, bool)
+        check(integral, self.cutoff, ValidationError, "cutoff must be an integer, got {!r}")
+        object.__setattr__(self, "cutoff", int(self.cutoff))  # no fixed-width overflow in cutoff**modes
         check(self.cutoff >= 4, self.cutoff, ValidationError, "cutoff must be >= 4, got {}")
         check(0.0 < self.tail_threshold <= 1e-3, self.tail_threshold, ValidationError,
               "tail_threshold must lie in (0, 1e-3], got {}")
 
 
-def _to_front(psi: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+class _Workspace:
+    """Two flat complex buffers of ``size`` entries: each op reads the state
+    from one and writes into the other."""
+
+    def __init__(self, size: int):
+        self.buffers = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+
+    def spare(self, array: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous array of ``shape`` in the buffer that ``array`` does
+        not lie in, so an array that is not the run's own is only read."""
+        buffer = next(b for b in self.buffers if not np.may_share_memory(b, array))
+        return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _to_front(psi: np.ndarray, modes: tuple[int, ...], work: _Workspace) -> np.ndarray:
     """``psi`` with ``modes`` moved to the front, as a C-contiguous matrix
-    whose rows are the flat basis of ``modes`` (mode 0 the major axis)."""
-    front = np.ascontiguousarray(np.moveaxis(psi, modes, range(len(modes))))
+    whose rows are the flat basis of ``modes`` (mode 0 the major axis): a
+    view when they already lead in memory, else a copy in a spare buffer."""
+    front = np.moveaxis(psi, modes, range(len(modes)))
+    if not front.flags.c_contiguous:
+        moved, front = front, work.spare(psi, front.shape)
+        np.copyto(front, moved)
     return front.reshape(-1, math.prod(front.shape[len(modes) :]))
 
 
-def _apply_blocks(psi: np.ndarray, blocks, modes: tuple[int, ...]) -> np.ndarray:
+def _apply_blocks(psi: np.ndarray, blocks, modes: tuple[int, ...], work: _Workspace) -> np.ndarray:
     """Apply block-diagonal ``(rows, block)`` pairs over the flattened basis
     of ``modes`` (see :class:`qdmsim.elements.BlockUnitary`): each block's
     rows as one strided slice, a one-mode diagonal as one multiply along
-    its axis with no reordered copy.  Every axis has the cutoff's length."""
+    its axis with no reordered copy.  Every axis has the cutoff's length.
+    The result lies in a spare buffer of ``work``."""
     if len(modes) == 1 and len(blocks) == psi.shape[0]:
         diagonal = np.empty(psi.shape[0], dtype=complex)
         for rows, block in blocks:
             diagonal[rows.start] = block[0, 0]
-        return psi * diagonal.reshape((-1,) + (1,) * (psi.ndim - 1 - modes[0]))
-    flat = _to_front(psi, modes)
-    out = np.empty_like(flat)
+        # a spare buffer laid out like psi: its memory order of axes is psi's
+        out = work.spare(psi, psi.shape).transpose(np.argsort(np.argsort(psi.strides)[::-1]))
+        return np.multiply(psi, diagonal.reshape((-1,) + (1,) * (psi.ndim - 1 - modes[0])), out=out)
+    flat = _to_front(psi, modes, work)
+    out = work.spare(flat, flat.shape)
     for rows, block in blocks:
         rows = slice(rows.start, rows.stop, rows.step)
         source, target = flat[rows], out[rows]
@@ -86,16 +118,18 @@ def _apply_blocks(psi: np.ndarray, blocks, modes: tuple[int, ...]) -> np.ndarray
     return np.moveaxis(out.reshape(psi.shape), range(len(modes)), modes)
 
 
-def _apply_to_vacuum_ancilla(psi: np.ndarray, blocks, mode: int) -> np.ndarray:
+def _apply_to_vacuum_ancilla(psi: np.ndarray, blocks, mode: int, work: _Workspace) -> np.ndarray:
     """Apply photon-sum blocks (see :func:`qdmsim.elements.photon_sum_family`)
     to ``mode`` and a fresh vacuum ancilla appended as the last axis.
 
     The only input states are |n, 0>, each the last state of block n, so
     each block contributes its last column times the amplitudes of level n
-    of ``mode``; every other entry of the extended state is zero."""
+    of ``mode``; every other entry of the extended state, which lies in a
+    spare buffer of ``work``, is zero."""
     d = psi.shape[mode]
-    front = _to_front(psi, (mode,))
-    out = np.zeros((d * d, front.shape[1]), dtype=complex)
+    front = _to_front(psi, (mode,), work)
+    out = work.spare(front, (d * d, front.shape[1]))
+    out.fill(0.0)
     for rows, block in blocks:
         level, ancilla = divmod(rows[-1], d)
         if ancilla == 0:
@@ -104,11 +138,11 @@ def _apply_to_vacuum_ancilla(psi: np.ndarray, blocks, mode: int) -> np.ndarray:
     return np.moveaxis(out.reshape((d,) * (psi.ndim + 1)), (0, 1), (mode, psi.ndim))
 
 
-def _reduced_diagonals(psi: np.ndarray, mode: int) -> tuple[np.ndarray, ...]:
+def _reduced_diagonals(psi: np.ndarray, mode: int, work: _Workspace) -> tuple[np.ndarray, ...]:
     """The diagonals rho[n + k, n] = sum over the other modes of psi_{n + k}
     conj(psi_n), k = 0, 1, 2, of ``mode``'s reduced density matrix: those
     the tridiagonal truncated quadrature and its pentadiagonal square touch."""
-    front = _to_front(psi, (mode,))
+    front = _to_front(psi, (mode,), work)
     return tuple(np.array([np.vdot(front[n], front[n + k]) for n in range(len(front) - k)])
                  for k in range(3))
 
@@ -127,9 +161,10 @@ def _moments(diagonals: tuple[np.ndarray, ...], angle: float) -> tuple[float, fl
     return float(mean), float(second)
 
 
-def _quadrature_moments(psi: np.ndarray, mode: int, angle: float) -> tuple[float, float]:
+def _quadrature_moments(psi: np.ndarray, mode: int, angle: float,
+                        work: _Workspace) -> tuple[float, float]:
     """<X> and <X^2> of the truncated quadrature at ``angle`` on ``mode``."""
-    return _moments(_reduced_diagonals(psi, mode), angle)
+    return _moments(_reduced_diagonals(psi, mode, work), angle)
 
 
 class _FockRun:
@@ -146,7 +181,9 @@ class _FockRun:
         self.circuit = circuit
         self.config = config
         d = config.cutoff
-        self.psi = np.zeros((d,) * circuit.n_modes, dtype=complex)
+        self.work = _Workspace(d**total_modes)  # room for the state with every ancilla
+        self.psi = self.work.buffers[0][: d**circuit.n_modes].reshape((d,) * circuit.n_modes)
+        self.psi.fill(0.0)
         self.psi[(0,) * circuit.n_modes] = 1.0
         basis = functools.cache(elements.LadderBasis)
         self._unitary = functools.cache(lambda make, params: make(*params, d, basis))
@@ -155,13 +192,16 @@ class _FockRun:
         psi = self.psi
         # the state is a view of one contiguous array with its axes permuted;
         # read in that memory order, the norm is one contiguous dot product
-        contiguous = psi.transpose(np.argsort(psi.strides)[::-1])
+        order = np.argsort(psi.strides)[::-1]
+        contiguous = psi.transpose(order)
         norm = float(np.vdot(contiguous, contiguous).real)
         check(abs(norm - 1.0) <= NORM_TOL, norm, NumericalError, "state norm drifted to {!r}")
         threshold = self.config.tail_threshold
-        for mode in range(psi.ndim):
-            top = np.moveaxis(psi, mode, 0)[-2:]
-            tail = float(np.vdot(top, top).real)
+        axes = list(range(psi.ndim))
+        for mode, axis in enumerate(np.argsort(order)):
+            # the mode's top two levels as a strided float view: summed, not copied
+            top = contiguous[(slice(None),) * axis + (slice(-2, None),)].view(float)
+            tail = float(np.einsum(top, axes, top, axes, []))
             check(tail <= threshold, (tail, mode, threshold), TruncationError,
                   "tail mass {:.3e} in the top two levels of mode {} exceeds {:.1e}; "
                   "raise the cutoff")
@@ -169,9 +209,9 @@ class _FockRun:
     def _apply_op(self, op) -> None:
         blocks = self._unitary(op.kind.unitary, op.params).blocks
         if op.kind.ancilla:
-            self.psi = _apply_to_vacuum_ancilla(self.psi, blocks, op.modes[0])
+            self.psi = _apply_to_vacuum_ancilla(self.psi, blocks, op.modes[0], self.work)
         else:
-            self.psi = _apply_blocks(self.psi, blocks, op.modes)
+            self.psi = _apply_blocks(self.psi, blocks, op.modes, self.work)
 
     def run(self) -> dict[str, tuple[float, float]]:
         for index, op in enumerate(self.circuit.ops):
@@ -181,7 +221,7 @@ class _FockRun:
             except (ValidationError, NumericalError) as exc:
                 raise annotate(exc, f"at op {index} ({op.kind.name})")
         results = {}
-        diagonals = functools.cache(lambda mode: _reduced_diagonals(self.psi, mode))
+        diagonals = functools.cache(lambda mode: _reduced_diagonals(self.psi, mode, self.work))
         for mon in self.circuit.monitors:  # monitors on one mode share its diagonals
             mean, second = _moments(diagonals(mon.mode), mon.angle)
             results[mon.label] = (mean, second - mean * mean)

@@ -9,8 +9,10 @@ too: loss as the splitter on the state zero-padded with a vacuum ancilla,
 a monitor as the dense truncated quadrature applied to the state.
 """
 
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ import pytest
 import qdmsim as q
 from qdmsim import elements
 from qdmsim.circuits import ELEMENT_KINDS
-from qdmsim.fock import _apply_blocks, _apply_to_vacuum_ancilla, _quadrature_moments
+from qdmsim.fock import _apply_blocks, _apply_to_vacuum_ancilla, _quadrature_moments, _Workspace
+from qdmsim.scenario import load_scenario
 from test_circuits import dsui_spec
 
 
@@ -135,7 +138,7 @@ def test_blocked_application_matches_dense(modes):
         params, blocked, dense = (1.3, 0.8), elements.two_mode_squeezer_unitary, dense_two_mode_squeezer
     else:
         params, blocked, dense = (0.6, -0.8), elements.displacement_unitary, dense_displacement
-    got = _apply_blocks(psi, blocked(*params, d).blocks, modes)
+    got = _apply_blocks(psi, blocked(*params, d).blocks, modes, _Workspace(psi.size))
     want = dense_apply(psi, dense(*params, d), modes, d)
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -145,7 +148,7 @@ def test_diagonal_application_matches_dense():
     # mode's axis, here of a state whose axes are not in memory order
     for psi in random_states(9):
         for mode in range(psi.ndim):
-            got = _apply_blocks(psi, elements.phase_unitary(0.9, 9).blocks, (mode,))
+            got = _apply_blocks(psi, elements.phase_unitary(0.9, 9).blocks, (mode,), _Workspace(psi.size))
             assert np.max(np.abs(got - dense_apply(psi, dense_phase(0.9, 9), (mode,), 9))) <= 1e-12
 
 
@@ -182,7 +185,7 @@ def test_loss_on_the_vacuum_column_matches_the_padded_splitter(d):
     unitary = ELEMENT_KINDS["loss_channel"].unitary(math.exp(-0.3), d)
     for psi in random_states(d):
         for mode in range(psi.ndim):
-            got = _apply_to_vacuum_ancilla(psi, unitary.blocks, mode)
+            got = _apply_to_vacuum_ancilla(psi, unitary.blocks, mode, _Workspace(psi.size * d))
             assert np.max(np.abs(got - padded_loss(psi, unitary, mode, d))) <= 1e-12
 
 
@@ -192,7 +195,7 @@ def test_monitor_read_matches_the_dense_quadrature(d, angle):
     for psi in random_states(d):
         for mode in range(psi.ndim):
             shifted = dense_apply(psi, dense_quadrature(angle, d), (mode,), d)
-            mean, second = _quadrature_moments(psi, mode, angle)
+            mean, second = _quadrature_moments(psi, mode, angle, _Workspace(psi.size))
             assert abs(mean - np.vdot(psi, shifted).real) <= 1e-12
             assert abs(second - np.vdot(shifted, shifted).real) <= 1e-12
 
@@ -213,3 +216,105 @@ def test_oracle_memory_stays_far_below_one_dense_unitary():
         tracemalloc.stop()
     assert report.passed
     assert peak < 16 * 2**20
+
+
+def test_oracle_peak_memory_is_about_its_two_work_buffers():
+    # the nested SUI with its one loss ancilla: a 24^4 state, 5.3 MB, in
+    # each of the run's two work buffers, and little else that large
+    spec, _ = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "nested_validate.json")
+    circuit = q.build_circuit(spec)
+    assert circuit.n_modes + sum(op.kind.ancilla for op in circuit.ops) == 4
+    tracemalloc.start()
+    try:
+        report = q.compare_with_gaussian(spec, q.FockConfig(cutoff=24))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 2.5 * 16 * 24**4
+
+
+def in_work_buffer(psi, work, which):
+    """A copy of ``psi`` in ``work``'s buffer ``which``, its axes in the same memory order."""
+    order = np.argsort(psi.strides)[::-1]
+    placed = work.buffers[which][: psi.size].reshape(np.take(psi.shape, order))
+    placed = placed.transpose(np.argsort(order))
+    placed[...] = psi
+    return placed
+
+
+def one_and_two_mode_cases(n, d):
+    """(modes, block unitary, dense unitary) on every mode and ordered mode
+    pair of an n-mode state: on the permuted 3-mode state of
+    :func:`random_states` some lead in memory (read in place), some not."""
+    for mode in range(n):
+        yield (mode,), elements.displacement_unitary(0.6, -0.8, d), dense_displacement(0.6, -0.8, d)
+        yield (mode,), elements.phase_unitary(0.9, d), dense_phase(0.9, d)
+    for pair in itertools.permutations(range(n), 2):
+        yield pair, elements.two_mode_squeezer_unitary(1.3, 0.8, d), dense_two_mode_squeezer(1.3, 0.8, d)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_ops_on_a_state_in_either_work_buffer_match_dense(which):
+    d = 9
+    loss = ELEMENT_KINDS["loss_channel"].unitary(math.exp(-0.3), d)
+    for psi in random_states(d):
+        for modes, unitary, dense in one_and_two_mode_cases(psi.ndim, d):
+            work = _Workspace(psi.size)
+            got = _apply_blocks(in_work_buffer(psi, work, which), unitary.blocks, modes, work)
+            assert np.max(np.abs(got - dense_apply(psi, dense, modes, d))) <= 1e-12
+        for mode in range(psi.ndim):
+            work = _Workspace(psi.size * d)  # room for the ancilla
+            got = _apply_to_vacuum_ancilla(in_work_buffer(psi, work, which), loss.blocks, mode, work)
+            assert np.max(np.abs(got - padded_loss(psi, loss, mode, d))) <= 1e-12
+
+
+def test_ops_only_read_an_array_they_do_not_own():
+    d = 9
+    loss = ELEMENT_KINDS["loss_channel"].unitary(math.exp(-0.3), d)
+    for permuted in random_states(d):
+        for psi in (permuted, np.ascontiguousarray(permuted)):
+            kept = psi.copy()
+            for modes, unitary, _ in one_and_two_mode_cases(psi.ndim, d):
+                _apply_blocks(psi, unitary.blocks, modes, _Workspace(psi.size))
+            for mode in range(psi.ndim):
+                _apply_to_vacuum_ancilla(psi, loss.blocks, mode, _Workspace(psi.size * d))
+                _quadrature_moments(psi, mode, 0.7, _Workspace(psi.size))
+            assert np.array_equal(psi, kept)
+
+
+def dense_monitor_stats(circuit, d):
+    """(mean, variance) per monitor from each op's dense unitary on the
+    whole state, loss on a zero-padded ancilla, and the dense quadrature."""
+    psi = np.zeros((d,) * circuit.n_modes, dtype=complex)
+    psi[(0,) * circuit.n_modes] = 1.0
+    for op in circuit.ops:
+        unitary = op.kind.unitary(*op.params, d)
+        if op.kind.ancilla:
+            psi = padded_loss(psi, unitary, op.modes[0], d)
+        else:
+            psi = dense_apply(psi, assemble(unitary, d ** len(op.modes)), op.modes, d)
+    stats = {}
+    for mon in circuit.monitors:
+        shifted = dense_apply(psi, dense_quadrature(mon.angle, d), (mon.mode,), d)
+        mean = np.vdot(psi, shifted).real
+        stats[mon.label] = (mean, np.vdot(shifted, shifted).real - mean**2)
+    return stats
+
+
+def test_three_splitter_mzi_alternating_modes_matches_the_dense_path():
+    splitters = tuple(q.SplitterSpec(T) for T in (0.7, 0.6, 0.4))
+    spec = q.CircuitSpec(q.Topology.MZI, alpha=0.4, splitters=splitters, delta=0.05, epsilon=0.05,
+                         detection_loss=0.9, modulation_mode=q.ModulationMode.EXACT)
+    circuit = q.build_circuit(spec)
+    # the state goes back and forth between the work buffers, with its
+    # target modes leading in memory after one op and not after the next
+    assert [op.modes for op in circuit.ops if len(op.modes) == 2] == [(0, 1), (1, 0), (1, 2)]
+    assert sum(op.kind.ancilla for op in circuit.ops) == 3
+    d = 8
+    got = q.simulate_fock(circuit, q.FockConfig(cutoff=d))
+    want = dense_monitor_stats(circuit, d)
+    assert got.keys() == want.keys()
+    for label, (mean, var) in want.items():
+        assert abs(got[label][0] - mean) <= 1e-12
+        assert abs(got[label][1] - var) <= 1e-12

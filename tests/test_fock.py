@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 import qdmsim as q
 from qdmsim.circuits import ELEMENT_KINDS, CircuitOp, CompiledCircuit, Monitor
+from qdmsim.fock import _FockRun
 from test_circuits import dsui_spec, mzi_spec, nested_spec
 
 XY = (Monitor("x", 0, 0.0), Monitor("y", 0, math.pi / 2))
@@ -147,6 +149,47 @@ def test_fock_config_bounds():
         q.FockConfig(cutoff=3)
     with pytest.raises(q.ValidationError):
         q.FockConfig(cutoff=10, tail_threshold=0.1)
+
+
+@pytest.mark.parametrize("cutoff", [24.0, 24.5, np.float64(24.0), "24", True, np.True_])
+def test_fock_config_refuses_a_cutoff_that_is_not_an_integer(cutoff):
+    with pytest.raises(q.ValidationError, match="^cutoff must be an integer, got "):
+        q.FockConfig(cutoff=cutoff)
+
+
+def test_fock_config_accepts_a_numpy_integer_cutoff():
+    config = q.FockConfig(cutoff=np.int64(24))
+    assert config == q.FockConfig(cutoff=24)
+    assert type(config.cutoff) is int
+    circuit = tiny_circuit([CircuitOp("displace", (0,), (1.0, 0.0))])
+    assert q.simulate_fock(circuit, q.FockConfig(cutoff=np.int32(20)))["x"][0] == pytest.approx(2.0, abs=1e-6)
+
+
+def laid_out(psi, order):
+    """A copy of ``psi`` whose axes lie in memory in ``order``, major first."""
+    return np.ascontiguousarray(psi.transpose(order)).transpose(np.argsort(order))
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_tail_check_names_the_mode_in_every_memory_layout(order):
+    d, threshold = 8, 1e-6
+    run = _FockRun(tiny_circuit([], n_modes=3), q.FockConfig(cutoff=d, tail_threshold=threshold))
+    rng = np.random.default_rng(3)
+    fast, slow = 0.05 ** np.arange(d), 0.5 ** np.arange(d)
+    for mode in range(3):
+        # every mode's top two levels hold ~1e-17 but ``mode``'s ~1e-4
+        weights = [slow if m == mode else fast for m in range(3)]
+        psi = rng.normal(size=(d,) * 3) + 1j * rng.normal(size=(d,) * 3)
+        psi *= np.einsum("i,j,k->ijk", *weights)
+        run.psi = laid_out(psi / np.linalg.norm(psi), order)
+        assert run.psi.strides == tuple(16 * d ** (2 - int(p)) for p in np.argsort(order))
+        top = np.moveaxis(run.psi, mode, 0)[-2:]
+        want = np.vdot(top, top).real
+        with pytest.raises(q.TruncationError, match=rf"in the top two levels of mode {mode} ") as err:
+            run._check_state()
+        assert err.value.margins[1:] == (mode, threshold)
+        assert err.value.tail_mass == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert want > threshold
 
 
 def test_compare_identity_circuit():

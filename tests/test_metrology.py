@@ -448,3 +448,12 @@ def test_loss_tolerance_rejects_bad_eta():
 def test_loss_tolerance_refuses_a_spec_without_a_second_gain(spec):
     with pytest.raises(q.ValidationError, match="^G2 sweeps a gain the topology does not have$"):
         q.loss_tolerance_scan(spec(), 0.5, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("spec, topology", [(mzi_spec, "MZI"), (direct_spec, "DIRECT_HOMODYNE")])
+def test_loss_tolerance_refuses_a_topology_without_amplifiers(spec, topology):
+    # two gains that no op of the circuit reads, so no column would vary with G2
+    gains = (q.PaGain(1.2), q.PaGain(1.3))
+    message = f"^loss tolerance scan needs an amplifier topology, got {topology}$"
+    with pytest.raises(q.ValidationError, match=message):
+        q.loss_tolerance_scan(spec(gains=gains), 0.5, [1.0, 2.0])
