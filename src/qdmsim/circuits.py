@@ -25,7 +25,10 @@ stands for the whole embedded Mach-Zehnder, its input mode included.
 
 Slopes: evaluation carries d mean/d(delta, eps) forward with the state,
 seeded by the op that carries the modulation (``CircuitOp.carrier``), so
-one evaluation gives every monitor's mean, variance and exact slopes.
+one evaluation gives every monitor's mean, variance and exact slopes.  At
+the operating point, delta = eps = 0, the modulators' maps are exact
+identities (``ElementKind.identity``): evaluation builds no map for them,
+and the one that carries the modulation only adds its tangent columns.
 
 Grids: a spec whose swept fields hold one value per grid point (arrays
 along one leading axis, the batch axis of :mod:`qdmsim.gaussian`) compiles
@@ -160,14 +163,23 @@ class ElementKind:
     """One kind of circuit element: its Gaussian map, its Fock unitary
     (``unitary(*params, cutoff, basis)``, where ``basis(family, cutoff)``
     gives a :class:`qdmsim.elements.LadderBasis`), the oracle's envelope
-    check, all called with the op's parameters, and whether the oracle
-    runs it on its mode and a fresh vacuum ancilla (loss)."""
+    check, all called with the op's parameters, whether the oracle runs it
+    on its mode and a fresh vacuum ancilla (loss), and the scalar
+    parameters at which its map is exactly the identity (None if there are
+    none worth naming)."""
 
     name: str
     gaussian_map: Callable[..., GaussianMap]
     unitary: Callable[..., elements.BlockUnitary]
     oracle_envelope: Callable[..., None] = lambda *params: None
     ancilla: bool = False
+    identity: tuple[float, ...] | None = None
+
+    def is_identity(self, params: tuple) -> bool:
+        """Whether the map at ``params`` is exactly the identity; never for
+        a grid parameter, which holds one value per grid point."""
+        return (self.identity is not None and not any(map(_is_grid, params))
+                and params == self.identity)
 
 
 #: Every element kind by name.  The lambdas look the element functions up
@@ -175,14 +187,15 @@ class ElementKind:
 ELEMENT_KINDS = {kind.name: kind for kind in (
     ElementKind("beam_splitter", lambda T: beam_splitter(SplitterSpec(T)),
                 elements.splitter_unitary),
-    ElementKind("phase_shifter", lambda phi: phase_shifter(phi), elements.phase_unitary),
+    ElementKind("phase_shifter", lambda phi: phase_shifter(phi), elements.phase_unitary,
+                identity=(0.0,)),
     ElementKind("loss_channel", lambda t: loss_channel(t), elements.splitter_unitary, ancilla=True),
     ElementKind("two_mode_squeezer", lambda G, phase: two_mode_squeezer(PaGain(G, phase)),
                 elements.two_mode_squeezer_unitary, elements.gain_envelope),
     ElementKind("single_mode_squeezer", lambda G, theta: single_mode_squeezer(PaGain(G, theta)),
                 elements.single_mode_squeezer_unitary, elements.gain_envelope),
     ElementKind("displace", lambda re, im: displacement_map(re + 1j * im),
-                elements.displacement_unitary, elements.alpha_envelope),
+                elements.displacement_unitary, elements.alpha_envelope, identity=(0.0, 0.0)),
 )}
 
 
@@ -238,19 +251,19 @@ class CompiledCircuit:
         raise ValidationError(f"unknown output {label!r}; circuit monitors: {known}")
 
 
-def _tangent_source(op: CircuitOp, gmap: GaussianMap, state: GaussianState) -> np.ndarray | None:
-    """d(output mean)/d(delta, eps) that ``op`` itself adds on its mode.
+def _tangent_source(op: CircuitOp, gmap: GaussianMap | None, state: GaussianState) -> np.ndarray:
+    """d(output mean)/d(delta, eps) that ``op``, which carries the
+    modulation, adds on its mode; ``gmap`` is its map, None for an identity.
 
     The modulation multiplies a field v by e^{i delta - eps}, whose
     derivatives at zero are i v and -v, in quadratures J v and -v.  For a
     physical modulator v is the mode's mean after the op: the derivatives
     of the rotation and of the e^{-2 eps} loss at eps -> 0+.
     """
-    if op.carrier is None:
-        return None
     if isinstance(op.carrier, str):  # OWN_FIELD
-        sl = slice(2 * op.modes[0], 2 * op.modes[0] + 2)
-        field = (gmap.linear @ state.mean[..., sl, None])[..., 0] + gmap.displacement
+        field = state.mean[..., 2 * op.modes[0] : 2 * op.modes[0] + 2]
+        if gmap is not None:
+            field = (gmap.linear @ field[..., None])[..., 0] + gmap.displacement
     else:
         carrier = np.asarray(op.carrier, dtype=complex)
         field = np.stack((2.0 * carrier.real, 2.0 * carrier.imag), axis=-1)
@@ -261,13 +274,21 @@ def evaluate_circuit(circuit: CompiledCircuit) -> GaussianState:
     """Run the compiled circuit on vacuum inputs.  The state's tangent holds
     d mean/d(delta, eps) at the circuit's modulation depths.  A grid
     circuit's state carries the batch axis from its first op with array
-    parameters on.  A failing check names the op's index and kind."""
+    parameters on.  An op whose map is exactly the identity builds none: it
+    only adds its tangent columns if it carries the modulation.  A failing
+    check names the op's index and kind."""
     dim = 2 * circuit.n_modes
     state = GaussianState(np.zeros(dim), np.eye(dim), np.zeros((dim, 2)))
     for index, op in enumerate(circuit.ops):
         try:
+            # an array carrier stacks the state, which only apply_map does
+            if op.kind.is_identity(op.params) and not _is_grid(op.carrier):
+                if op.carrier is not None:
+                    state = state.with_tangent_source(op.modes, _tangent_source(op, None, state))
+                continue
             gmap = op.kind.gaussian_map(*op.params)
-            state = apply_map(state, gmap, op.modes, _tangent_source(op, gmap, state))
+            source = None if op.carrier is None else _tangent_source(op, gmap, state)
+            state = apply_map(state, gmap, op.modes, source)
         except (ValidationError, NumericalError) as exc:
             raise annotate(exc, f"at op {index} ({op.kind.name})")
     return state

@@ -19,7 +19,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def _cmd_run(args) -> int:
     document = {
         "spec": spec_to_dict(spec),
         "outputs": list(options.outputs),
-        "reports": {label: asdict(rep) for label, rep in reports.items()},
+        "reports": {label: vars(rep) for label, rep in reports.items()},
         "analytic": analytic,
         "relative_error": {f"{label}_snr": _relative_error(rep.snr, analytic[f"{label}_snr"])
                            for label, rep in reports.items()},
@@ -149,8 +149,7 @@ def _cmd_sweep(args) -> int:
             # the text of json.dumps(records, indent=2), one chunk at a time
             for number, columns in enumerate(chunks):
                 records = [dict(zip(header, row)) for row in zip(*(c.tolist() for c in columns))]
-                text = json.dumps(_finite_or_null(records), indent=2, sort_keys=True, allow_nan=False)
-                out.write((",\n" if number else "[\n") + text[2:-2])
+                out.write((",\n" if number else "[\n") + _json_text(records)[2:-2])
             out.write("\n]\n")
         else:
             # '%.12g' % v is f"{v:.12g}", and no such field needs CSV quoting
@@ -165,7 +164,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_export_states(args) -> int:
     spec, _ = load_scenario(args.scenario)
     _refuse_unwritable(args.out)
-    _write_json(args.out, [asdict(snap) for snap in stage_snapshots(spec)])
+    _write_json(args.out, [vars(snap) for snap in stage_snapshots(spec)])
     return 0
 
 
@@ -190,19 +189,63 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _finite_or_null(value):
-    """``value`` with every non-finite float, nested or not, replaced by None."""
-    if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+def _json_text(value) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` with every
+    non-finite float written as null, built in one pass over ``value``.
+    What ``json.dumps`` refuses is refused alike: a value or key of a type
+    it does not take raises TypeError, a non-finite float key ValueError."""
+    parts = []
+    _encode_json(value, parts, "\n")
+    return "".join(parts)
+
+
+def _encode_json(value, parts: list, newline: str) -> None:
+    """Append the JSON text of ``value`` to ``parts``; ``newline`` starts
+    each of its lines, and its items' lines start two spaces deeper."""
+    if isinstance(value, float):
+        parts.append(float.__repr__(value) if math.isfinite(value) else "null")
+    elif isinstance(value, str):
+        parts.append(_json_string(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(value, dict):
+            separator = "{" + inner
+            for key, item in sorted(value.items()):
+                parts.append(f"{separator}{_json_string(_json_key(key))}: ")
+                _encode_json(item, parts, inner)
+                separator = "," + inner
+            parts.append(newline + "}")
+        else:
+            separator = "[" + inner
+            for item in value:
+                parts.append(separator)
+                _encode_json(item, parts, inner)
+                separator = "," + inner
+            parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a str as it is, a float,
+    int, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # a bool is an int
+        return json.dumps(key, allow_nan=False)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _write_json(path, document) -> None:
     """Write strict JSON: NaN and infinities become null, never bare tokens."""
-    text = json.dumps(_finite_or_null(document), indent=2, sort_keys=True, allow_nan=False)
-    _write_output(path, text + "\n")
+    _write_output(path, _json_text(document) + "\n")
 
 
 def _write_output(path, text: str) -> None:

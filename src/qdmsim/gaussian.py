@@ -88,9 +88,10 @@ def _check_positive(real: np.ndarray, imaginary: np.ndarray, error: type, messag
     diagonal (which is real).  Without a certificate the eigenvalues
     decide, and a failure reports the first failing slice's smallest one.
     """
+    # the constants first: one add of their sum onto a real stack, not two
     shift = _certificate_shift(real.shape[-1])
     try:
-        factor = np.linalg.cholesky(real + shift + imaginary)
+        factor = np.linalg.cholesky(real + (shift + imaginary))
     except np.linalg.LinAlgError:
         pass
     else:
@@ -190,6 +191,32 @@ class GaussianState:
     @property
     def batch_shape(self) -> tuple[int, ...]:
         return self.mean.shape[:-1]
+
+    def with_tangent_source(self, modes: Sequence[int], source: np.ndarray) -> "GaussianState":
+        """This state with ``source`` added to the tangent rows of ``modes``,
+        as :func:`apply_map` adds it for an element whose map is the
+        identity.  Mean and covariance are shared, already certified; only
+        the new tangent is checked.  ``source`` may not add a batch axis."""
+        if self.tangent is None:
+            raise ValidationError("a tangent source needs a state that carries a tangent")
+        modes = _selected_modes(self, modes)
+        rows, _, order = _register_rows(modes)
+        source = np.asarray(source, dtype=float)
+        if order is not None:
+            source = source[..., order, :]
+        if (source.shape[-2:] != (2 * len(modes), self.tangent.shape[-1])
+                or _batch_shape(self.batch_shape, source.shape[:-2]) != self.batch_shape):
+            raise ValidationError(f"tangent source shape {source.shape} does not match "
+                                  f"the tangent rows of modes {modes}")
+        tangent = self.tangent.copy()
+        with np.errstate(invalid="ignore", over="ignore"):  # as in __post_init__
+            tangent[..., rows, :] += source
+            _check_finite(tangent, 2, "tangent")
+        tangent.setflags(write=False)
+        state = object.__new__(type(self))
+        for name, value in (("mean", self.mean), ("cov", self.cov), ("tangent", tangent)):
+            object.__setattr__(state, name, value)
+        return state
 
     def reduced(self, mode: int) -> "GaussianState":
         """Single-mode marginal state."""
@@ -296,6 +323,16 @@ def _check_mode(state: GaussianState, mode: int) -> None:
         raise ValidationError(f"mode {mode} out of range for {state.n_modes} modes")
 
 
+def _selected_modes(state: GaussianState, modes: Sequence[int]) -> tuple[int, ...]:
+    """``modes`` as a tuple of ints, refused unless distinct and in range."""
+    modes = tuple(int(m) for m in modes)
+    if len(set(modes)) != len(modes):
+        raise ValidationError(f"mode indices must be distinct, got {modes}")
+    for m in modes:
+        _check_mode(state, m)
+    return modes
+
+
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return (matrix @ vector[..., None])[..., 0]
 
@@ -352,11 +389,7 @@ def apply_map(
     element itself adds to the selected modes' output mean.  A stacked
     state, map or source makes the result stacked.
     """
-    modes = tuple(int(m) for m in modes)
-    if len(set(modes)) != len(modes):
-        raise ValidationError(f"mode indices must be distinct, got {modes}")
-    for m in modes:
-        _check_mode(state, m)
+    modes = _selected_modes(state, modes)
     if gmap.n_in != len(modes):
         raise ValidationError(f"map acts on {gmap.n_in} modes but {len(modes)} were selected")
     if source is not None and state.tangent is None:

@@ -156,6 +156,15 @@ def test_linearized_sui_grid_spec_takes_one_splitter_column(topology):
     assert_matches_reference(grid_spec, specs)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("topology", sorted(BASES))
+def test_batched_carrier_matches_reference(topology, mode):
+    # at dark fringe, with an array carrier: the linearized modulation
+    # displacement is zero at every point, yet no identity
+    base = replace(BASES[topology](mode), mzi_phi=0.0)
+    assert_matches_reference(*grid(base, SweepAxis("alpha_re", -40.0, 90.0, 4)))
+
+
 def _with_mzi_input(circuit, alpha):
     """``circuit`` with the elided Mach-Zehnder's coherent input displaced
     first, on one extra mode that no other op or monitor touches."""

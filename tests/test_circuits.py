@@ -1,10 +1,16 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qdmsim as q
 from conftest import embed_map
+from qdmsim.circuits import CircuitOp, Monitor
+from qdmsim.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def mzi_spec(T=0.99, alpha=100.0, **kw):
@@ -356,3 +362,102 @@ def test_detection_loss_attenuates_monitored_output():
     lossy = q.monitor_stats(q.build_circuit(nested_spec(phi=0.0, detection_loss=0.5)))
     want = 0.5 * free["phase"][1] + 0.5
     assert lossy["phase"][1] == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# identity ops
+# ---------------------------------------------------------------------------
+
+#: The element functions ``qdmsim.circuits`` calls to build a map.
+ELEMENT_FUNCTIONS = ("beam_splitter", "phase_shifter", "loss_channel", "two_mode_squeezer",
+                     "single_mode_squeezer", "displacement_map")
+
+
+def count_built_maps(monkeypatch):
+    """A list that records, in order, the element function of every map
+    built through ``qdmsim.circuits``."""
+    built = []
+    for name in ELEMENT_FUNCTIONS:
+        def counted(*args, _name=name, _function=getattr(q.circuits, name)):
+            built.append(_name)
+            return _function(*args)
+        monkeypatch.setattr(q.circuits, name, counted)
+    return built
+
+
+SPECS = {
+    "DIRECT_HOMODYNE": direct_spec,
+    "MZI": mzi_spec,
+    "NESTED_SUI": nested_spec,
+    "DEGENERATE_SUI": dsui_spec,
+}
+#: The maps each topology builds at the operating point, in op order: all
+#: but the modulators and the linearized Mach-Zehnder's phase at dark fringe.
+NON_IDENTITY_MAPS = {
+    ("DIRECT_HOMODYNE", "EXACT"): ["displacement_map", "beam_splitter"],
+    ("DIRECT_HOMODYNE", "LINEARIZED"): ["displacement_map", "beam_splitter"],
+    ("MZI", "EXACT"): ["displacement_map", "beam_splitter", "beam_splitter"],
+    ("MZI", "LINEARIZED"): ["displacement_map", "beam_splitter", "beam_splitter"],
+    ("NESTED_SUI", "EXACT"): ["displacement_map", "two_mode_squeezer", "beam_splitter",
+                              "beam_splitter", "phase_shifter", "two_mode_squeezer"],
+    ("NESTED_SUI", "LINEARIZED"): ["two_mode_squeezer", "phase_shifter", "two_mode_squeezer"],
+    ("DEGENERATE_SUI", "EXACT"): ["displacement_map", "single_mode_squeezer", "beam_splitter",
+                                  "beam_splitter", "single_mode_squeezer"],
+    ("DEGENERATE_SUI", "LINEARIZED"): ["single_mode_squeezer", "single_mode_squeezer"],
+}
+
+
+@pytest.mark.parametrize("topology, mode", NON_IDENTITY_MAPS, ids=lambda v: str(v))
+def test_operating_point_builds_only_its_non_identity_maps(monkeypatch, topology, mode):
+    spec = SPECS[topology](delta=1e-3, epsilon=1e-3, modulation_mode=mode)
+    built = count_built_maps(monkeypatch)
+    readings = q.operating_point(spec)
+    assert built == NON_IDENTITY_MAPS[topology, mode]
+    # the skipped ops change no reading: building every map gives the same bits
+    monkeypatch.setattr(q.circuits.ElementKind, "is_identity", lambda kind, params: False)
+    assert q.operating_point(spec) == readings
+    circuit = q.build_circuit(replace(spec, delta=0.0, epsilon=0.0))
+    assert len(built) == len(NON_IDENTITY_MAPS[topology, mode]) + len(circuit.ops)
+
+
+@pytest.mark.parametrize("mode", [q.ModulationMode.LINEARIZED, q.ModulationMode.EXACT])
+def test_mzi_phase_off_dark_fringe_builds_its_map(monkeypatch, mode):
+    built = count_built_maps(monkeypatch)
+    q.operating_point(mzi_spec(mzi_phi=0.3, modulation_mode=mode))
+    assert built.count("phase_shifter") == 1
+
+
+@pytest.mark.parametrize("name, cutoff", [("dsui_validate", 40), ("nested_validate", 24)])
+def test_validate_with_modulation_builds_every_map(monkeypatch, name, cutoff):
+    spec, _ = load_scenario(SCENARIOS / f"{name}.json")
+    spec = replace(spec, delta=0.01)
+    built = count_built_maps(monkeypatch)
+    assert q.compare_with_gaussian(spec, q.FockConfig(cutoff=cutoff)).passed
+    assert len(built) == len(q.build_circuit(spec).ops)
+
+
+@pytest.mark.parametrize("mode", [q.ModulationMode.LINEARIZED, q.ModulationMode.EXACT])
+def test_snapshots_with_modulation_build_every_map(monkeypatch, mode):
+    spec = dsui_spec(delta=1e-3, epsilon=1e-3, modulation_mode=mode)
+    built = count_built_maps(monkeypatch)
+    q.stage_snapshots(spec)
+    assert len(built) == sum(upto for _, upto in q.build_circuit(spec).stage_bounds)
+
+
+def test_identity_with_an_array_carrier_stacks_the_state():
+    carrier = np.array([1.0, 2j, -3.0])
+    circuit = q.CompiledCircuit(
+        1, (CircuitOp("displace", (0,), (0.0, 0.0), carrier),), (Monitor("x", 0, 0.0),))
+    tangent = q.evaluate_circuit(circuit).tangent
+    field = np.stack((2 * carrier.real, 2 * carrier.imag), axis=-1)
+    assert np.array_equal(tangent[:, :, 1], -field)
+
+
+def test_identity_rule_refuses_grid_parameters():
+    kinds = q.circuits.ELEMENT_KINDS
+    assert kinds["phase_shifter"].is_identity((0.0,))
+    assert kinds["displace"].is_identity((0.0, -0.0))
+    assert not kinds["phase_shifter"].is_identity((np.zeros(3),))
+    assert not kinds["displace"].is_identity((np.zeros(3), 0.0))
+    assert not kinds["displace"].is_identity((0.0, 1e-300))
+    assert not kinds["beam_splitter"].is_identity((1.0,))

@@ -9,7 +9,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdmsim as q
 from qdmsim import cli
@@ -93,6 +96,68 @@ def test_run_writes_strict_json(tmp_path, capsys):
     assert report["reports"]["phase"]["i_ps"] == 0.0
     assert report["reports"]["phase"]["enhancement"] is None
     assert report["reports"]["amplitude"]["enhancement"] is None
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float, nested or not, replaced by
+    None: the pre-pass that strict output once took before ``json.dumps``."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _reference_json(value):
+    return json.dumps(_finite_or_null(value), indent=2, sort_keys=True, allow_nan=False)
+
+
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -2.5e-308, 1e308, -1e308, math.nan, math.inf, -math.inf,
+])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+#: keys and strings with escapes, control characters and non-ASCII text
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", "\n\t\x00", "é", "猫", "\U0001f600"]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, _FLOATS.map(np.float64), _TEXT,
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(document=_DOCUMENTS)
+def test_json_writer_writes_the_bytes_of_json_dumps(document):
+    assert cli._json_text(document) == _reference_json(document)
+
+
+@pytest.mark.parametrize("document", [
+    {3: 1.0, 1: None}, {1.5: "a", -0.0: "b"}, {True: 1, False: 2}, {None: 2},
+    [{"b": {}, "a": []}],
+], ids=["int keys", "float keys", "bool keys", "None key", "empty containers"])
+def test_json_writer_takes_the_keys_json_dumps_takes(document):
+    assert cli._json_text(document) == _reference_json(document)
+
+
+@pytest.mark.parametrize("document, error", [
+    (np.zeros(2), TypeError),
+    ({"a": [np.int64(3)]}, TypeError),
+    ({(1, 2): 0.0}, TypeError),
+    ({1: 0.0, "a": 1.0}, TypeError),
+    ({math.nan: 0.0}, ValueError),
+], ids=["ndarray", "numpy int", "tuple key", "mixed key types", "NaN key"])
+def test_json_writer_refuses_what_json_dumps_refuses(document, error):
+    with pytest.raises(error):
+        _reference_json(document)
+    with pytest.raises(error):
+        cli._json_text(document)
 
 
 def _count_evaluations(monkeypatch):
@@ -771,14 +836,18 @@ def _nested_scenario(tmp_path, G2):
     payload = json.loads(Path(NESTED_SWEEP).read_text())
     del payload["sweep"]
     payload["gains"][1]["G"] = G2
-    return write(tmp_path, "nested.json", payload)
+    return write(tmp_path, f"nested_g{G2:g}.json", payload)
 
 
 #: Failing commands with their CHUNK_POINTS (None for the default), exit
 #: code and the one line they print to stderr, held byte for byte: scripts
-#: match on these texts.  In argv, {nested_g1000} and {nan_token} stand for
-#: scenarios the test writes.
+#: match on these texts.  In argv, {nested_g300}, {nested_g1000} and
+#: {nan_token} stand for scenarios the test writes.
 FAILURES = {
+    # op 1, the modulation displacement, is an identity there and builds no map
+    "symplectic residual at op 3, G2 = 300": (["run", "{nested_g300}"], None, 3,
+        "lossless map is not symplectic: |S Omega S^T - Omega| = 1.455e-11 "
+        "at op 3 (two_mode_squeezer)"),
     "symplectic residual at op 3": (["run", "{nested_g1000}"], None, 3,
         "lossless map is not symplectic: |S Omega S^T - Omega| = 1.164e-10 "
         "at op 3 (two_mode_squeezer)"),
@@ -809,6 +878,7 @@ FAILURES = {
 def test_failure_text_is_unchanged(tmp_path, monkeypatch, capsys, case):
     argv, chunk_points, code, message = FAILURES[case]
     files = {
+        "nested_g300": _nested_scenario(tmp_path, 300.0),
         "nested_g1000": _nested_scenario(tmp_path, 1000.0),
         "nan_token": write(tmp_path, "nan.json", json.dumps(_with_number("delta", math.nan))),
     }
