@@ -104,13 +104,11 @@ class ModulationMode(str, Enum):
 class CircuitSpec:
     """All physical parameters of one interferometer run.
 
-    ``splitters`` holds (T1, T2) and optionally T3 for the output splitter
-    (MZI), or the single splitting ratio for direct homodyne.  ``gains``
-    holds the two amplifier settings for the parametric topologies; the
-    gain phases are the squeezing angles theta1/theta2 in the degenerate
-    case and pump phases (kept at zero) otherwise.  ``phi`` is the internal
-    phase of the amplifier interferometer and ``mzi_phi`` the internal
-    Mach-Zehnder phase (0 = dark fringe).
+    ``splitters``, ``gains`` and the internal phases ``phi`` (amplifier
+    interferometer) and ``mzi_phi`` (Mach-Zehnder, 0 = dark fringe) are
+    those :data:`TOPOLOGIES` says the topology takes; an unread phase keeps
+    its default.  Gain phases are the squeezing angles theta1/theta2 in the
+    degenerate case and pump phases (kept at zero) otherwise.
 
     A grid spec holds an array with one entry per grid point in any of the
     scalar fields, splitter transmissivities and gain parameters; every
@@ -156,6 +154,17 @@ class CircuitSpec:
         else:
             check(self.epsilon >= 0.0, self.epsilon, ValidationError,
                   "exact mode models amplitude modulation as loss, so epsilon >= 0")
+        shape, name = TOPOLOGIES[self.topology], self.topology.value
+        if len(self.splitters) not in shape.splitters:
+            raise ValidationError(f"splitters must number {' or '.join(map(str, shape.splitters))} "
+                                  f"on {name}, got {len(self.splitters)}")
+        if len(self.gains) != shape.gains:
+            raise ValidationError(f"gains must number {shape.gains} on {name}, got {len(self.gains)}")
+        for field in ("phi", "mzi_phi"):
+            if field not in shape.reads:
+                value, default = getattr(self, field), self.__dataclass_fields__[field].default
+                check(value == default, value, ValidationError,
+                      f"{name} does not read {field}, so it must stay {default!r}, got {{}}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,6 +378,11 @@ def _embedded_mzi(spec: CircuitSpec, a_mode: int, b_mode: int) -> tuple[list, li
     """The embedded Mach-Zehnder's input ops and own ops; LINEARIZED mode
     elides both to one displacement of the arm-B mean field -sqrt(R) alpha."""
     if spec.modulation_mode is ModulationMode.LINEARIZED:
+        t1, t2 = spec.splitters[0].T, spec.splitters[1].T
+        check(t1 == t2, (t1, t2), ValidationError,
+              "linearized encoding assumes identical splitters, got T1={}, T2={}")
+        check(spec.mzi_phi == 0.0, spec.mzi_phi, ValidationError,
+              "linearized encoding assumes the embedded interferometer at dark fringe, got mzi_phi={}")
         return [], [_modulation_op(spec, b_mode, -np.sqrt(spec.splitters[0].R) * spec.alpha)]
     return [_displace_op(a_mode, spec.alpha)], _mzi_block(spec, a_mode, b_mode)
 
@@ -384,32 +398,15 @@ def _compiled(spec: CircuitSpec, ops: list[CircuitOp], monitors: tuple[Monitor, 
     return CompiledCircuit(n_modes, tuple(ops), monitors, tuple(stage_bounds))
 
 
-def _sui_common_checks(spec: CircuitSpec, name: str) -> None:
-    check(len(spec.gains) == 2, len(spec.gains), ValidationError,
-          f"{name} needs two amplifier gains, got {{}}")
-    check(len(spec.splitters) == 2, len(spec.splitters), ValidationError,
-          f"{name} needs the two embedded splitter transmissivities, got {{}}")
-    if spec.modulation_mode is ModulationMode.LINEARIZED:
-        t1, t2 = spec.splitters[0].T, spec.splitters[1].T
-        check(t1 == t2, (t1, t2), ValidationError,
-              f"{name} linearized encoding assumes identical splitters, got T1={{}}, T2={{}}")
-        check(spec.mzi_phi == 0.0, spec.mzi_phi, ValidationError,
-              f"{name} linearized encoding assumes the embedded interferometer at dark "
-              "fringe, got mzi_phi={}")
-
-
 def _build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
     """Modulators straight on the coherent beam, then a splitting BS onto
     two homodynes (phase channel transmitted, amplitude channel reflected)."""
-    check(len(spec.splitters) == 1, (), ValidationError,
-          "direct homodyne needs exactly the output splitter")
-    t3 = spec.splitters[0]
     ops = [_displace_op(0, spec.alpha)]
     if spec.modulation_mode is ModulationMode.EXACT:
         ops.extend(_exact_modulator_ops(spec, 0, spec.delta))
     else:
         ops.append(_modulation_op(spec, 0, spec.alpha))
-    ops.append(CircuitOp("beam_splitter", (0, 1), (t3.T,)))
+    ops.append(CircuitOp("beam_splitter", (0, 1), (spec.splitters[0].T,)))
     monitors = (Monitor("phase", 0, math.pi / 2), Monitor("amplitude", 1, 0.0))
     return _compiled(spec, ops, monitors)
 
@@ -418,8 +415,6 @@ def _build_mzi(spec: CircuitSpec) -> CompiledCircuit:
     """Mach-Zehnder: coherent input on mode 0, vacuum on mode 1; the dark
     port comes back out on mode 1.  An optional third splitter splits the
     dark port onto separate phase/amplitude detectors."""
-    check(len(spec.splitters) in (2, 3), len(spec.splitters), ValidationError,
-          "MZI needs splitters (T1, T2[, T3]), got {}")
     ops = [_displace_op(0, spec.alpha)]
     ops.extend(_mzi_block(spec, a_mode=0, b_mode=1))
     if len(spec.splitters) == 3:
@@ -438,7 +433,6 @@ def _build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
     d1), 1 = probe arm (b_in -> dark port -> d2), 2 = coherent input of the
     embedded Mach-Zehnder, in EXACT mode only.
     """
-    _sui_common_checks(spec, "nested amplifier interferometer")
     g1, g2 = spec.gains
     ops, mzi = _embedded_mzi(spec, a_mode=2, b_mode=1)
     ops.append(CircuitOp("two_mode_squeezer", (0, 1), (g1.G, g1.phase)))
@@ -458,7 +452,6 @@ def _build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
     the two orthogonal modulation mixtures gamma_minus (amplified) and
     gamma_plus (de-amplified).
     """
-    _sui_common_checks(spec, "degenerate amplifier interferometer")
     g1, g2 = spec.gains
     ops, mzi = _embedded_mzi(spec, a_mode=1, b_mode=0)
     stage_bounds = [("input", len(ops))]
@@ -476,16 +469,26 @@ def _build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
     return _compiled(spec, ops, monitors, stage_bounds)
 
 
-_BUILDERS = {
-    Topology.DIRECT_HOMODYNE: _build_direct_homodyne,
-    Topology.MZI: _build_mzi,
-    Topology.NESTED_SUI: _build_nested_sui,
-    Topology.DEGENERATE_SUI: _build_degenerate_sui,
+class _Shape(NamedTuple):
+    """A topology's builder, splitter counts, gain count and phases it reads."""
+
+    build: Callable[[CircuitSpec], CompiledCircuit]
+    splitters: tuple[int, ...]
+    gains: int
+    reads: tuple[str, ...]
+
+
+#: Every topology's shape, the one place that says what a topology reads.
+TOPOLOGIES = {
+    Topology.DIRECT_HOMODYNE: _Shape(_build_direct_homodyne, (1,), 0, ()),
+    Topology.MZI: _Shape(_build_mzi, (2, 3), 0, ("mzi_phi",)),
+    Topology.NESTED_SUI: _Shape(_build_nested_sui, (2,), 2, ("phi", "mzi_phi")),
+    Topology.DEGENERATE_SUI: _Shape(_build_degenerate_sui, (2,), 2, ("mzi_phi",)),
 }
 
 
 def build_circuit(spec: CircuitSpec) -> CompiledCircuit:
-    return _BUILDERS[spec.topology](spec)
+    return TOPOLOGIES[spec.topology].build(spec)
 
 
 @dataclass(frozen=True)
@@ -511,11 +514,10 @@ def _ellipse(block: np.ndarray) -> tuple[float, float, float]:
 def stage_snapshots(spec: CircuitSpec) -> list[StageSnapshot]:
     """Probe-mode phase-space snapshots of the degenerate topology:
     input vacuum, squeezed, encoded, re-amplified."""
-    if spec.topology is not Topology.DEGENERATE_SUI:
-        raise ValidationError(
-            f"stage snapshots are defined for DEGENERATE_SUI only, got {spec.topology.value}"
-        )
     circuit = build_circuit(spec)
+    if not circuit.stage_bounds:
+        raise ValidationError("stage snapshots are defined for DEGENERATE_SUI only, "
+                              f"got {spec.topology.value}")
     snapshots = []
     for label, upto in circuit.stage_bounds:
         probe = evaluate_circuit(replace(circuit, ops=circuit.ops[:upto])).reduced(0)

@@ -338,8 +338,6 @@ def loss_tolerance_scan(
     check(0.0 < eta <= 1.0, eta, ValidationError, "detection efficiency must lie in (0, 1], got {}")
     g2 = np.array(list(g2_values), dtype=float)
     lossless = replace(apply_axis_value(spec, "G2", g2), detection_loss=1.0)
-    check(spec.topology in (Topology.NESTED_SUI, Topology.DEGENERATE_SUI), spec.topology.value,
-          ValidationError, "loss tolerance scan needs an amplifier topology, got {}")
     lossy = replace(lossless, detection_loss=eta)
     free_readings, lossy_readings = operating_point(lossless), operating_point(lossy)
     label = output or next(iter(free_readings))

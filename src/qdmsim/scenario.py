@@ -1,8 +1,8 @@
 """Scenario files: one JSON document describing a circuit plus run options.
 
-Unknown keys and sweep axes the circuit cannot take are rejected and every
-physical constraint is re-validated on load, so a report produced from a
-scenario is reproducible from its embedded spec echo alone.
+Unknown keys, input the topology does not read (``circuits.TOPOLOGIES``)
+and sweep axes the circuit cannot take are rejected, and every constraint
+is re-validated on load, so a report is reproducible from its spec echo.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import CircuitSpec, ModulationMode, Topology, build_circuit
+from .circuits import TOPOLOGIES, CircuitSpec, ModulationMode, Topology, build_circuit
 from .elements import PaGain, SplitterSpec
 from .exceptions import ScenarioParseError, ValidationError
 
@@ -190,7 +190,7 @@ def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
         modulation_mode=modulation,
         **{key: _as_float(doc[key], key) for key in _FLOAT_FIELDS if key in doc},
     )
-    circuit = build_circuit(spec)  # re-validates topology requirements
+    circuit = build_circuit(spec)  # the LINEARIZED assumptions, and the monitors
 
     outputs = doc.get("outputs")
     if outputs is None:
@@ -238,8 +238,7 @@ def check_axes(spec: CircuitSpec, axes) -> None:
                     "a sweep sets each value once"
                 )
             setters[value] = axis.name
-    amplified = (Topology.NESTED_SUI, Topology.DEGENERATE_SUI)
-    if spec.modulation_mode is ModulationMode.LINEARIZED and spec.topology in amplified:
+    if spec.modulation_mode is ModulationMode.LINEARIZED and TOPOLOGIES[spec.topology].gains:
         for axis in axes:
             if assumed := _AXES[axis.name].assumed:
                 raise ValidationError(
@@ -251,12 +250,12 @@ def check_axes(spec: CircuitSpec, axes) -> None:
 
 
 def _check_entry(spec: CircuitSpec, name: str) -> None:
-    """Refuse axis ``name`` on a spec without the entry it sets."""
+    """Refuse axis ``name`` where the spec lacks its entry or does not read its phase."""
     axis = _AXES[name]
-    if name == "theta2_dark" and len(spec.gains) != 2:
-        raise ValidationError("theta2_dark needs the two amplifier gains")
     if axis.index is not None and axis.index >= len(getattr(spec, axis.field)):
         raise ValidationError(f"{name} sweeps {_PART_NOUNS[axis.part]} the topology does not have")
+    if axis.field in ("phi", "mzi_phi") and axis.field not in TOPOLOGIES[spec.topology].reads:
+        raise ValidationError(f"{name} sweeps a phase the topology does not read")
 
 
 def _complex(re, im):

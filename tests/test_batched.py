@@ -11,7 +11,7 @@ import pytest
 
 import qdmsim as q
 from qdmsim.cli import main
-from qdmsim.scenario import SWEEPABLE, SweepAxis, apply_axis_value, load_scenario
+from qdmsim.scenario import SWEEPABLE, SweepAxis, apply_axis_value, check_axes, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -348,11 +348,14 @@ def test_report_check_names_its_sweep_point(tmp_path, capsys):
 
 #: a spec with every value an axis can set, each distinct from the axis value
 FULL_SPEC = q.CircuitSpec(
-    q.Topology.MZI, alpha=complex(3.0, 4.0), phi=0.1, mzi_phi=0.2, delta=0.01,
-    epsilon=0.02, detection_loss=0.9,
-    splitters=(q.SplitterSpec(0.1), q.SplitterSpec(0.2), q.SplitterSpec(0.3)),
+    q.Topology.NESTED_SUI, alpha=complex(3.0, 4.0), phi=0.1, mzi_phi=0.2, delta=0.01,
+    epsilon=0.02, detection_loss=0.9, modulation_mode=q.ModulationMode.EXACT,
+    splitters=(q.SplitterSpec(0.1), q.SplitterSpec(0.2)),
     gains=(q.PaGain(1.1, 0.4), q.PaGain(1.2, 0.5)),
 )
+#: the one topology with a third splitter, for T3
+FULL_MZI = replace(FULL_SPEC, topology=q.Topology.MZI, phi=math.pi, gains=(),
+                   splitters=(q.SplitterSpec(0.1), q.SplitterSpec(0.2), q.SplitterSpec(0.3)))
 _S, _G = q.SplitterSpec, q.PaGain
 #: axis -> (value, the spec fields that value sets, written out by hand)
 AXIS_SETS = {
@@ -363,8 +366,8 @@ AXIS_SETS = {
     "detection_loss": (0.07, {"detection_loss": 0.07}),
     "alpha_re": (0.07, {"alpha": complex(0.07, 4.0)}),
     "alpha_im": (0.07, {"alpha": complex(3.0, 0.07)}),
-    "T1": (0.07, {"splitters": (_S(0.07), _S(0.2), _S(0.3))}),
-    "T2": (0.07, {"splitters": (_S(0.1), _S(0.07), _S(0.3))}),
+    "T1": (0.07, {"splitters": (_S(0.07), _S(0.2))}),
+    "T2": (0.07, {"splitters": (_S(0.1), _S(0.07))}),
     "T3": (0.07, {"splitters": (_S(0.1), _S(0.2), _S(0.07))}),
     "G1": (1.7, {"gains": (_G(1.7, 0.4), _G(1.2, 0.5))}),
     "G2": (1.7, {"gains": (_G(1.1, 0.4), _G(1.7, 0.5))}),
@@ -381,7 +384,8 @@ def test_axis_table_covers_every_sweepable_name():
 @pytest.mark.parametrize("name", AXIS_SETS)
 def test_axis_sets_exactly_its_value(name):
     value, fields = AXIS_SETS[name]
-    assert apply_axis_value(FULL_SPEC, name, value) == replace(FULL_SPEC, **fields)
+    spec = FULL_MZI if name == "T3" else FULL_SPEC
+    assert apply_axis_value(spec, name, value) == replace(spec, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +469,42 @@ def test_linearized_sui_grid_spec_names_its_bad_point(axis, values, message):
     with pytest.raises(q.ValidationError, match=message) as info:
         q.operating_point(spec)
     assert info.value.batch_index == 1
+
+
+# ---------------------------------------------------------------------------
+# every accepted axis moves the report
+# ---------------------------------------------------------------------------
+
+#: two values per axis, valid on every base spec that has the axis
+TWO_POINTS = {
+    "phi": (1.0, 2.5), "mzi_phi": (0.1, 0.4), "delta": (0.001, 0.002),
+    "epsilon": (0.001, 0.002), "detection_loss": (0.5, 0.9), "alpha_re": (50.0, 80.0),
+    "alpha_im": (5.0, 20.0), "T1": (0.3, 0.6), "T2": (0.3, 0.6), "T3": (0.3, 0.6),
+    "G1": (1.2, 1.8), "G2": (1.2, 1.8), "theta1": (0.3, 0.9), "theta2": (0.3, 0.9),
+    "theta2_dark": (0.3, 0.9),
+}
+
+
+@pytest.mark.parametrize("name", SWEEPABLE)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("topology", sorted(BASES))
+def test_accepted_axis_moves_a_report_column(topology, mode, name):
+    # a sweep whose rows are all equal swept a value its topology does not read
+    spec = replace(BASES[topology](mode), delta=0.001, epsilon=0.001)
+    column = np.array(TWO_POINTS[name])
+    try:
+        check_axes(spec, [SweepAxis(name, *TWO_POINTS[name], 2)])
+    except q.ValidationError:
+        # the library refuses it too: the setter, or the grid's own checks
+        with pytest.raises(q.ValidationError):
+            q.operating_point(apply_axis_value(spec, name, column))
+        return
+    grid_spec = apply_axis_value(spec, name, column)
+    readings = q.operating_point(grid_spec)
+    moved = []
+    for label in readings:
+        report = q.channel_report(grid_spec, label, readings)
+        for value in (report.noise_var, report.snr, report.enhancement):
+            first, second = np.broadcast_to(value, (2,))
+            moved.append(first != second)
+    assert any(moved), f"{name} moves no column of {topology} ({mode.value})"

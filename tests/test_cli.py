@@ -186,12 +186,12 @@ def test_one_evaluation_per_operating_point(tmp_path, capsys, monkeypatch, paylo
     assert len(calls) == 1
     calls.clear()
     # the grid keeps the loss ops where detection_loss reaches 1.0: still one
-    assert main(["sweep", path, "--axis", "detection_loss=0.5:1.0:3", "--axis", "phi=0:1:4"]) == 0
+    assert main(["sweep", path, "--axis", "detection_loss=0.5:1.0:3", "--axis", "mzi_phi=0:1:4"]) == 0
     assert len(calls) == 1
     calls.clear()
     # one evaluation per --workers chunk, the chunks run here in turn
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    argv = ["sweep", path, "--axis", "detection_loss=0.5:1.0:3", "--axis", "phi=0:1:4"]
+    argv = ["sweep", path, "--axis", "detection_loss=0.5:1.0:3", "--axis", "mzi_phi=0:1:4"]
     assert main([*argv, "--workers", "3"]) == 0
     assert len(calls) == 3
 
@@ -367,8 +367,30 @@ MALFORMED = {
     "theta1 without gains": (["--axis", "theta1=0:1:3"], mzi_payload(), 3,
         "theta1 sweeps a gain phase the topology does not have"),
     "theta2_dark without gains": (["--axis", "theta2_dark=0:1:3"], mzi_payload(), 3,
-        "theta2_dark needs the two amplifier gains"),
+        "theta2_dark sweeps a gain phase the topology does not have"),
 }
+
+
+def _shipped(name):
+    return json.loads((SCENARIOS / name).read_text())
+
+
+_DIRECT = {"topology": "DIRECT_HOMODYNE", "alpha": 100.0, "splitters": [0.5],
+           "delta": 0.001, "epsilon": 0.001}
+#: input the topology does not read: refused at load, like the cases above
+UNREAD = {
+    "phi on an MZI": (["--axis", "phi=0:3:3"], _shipped("mzi_basic.json"), 3,
+        "phi sweeps a phase the topology does not read"),
+    "phi on a degenerate SUI": (["--axis", "phi=0:3:3"], _shipped("dsui_grid_json.json"), 3,
+        "phi sweeps a phase the topology does not read"),
+    "mzi_phi on direct homodyne": (["--axis", "mzi_phi=0:1:3"], _DIRECT, 3,
+        "mzi_phi sweeps a phase the topology does not read"),
+    "gains on an MZI": (["--axis", "G2=1:100:3"], mzi_payload(gains=[{"G": 1.5}] * 3), 3,
+        "gains must number 0 on MZI, got 3"),
+    "phi set on a degenerate SUI": ([], dsui_payload(phi=1.0), 3,
+        "DEGENERATE_SUI does not read phi, so it must stay 3.141592653589793, got 1.0"),
+}
+MALFORMED.update(UNREAD)
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -381,12 +403,13 @@ def test_malformed_scenario_is_refused(tmp_path, capsys, case):
 
 #: a sweep block axis the topology lacks -> the refusal, as for --axis above
 MISSING_PART = {
+    "phi": "phi sweeps a phase the topology does not read",
     "T3": "T3 sweeps a splitter the topology does not have",
     "G1": "G1 sweeps a gain the topology does not have",
     "G2": "G2 sweeps a gain the topology does not have",
     "theta1": "theta1 sweeps a gain phase the topology does not have",
     "theta2": "theta2 sweeps a gain phase the topology does not have",
-    "theta2_dark": "theta2_dark needs the two amplifier gains",
+    "theta2_dark": "theta2_dark sweeps a gain phase the topology does not have",
 }
 
 
@@ -405,6 +428,29 @@ def test_sweep_block_axis_the_topology_lacks_is_refused_at_load(tmp_path, capsys
                  ["sweep", path, "--axis", f"{axis}=0.1:0.2:2", "--out", unwritable]):
         assert main(argv) == 3, argv
         assert capsys.readouterr() == ("", f"error: {MISSING_PART[axis]}\n")
+
+
+@pytest.mark.parametrize("case", UNREAD)
+def test_unread_input_is_refused_before_the_output(tmp_path, capsys, case):
+    extra, document, code, message = UNREAD[case]
+    path = write(tmp_path, "unread.json", document)
+    unwritable = str(tmp_path / "missing" / "out")
+    # a refused axis is a sweep's; a refused spec every command's
+    commands = ["sweep"] if extra else ["run", "sweep", "export-states", "validate"]
+    for command in commands:
+        argv = [command, path, *extra, "--out", unwritable]
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_unread_phase_at_its_default_still_loads():
+    # the shipped grid writes phi = pi, the default, on a topology that does not read it
+    from qdmsim.scenario import load_scenario
+
+    spec, options = load_scenario(SCENARIOS / "dsui_grid_json.json")
+    assert spec.topology is q.Topology.DEGENERATE_SUI
+    assert spec.phi == math.pi
+    assert [axis.name for axis in options.axes] == ["theta2_dark", "G2"]
 
 
 def _with_number(field, value):
@@ -558,8 +604,8 @@ def test_sweep_axes_on_parts_of_one_field(tmp_path, capsys, document, axes):
 def test_sweep_workers_match_serial(tmp_path):
     path = write(tmp_path, "mzi.json", mzi_payload())
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    main(["sweep", path, "--axis", "phi=0:3:7", "--out", str(serial)])
-    main(["sweep", path, "--axis", "phi=0:3:7", "--out", str(parallel), "--workers", "2"])
+    main(["sweep", path, "--axis", "mzi_phi=0:3:7", "--out", str(serial)])
+    main(["sweep", path, "--axis", "mzi_phi=0:3:7", "--out", str(parallel), "--workers", "2"])
     assert serial.read_bytes() == parallel.read_bytes()
 
 
@@ -583,16 +629,16 @@ def _sweep_bytes(tmp_path, monkeypatch, chunk_points, path, axes, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("payload, axes", [
-    (mzi_payload(), ["phi=0:3:6"]),
-    (mzi_payload(), ["phi=0:3:7"]),
-    (mzi_payload(), ["phi=0:3:8"]),
+    (mzi_payload(), ["mzi_phi=0:3:6"]),
+    (mzi_payload(), ["mzi_phi=0:3:7"]),
+    (mzi_payload(), ["mzi_phi=0:3:8"]),
     # chunks of 7 end mid-row of a 3 x 5 grid
     (mzi_payload(), ["delta=0.001:0.002:3", "epsilon=0.001:0.003:5"]),
     # the nan (JSON null) rows at alpha_re = 0 are grid points 6 to 8
-    (mzi_payload(), ["alpha_re=-1:1:5", "phi=0:1:3"]),
+    (mzi_payload(), ["alpha_re=-1:1:5", "mzi_phi=0:1:3"]),
     # the last chunk, at detection_loss = 1.0 only, compiles without loss ops
-    (mzi_payload(), ["detection_loss=0.5:1.0:3", "phi=0:1:5"]),
-    (dsui_payload(modulation_mode="EXACT"), ["detection_loss=0.5:1.0:3", "phi=0:1:5"]),
+    (mzi_payload(), ["detection_loss=0.5:1.0:3", "mzi_phi=0:1:5"]),
+    (dsui_payload(modulation_mode="EXACT"), ["detection_loss=0.5:1.0:3", "mzi_phi=0:1:5"]),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_sweep_chunks_join_byte_identically(tmp_path, monkeypatch, payload, axes, fmt):
     path = write(tmp_path, "scenario.json", payload)
@@ -642,7 +688,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
     out = tmp_path / "missing" / "x.json"
     argv = [command, str(SCENARIOS / "dsui_validate.json"), "--out", str(out)]
     if command == "sweep":
-        argv += ["--axis", "phi=0:1:3"]
+        argv += ["--axis", "G2=1.1:2:3"]
     assert main(argv) == 2
     assert f"error: cannot write output {out}: No such file or directory" in capsys.readouterr().err
     assert not out.parent.exists()
@@ -681,7 +727,7 @@ def test_read_only_output_exits_2(tmp_path, capsys, monkeypatch, command):
     calls = _count_evaluations(monkeypatch)
     argv = [command, str(SCENARIOS / "dsui_validate.json"), "--out", str(out)]
     if command == "sweep":
-        argv += ["--axis", "phi=0:1:3"]
+        argv += ["--axis", "G2=1.1:2:3"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: cannot write output {out}: Permission denied\n"
     assert out.read_text() == "kept\n"
