@@ -48,9 +48,10 @@ not corrected here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -128,8 +129,15 @@ class CircuitSpec:
     detection_loss: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "topology", Topology(self.topology))
-        object.__setattr__(self, "modulation_mode", ModulationMode(self.modulation_mode))
+        try:
+            object.__setattr__(self, "topology", Topology(self.topology))
+        except ValueError:
+            raise ValidationError(f"unknown topology {self.topology!r}; "
+                                  f"one of {[t.value for t in Topology]}") from None
+        try:
+            object.__setattr__(self, "modulation_mode", ModulationMode(self.modulation_mode))
+        except ValueError:
+            raise ValidationError(f"unknown modulation_mode {self.modulation_mode!r}") from None
         alpha = self.alpha.astype(complex) if _is_grid(self.alpha) else complex(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "splitters", tuple(self.splitters))
@@ -279,6 +287,26 @@ def _tangent_source(op: CircuitOp, gmap: GaussianMap | None, state: GaussianStat
     return np.stack(((elements._J @ field[..., None])[..., 0], -field), axis=-1)
 
 
+def _states(circuit: CompiledCircuit) -> Iterator[GaussianState]:
+    """The vacuum input, then the state after each op, as :func:`evaluate_circuit` computes them."""
+    dim = 2 * circuit.n_modes
+    state = GaussianState(np.zeros(dim), np.eye(dim), np.zeros((dim, 2)))
+    yield state
+    for index, op in enumerate(circuit.ops):
+        try:
+            # an array carrier stacks the state, which only apply_map does
+            if op.kind.is_identity(op.params) and not _is_grid(op.carrier):
+                if op.carrier is not None:
+                    state = state.with_tangent_source(op.modes, _tangent_source(op, None, state))
+            else:
+                gmap = op.kind.gaussian_map(*op.params)
+                source = None if op.carrier is None else _tangent_source(op, gmap, state)
+                state = apply_map(state, gmap, op.modes, source)
+        except (ValidationError, NumericalError) as exc:
+            raise annotate(exc, f"at op {index} ({op.kind.name})")
+        yield state
+
+
 def evaluate_circuit(circuit: CompiledCircuit) -> GaussianState:
     """Run the compiled circuit on vacuum inputs.  The state's tangent holds
     d mean/d(delta, eps) at the circuit's modulation depths.  A grid
@@ -286,21 +314,7 @@ def evaluate_circuit(circuit: CompiledCircuit) -> GaussianState:
     parameters on.  An op whose map is exactly the identity builds none: it
     only adds its tangent columns if it carries the modulation.  A failing
     check names the op's index and kind."""
-    dim = 2 * circuit.n_modes
-    state = GaussianState(np.zeros(dim), np.eye(dim), np.zeros((dim, 2)))
-    for index, op in enumerate(circuit.ops):
-        try:
-            # an array carrier stacks the state, which only apply_map does
-            if op.kind.is_identity(op.params) and not _is_grid(op.carrier):
-                if op.carrier is not None:
-                    state = state.with_tangent_source(op.modes, _tangent_source(op, None, state))
-                continue
-            gmap = op.kind.gaussian_map(*op.params)
-            source = None if op.carrier is None else _tangent_source(op, gmap, state)
-            state = apply_map(state, gmap, op.modes, source)
-        except (ValidationError, NumericalError) as exc:
-            raise annotate(exc, f"at op {index} ({op.kind.name})")
-    return state
+    return deque(_states(circuit), maxlen=1).pop()
 
 
 class MonitorReading(NamedTuple):
@@ -518,8 +532,6 @@ def stage_snapshots(spec: CircuitSpec) -> list[StageSnapshot]:
     if not circuit.stage_bounds:
         raise ValidationError("stage snapshots are defined for DEGENERATE_SUI only, "
                               f"got {spec.topology.value}")
-    snapshots = []
-    for label, upto in circuit.stage_bounds:
-        probe = evaluate_circuit(replace(circuit, ops=circuit.ops[:upto])).reduced(0)
-        snapshots.append(StageSnapshot(label, tuple(probe.mean.tolist()), *_ellipse(probe.cov)))
-    return snapshots
+    states = list(_states(circuit))
+    probes = [(label, states[upto].reduced(0)) for label, upto in circuit.stage_bounds]
+    return [StageSnapshot(label, tuple(p.mean.tolist()), *_ellipse(p.cov)) for label, p in probes]

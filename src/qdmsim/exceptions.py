@@ -52,7 +52,7 @@ class NumericalError(QdmsimError, RuntimeError):
 class ConsistencyError(NumericalError):
     """An internally produced state violates the uncertainty relation.
 
-    This always indicates a construction bug, never bad user input.
+    Never bad user input: a construction bug, or precision lost in cancelling maps.
     """
 
 

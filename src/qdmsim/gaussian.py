@@ -22,13 +22,15 @@ hold, so a NaN margin fails it.  A failure names the first failing batch
 index and its margin, and records that index as the exception's
 ``batch_index`` (None for an unstacked object).
 
-The two positivity checks (the uncertainty relation of a state, the
-channel validity of a lossy map) first try a certificate: one batched
-Cholesky factorisation of the matrix with ``UNCERTAINTY_TOL / 2`` added to
-its diagonal.  A factor with a finite diagonal proves every slice passes,
-with no eigendecomposition.  Otherwise one ``eigvalsh`` call over the
-stack decides, and a failure still reports the smallest eigenvalue as its
-margin.
+Both positivity checks, cov + i*Omega >= 0 for a state and the validity
+noise + i*(Omega - S Omega S^T) >= 0 for any map, accept a smallest
+eigenvalue down to -UNCERTAINTY_TOL * scale, the size of the entries the
+matrix is summed from (max|cov|; max|S|^2 + max|noise|; at least 1), as
+backward error analysis asks (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 1-3).  Certificates come first: a lossless slice
+with max|S Omega S^T - Omega| <= UNCERTAINTY_TOL / dim, or one batched
+Cholesky factorisation with ``UNCERTAINTY_TOL / 2`` added to the diagonal.
+Else one ``eigvalsh`` call decides and reports the smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -44,10 +46,9 @@ from .exceptions import ConsistencyError, ValidationError, check
 
 #: Absolute tolerance for covariance symmetry.
 SYMMETRY_TOL = 1e-12
-#: Minimum-eigenvalue tolerance for the uncertainty check cov + i*Omega >= 0.
+#: Relative tolerance of both positivity checks: a smallest eigenvalue
+#: down to -UNCERTAINTY_TOL * scale passes (see the module docstring).
 UNCERTAINTY_TOL = 1e-9
-#: Absolute tolerance on S Omega S^T - Omega for lossless maps.
-SYMPLECTIC_TOL = 1e-12
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -76,17 +77,19 @@ def _certificate_shift(dim: int) -> np.ndarray:
     return _as_locked_array(UNCERTAINTY_TOL / 2 * np.eye(dim))
 
 
-def _check_positive(real: np.ndarray, imaginary: np.ndarray, error: type, message: str) -> None:
-    """Raise ``error`` unless every slice of the Hermitian matrix
-    ``real + imaginary`` has its smallest eigenvalue >= -UNCERTAINTY_TOL.
+def _check_positive(real: np.ndarray, imaginary: np.ndarray, error: type, message: str,
+                    linear: np.ndarray | None = None) -> None:
+    """Raise ``error`` unless every slice of the Hermitian matrix ``real +
+    imaginary`` has its smallest eigenvalue >= -UNCERTAINTY_TOL * scale, a
+    slice's scale being max|real|, plus max|linear|^2 for a map, at least 1.
 
     A Cholesky factor of the matrix plus ``shift`` (half the tolerance on
     the diagonal) certifies every eigenvalue above about -tol/2, a subset
     of what the eigenvalue test accepts (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., ch. 10).  A NaN or infinite slice can
     factor without raising, so the factor must also have a finite
-    diagonal (which is real).  Without a certificate the eigenvalues
-    decide, and a failure reports the first failing slice's smallest one.
+    diagonal (which is real).  Only without a certificate are the scale and
+    eigenvalues computed, and a failure reports the first failing slice's.
     """
     # the constants first: one add of their sum onto a real stack, not two
     shift = _certificate_shift(real.shape[-1])
@@ -98,7 +101,9 @@ def _check_positive(real: np.ndarray, imaginary: np.ndarray, error: type, messag
         if math.isfinite(factor.diagonal(axis1=-2, axis2=-1).real.sum()):
             return
     eig_min = np.linalg.eigvalsh(real + imaginary)[..., 0]
-    check(eig_min >= -UNCERTAINTY_TOL, eig_min, error, message)
+    scale = np.abs(real).max(axis=(-2, -1))
+    scale += 0.0 if linear is None else np.abs(linear).max(axis=(-2, -1)) ** 2
+    check(eig_min >= -UNCERTAINTY_TOL * np.maximum(scale, 1.0), eig_min, error, message)
 
 
 def _check_finite(arr: np.ndarray, core: int, name: str) -> None:
@@ -136,6 +141,7 @@ def _batch_shape(*shapes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 _ASYMMETRIC_COV = f"cov is asymmetric by {{:.3e}} (tol {SYMMETRY_TOL})"
+_INVALID_CHANNEL = "invalid Gaussian channel: min eig of validity matrix is {:.3e}"
 
 
 @dataclass(frozen=True)
@@ -144,8 +150,8 @@ class GaussianState:
     optionally stacked along a leading batch axis.
 
     Construction validates the covariance symmetry and the uncertainty
-    relation; an uncertainty violation raises :class:`ConsistencyError`
-    because only a buggy map construction can produce one.  ``tangent``,
+    relation; an uncertainty violation raises :class:`ConsistencyError`,
+    since it is never the user input's fault.  ``tangent``,
     when present, is d mean/d(parameters), shaped (2n, parameters).
     """
 
@@ -231,9 +237,9 @@ class GaussianMap:
     cov -> linear@cov@linear^T + noise, optionally stacked along a leading
     batch axis (arrays without it are shared by every slice).
 
-    The linear part is square, (2n, 2n) on n modes.  Lossless maps (zero
-    noise) must be symplectic; every map must satisfy the Gaussian-channel
-    validity inequality noise + i*Omega - i*linear Omega linear^T >= 0.
+    The linear part is square, (2n, 2n) on n modes.  Every map must satisfy
+    the Gaussian-channel validity inequality noise + i*Omega - i*linear
+    Omega linear^T >= 0; a lossless one (zero noise) is then symplectic.
     """
 
     linear: np.ndarray
@@ -260,18 +266,12 @@ class GaussianMap:
             check(skew <= SYMMETRY_TOL, skew, ValidationError,
                   "noise matrix must be symmetric; asymmetric by {:.3e}")
             omega = _omega(dim // 2)
-            transported = linear @ omega @ _transpose(linear)
+            residual = omega - linear @ omega @ _transpose(linear)
+            # lossless: validity matrix i * residual, |eigenvalues| <= dim * max|residual|
             lossless = np.abs(noise).max(axis=(-2, -1)) == 0.0
-            dev = np.abs(transported - omega).max(axis=(-2, -1))
-            check(~lossless | (dev <= SYMPLECTIC_TOL), dev, ValidationError,
-                  "lossless map is not symplectic: |S Omega S^T - Omega| = {:.3e}")
-            # a lossless slice's validity matrix is i (Omega - S Omega S^T), whose
-            # smallest eigenvalue, minus its spectral norm, is at least
-            # -dim * SYMPLECTIC_TOL once the check above passed; while that
-            # bound clears -UNCERTAINTY_TOL, only a lossy slice can fail below
-            if not (np.all(lossless) and dim * SYMPLECTIC_TOL <= UNCERTAINTY_TOL):
-                _check_positive(noise, 1j * (omega - transported), ValidationError,
-                                "invalid Gaussian channel: min eig of validity matrix is {:.3e}")
+            certified = lossless & (dim * np.abs(residual).max(axis=(-2, -1)) <= UNCERTAINTY_TOL)
+            if not np.all(certified):
+                _check_positive(noise, 1j * residual, ValidationError, _INVALID_CHANNEL, linear)
             _check_finite(disp, 1, "displacement")
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "noise", noise)

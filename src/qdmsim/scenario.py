@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import TOPOLOGIES, CircuitSpec, ModulationMode, Topology, build_circuit
+from .circuits import TOPOLOGIES, CircuitSpec, ModulationMode, build_circuit
 from .elements import PaGain, SplitterSpec
 from .exceptions import ScenarioParseError, ValidationError
 
@@ -170,24 +170,12 @@ def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
         raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
     if "topology" not in doc:
         raise ValidationError("scenario is missing the topology")
-    try:
-        topology = Topology(doc["topology"])
-    except ValueError:
-        raise ValidationError(
-            f"unknown topology {doc['topology']!r}; one of {[t.value for t in Topology]}"
-        ) from None
-    mode = doc.get("modulation_mode", "LINEARIZED")
-    try:
-        modulation = ModulationMode(mode)
-    except ValueError:
-        raise ValidationError(f"unknown modulation_mode {mode!r}") from None
-
     spec = CircuitSpec(
-        topology=topology,
+        topology=doc["topology"],
         alpha=_parse_alpha(doc.get("alpha", 0.0)),
         splitters=_parse_splitters(doc.get("splitters", [])),
         gains=_parse_gains(doc.get("gains", [])),
-        modulation_mode=modulation,
+        modulation_mode=doc.get("modulation_mode", ModulationMode.LINEARIZED),
         **{key: _as_float(doc[key], key) for key in _FLOAT_FIELDS if key in doc},
     )
     circuit = build_circuit(spec)  # the LINEARIZED assumptions, and the monitors

@@ -340,6 +340,18 @@ def test_exact_mode_rejects_negative_epsilon():
         mzi_spec(epsilon=-0.01, modulation_mode=q.ModulationMode.EXACT)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"topology": "FOO"},
+     "unknown topology 'FOO'; one of ['DIRECT_HOMODYNE', 'MZI', 'NESTED_SUI', 'DEGENERATE_SUI']"),
+    ({"topology": "MZI", "modulation_mode": "FAST"}, "unknown modulation_mode 'FAST'"),
+], ids=["topology", "modulation_mode"])
+def test_unknown_enum_value_is_a_validation_error(fields, message):
+    # the library refuses it as the scenario loader does, with the same text
+    with pytest.raises(q.ValidationError) as info:
+        q.CircuitSpec(**fields)
+    assert str(info.value) == message
+
+
 def test_detection_loss_bounds():
     with pytest.raises(q.ValidationError):
         mzi_spec(detection_loss=0.0)
@@ -438,10 +450,12 @@ def test_validate_with_modulation_builds_every_map(monkeypatch, name, cutoff):
 
 @pytest.mark.parametrize("mode", [q.ModulationMode.LINEARIZED, q.ModulationMode.EXACT])
 def test_snapshots_with_modulation_build_every_map(monkeypatch, mode):
+    # one evaluation: every non-identity op builds its map once
     spec = dsui_spec(delta=1e-3, epsilon=1e-3, modulation_mode=mode)
     built = count_built_maps(monkeypatch)
     q.stage_snapshots(spec)
-    assert len(built) == sum(upto for _, upto in q.build_circuit(spec).stage_bounds)
+    ops = q.build_circuit(spec).ops
+    assert len(built) == sum(not op.kind.is_identity(op.params) for op in ops)
 
 
 def test_identity_with_an_array_carrier_stacks_the_state():

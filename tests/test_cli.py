@@ -887,16 +887,9 @@ def _nested_scenario(tmp_path, G2):
 
 #: Failing commands with their CHUNK_POINTS (None for the default), exit
 #: code and the one line they print to stderr, held byte for byte: scripts
-#: match on these texts.  In argv, {nested_g300}, {nested_g1000} and
-#: {nan_token} stand for scenarios the test writes.
+#: match on these texts.  In argv, {nan_token} stands for a scenario the
+#: test writes.
 FAILURES = {
-    # op 1, the modulation displacement, is an identity there and builds no map
-    "symplectic residual at op 3, G2 = 300": (["run", "{nested_g300}"], None, 3,
-        "lossless map is not symplectic: |S Omega S^T - Omega| = 1.455e-11 "
-        "at op 3 (two_mode_squeezer)"),
-    "symplectic residual at op 3": (["run", "{nested_g1000}"], None, 3,
-        "lossless map is not symplectic: |S Omega S^T - Omega| = 1.164e-10 "
-        "at op 3 (two_mode_squeezer)"),
     "gain below 1 on a sweep axis": (["sweep", NESTED_SWEEP, "--axis", "G2=0.5:2:4"], None, 3,
         "amplifier gain must be >= 1, got 0.5 at batch index 0 (sweep point G2=0.5)"),
     "gain below 1 on a sweep axis, two workers": (
@@ -923,15 +916,37 @@ FAILURES = {
 @pytest.mark.parametrize("case", FAILURES)
 def test_failure_text_is_unchanged(tmp_path, monkeypatch, capsys, case):
     argv, chunk_points, code, message = FAILURES[case]
-    files = {
-        "nested_g300": _nested_scenario(tmp_path, 300.0),
-        "nested_g1000": _nested_scenario(tmp_path, 1000.0),
-        "nan_token": write(tmp_path, "nan.json", json.dumps(_with_number("delta", math.nan))),
-    }
+    files = {"nan_token": write(tmp_path, "nan.json", json.dumps(_with_number("delta", math.nan)))}
     if chunk_points is not None:
         monkeypatch.setattr(cli, "CHUNK_POINTS", chunk_points)
     assert main([arg.format(**files) for arg in argv]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["LINEARIZED", "EXACT"])
+@pytest.mark.parametrize("G2", [300.0, 1000.0, 1e6])
+def test_large_second_gain_matches_the_closed_forms(tmp_path, capsys, G2, mode):
+    # the whole envelope up to MAX_GAIN runs; the EXACT circuit keeps the
+    # full first splitter, which puts its SNR a factor T below the forms
+    payload = json.loads(Path(_nested_scenario(tmp_path, G2)).read_text())
+    assert main(["run", write(tmp_path, "large.json", {**payload, "modulation_mode": mode})]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    T, gains = 0.9999, (q.PaGain(5 / 3), q.PaGain(G2))
+    i_ps, factor = (1 - T) * 1000.0**2, T if mode == "EXACT" else 1.0
+    want = {"phase": q.sui_snr_phase(*gains, i_ps, 1e-3),
+            "amplitude": q.sui_snr_amplitude(*gains, i_ps, 1e-3)}
+    for label, snr in want.items():
+        assert reports[label]["snr"] == pytest.approx(factor * snr, rel=1e-6)
+
+
+def test_large_gain_sweep_reaches_the_optimum(capsys):
+    # the last point, G2 = 1e5, sits at the large-second-gain limit
+    assert main(["sweep", NESTED_SWEEP, "--axis", "G2=1:1e5:50"]) == 0
+    last = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))[-1]
+    want = q.sui_snr_optimum(q.PaGain(5 / 3), (1 - 0.9999) * 1000.0**2, 1e-3)
+    assert float(last["G2"]) == 1e5
+    assert float(last["snr[phase]"]) == pytest.approx(want, rel=1e-6)
+    assert float(last["snr[amplitude]"]) == pytest.approx(want, rel=1e-6)
 
 
 _GAIN_OVERFLOW = "amplifier gain G must be <= 1e+06, the engine's envelope, got "

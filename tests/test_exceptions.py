@@ -62,7 +62,7 @@ def test_nan_covariance_is_refused_before_its_eigenvalues():
 def test_nan_lossless_map_is_refused():
     linear = np.eye(2)
     linear[0, 0] = math.nan
-    with pytest.raises(q.ValidationError, match=r"not symplectic: .* = nan$"):
+    with pytest.raises(q.ValidationError, match=r"^invalid Gaussian channel: .* is nan$"):
         q.GaussianMap(linear, np.zeros((2, 2)), np.zeros(2))
 
 

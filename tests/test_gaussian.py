@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -137,16 +138,134 @@ def test_uncertainty_violation_is_internal_error():
         q.GaussianState(np.zeros(2), 0.5 * np.eye(2))
 
 
-@pytest.mark.parametrize("G", [1.05, 50.0])
-@pytest.mark.parametrize("element", [q.two_mode_squeezer, q.single_mode_squeezer])
-def test_perturbed_lossless_map_is_still_rejected(element, G):
-    # lossless maps skip the validity eigenvalue check; the symplectic
-    # check alone must still refuse a map that is off by 1e-6 relative
-    valid = element(q.PaGain(G, 0.3))
-    rng = np.random.default_rng(11)
-    linear = valid.linear * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, valid.linear.shape))
-    with pytest.raises(q.ValidationError, match="lossless map is not symplectic"):
+TOL = q.gaussian.UNCERTAINTY_TOL
+SQUEEZERS = [q.two_mode_squeezer, q.single_mode_squeezer]
+
+
+def _scale(real, linear=None):
+    """What the positivity checks measure a slice's eigenvalues against:
+    the size of the entries its matrix is summed from, at least 1."""
+    scale = np.abs(real).max()
+    if linear is not None:
+        scale += np.abs(linear).max() ** 2
+    return max(scale, 1.0)
+
+
+def _validity_i_part(linear):
+    omega = q.symplectic_form(linear.shape[-1] // 2)
+    return 1j * (omega - linear @ omega @ linear.T)
+
+
+def _shift_lowest_eigenvalue(real, i_part, target):
+    """``real`` plus a multiple of the identity that moves the smallest
+    eigenvalue of ``real + i_part`` to ``target``."""
+    lowest = np.linalg.eigvalsh(real + i_part)[0]
+    return real + (target - lowest) * np.eye(real.shape[-1])
+
+
+def _accepts(build, error) -> bool:
+    try:
+        build()
+    except error:
+        return False
+    return True
+
+
+#: Gains log-uniform over the whole envelope [1, MAX_GAIN], and any phase.
+_GAINS = st.floats(0.0, math.log10(q.elements.MAX_GAIN)).map(lambda e: 10.0**e)
+_ANGLES = st.floats(-10.0, 10.0)
+_AMPLITUDES = st.floats(-q.elements.MAX_ALPHA / 2, q.elements.MAX_ALPHA / 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(G=_GAINS, phase=_ANGLES, T=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0, exclude_min=True),
+       phi=_ANGLES, re=_AMPLITUDES, im=_AMPLITUDES)
+def test_every_element_map_is_accepted_over_the_envelope(G, phase, T, t, phi, re, im):
+    params = {"beam_splitter": (T,), "phase_shifter": (phi,), "loss_channel": (t,),
+              "two_mode_squeezer": (G, phase), "single_mode_squeezer": (G, phase),
+              "displace": (re, im)}
+    kinds = q.circuits.ELEMENT_KINDS
+    assert set(params) == set(kinds)
+    for name, kind in kinds.items():
+        kind.gaussian_map(*params[name])
+
+
+@pytest.mark.parametrize("element", SQUEEZERS)
+def test_stacked_squeezers_are_accepted_over_the_envelope(element):
+    # a sweep builds one map over its whole gain axis
+    gains = np.logspace(0.0, math.log10(q.elements.MAX_GAIN), 601)
+    for phase in (0.0, 0.3, 2.0):
+        assert element(q.PaGain(gains, phase)).batch_shape == (601,)
+
+
+#: A fixed perturbation direction, entries in [-1, 1].
+_DIRECTION = np.random.default_rng(11).uniform(-1.0, 1.0, (4, 4))
+_MUTATED_AT = pytest.mark.parametrize("G, theta", [
+    (G, theta) for G in (1.05, 50.0, 1e3, 1e6) for theta in (0.0, 0.3)])
+
+
+@_MUTATED_AT
+@pytest.mark.parametrize("element", SQUEEZERS)
+def test_perturbed_lossless_map_is_refused(element, G, theta):
+    # off by 1e-6 relative: far outside rounding, at every gain
+    valid = element(q.PaGain(G, theta))
+    dim = valid.linear.shape[-1]
+    linear = valid.linear + 1e-6 * np.abs(valid.linear).max() * _DIRECTION[:dim, :dim]
+    with pytest.raises(q.ValidationError, match="^invalid Gaussian channel: min eig of validity"):
         q.GaussianMap(linear, valid.noise, valid.displacement)
+
+
+#: Channels that make a squeezer lossy: loss (its linear part stops being
+#: symplectic) and classical noise (it stays symplectic).
+_NOISES = {"loss": q.loss_channel(0.5),
+           "noise": q.GaussianMap(np.eye(2), 0.1 * np.eye(2), np.zeros(2))}
+
+
+@_MUTATED_AT
+@pytest.mark.parametrize("noise", _NOISES)
+@pytest.mark.parametrize("element", SQUEEZERS)
+def test_lossy_map_below_validity_is_refused(element, noise, G, theta):
+    squeezer = element(q.PaGain(G, theta))
+    n_modes = squeezer.n_in
+    lossy = q.compose(embed_map(_NOISES[noise], (0,), n_modes), squeezer)
+    scale = _scale(lossy.noise, lossy.linear)
+    shifted = _shift_lowest_eigenvalue(lossy.noise, _validity_i_part(lossy.linear), -1e-6 * scale)
+    with pytest.raises(q.ValidationError, match="^invalid Gaussian channel") as info:
+        q.GaussianMap(lossy.linear, shifted, lossy.displacement)
+    assert info.value.margins[0] == pytest.approx(-1e-6 * scale, rel=1e-3)
+
+
+@pytest.mark.parametrize("element", SQUEEZERS)
+def test_large_gain_residual_is_rounding(element):
+    # the float matrix's S Omega S^T - Omega, exact at 50 digits: the
+    # element rounds its entries and the check rounds its product, each at
+    # a few units of rounding relative to max|S|^2, far below the tolerance
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for G in (1.05, 69.0, 1e3, 1e4, 1e5, 1e6):
+            for theta in (0.0, 0.3, 2.0):
+                linear = element(q.PaGain(G, theta)).linear
+                omega = q.symplectic_form(linear.shape[-1] // 2)
+                size = np.abs(linear).max() ** 2
+                exact_s, exact_omega = mpmath.matrix(linear.tolist()), mpmath.matrix(omega.tolist())
+                exact = exact_s * exact_omega * exact_s.T - exact_omega
+                assert float(max(abs(x) for x in exact)) <= 4 * eps * size
+                assert np.abs(linear @ omega @ linear.T - omega).max() <= 4 * eps * size
+
+
+def test_lossless_residual_certificate_counts_the_dimension():
+    # S = I + c E with E Omega + Omega E^T = L, L having entries +-1 and
+    # singular values sqrt(3): the residual's largest entry is below the
+    # tolerance, its spectral norm above it, so the eigenvalues refuse it
+    L = np.array([[0, 1, 1, 1], [-1, 0, -1, 1], [-1, 1, 0, -1], [-1, -1, 1, 0]], dtype=float)
+    omega = q.symplectic_form(2)
+    c = 0.8 * TOL
+    linear = np.eye(4) - c / 2 * L @ omega
+    residual = omega - linear @ omega @ linear.T
+    assert np.abs(residual).max() < TOL < np.linalg.norm(residual, 2)
+    with pytest.raises(q.ValidationError, match="^invalid Gaussian channel") as info:
+        q.GaussianMap(linear, np.zeros((4, 4)), np.zeros(4))
+    assert info.value.margins[0] == pytest.approx(-math.sqrt(3) * c, rel=1e-3)
 
 
 def _count_calls(monkeypatch, name):
@@ -179,61 +298,57 @@ def test_validity_certificates_run_for_lossy_maps_only(monkeypatch):
     assert eigenvalues == [(2, 2)]
 
 
-def _shift_lowest_eigenvalue(real, i_part, target):
-    """``real`` plus a multiple of the identity that moves the smallest
-    eigenvalue of ``real + i_part`` to ``target``."""
-    lowest = np.linalg.eigvalsh(real + i_part)[0]
-    return real + (target - lowest) * np.eye(real.shape[-1])
-
-
-def _accepts(build, error) -> bool:
-    try:
-        build()
-    except error:
-        return False
-    return True
-
-
-# the lowest eigenvalue lands within a few tolerances of zero, on both
-# sides of the threshold -UNCERTAINTY_TOL and of the certificate's -tol/2
-_TARGETS = st.floats(-4.0, 4.0).map(lambda k: k * q.gaussian.UNCERTAINTY_TOL)
+# the lowest eigenvalue lands within a few tolerances of zero, in units of
+# UNCERTAINTY_TOL * scale: on both sides of the threshold -1 and of the
+# certificates' -1/(2 scale)
+_TARGETS = st.floats(-4.0, 4.0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n_modes=st.integers(2, 3),
-       gain=st.floats(1.0, 50.0), target=_TARGETS)
+       gain=_GAINS.filter(lambda G: G <= 1e3), target=_TARGETS)
 def test_uncertainty_check_decides_as_eigenvalues_do(seed, n_modes, gain, target):
     rng = np.random.default_rng(seed)
     state = random_state(rng, n_modes, depth=4)
     state = q.apply_map(state, q.single_mode_squeezer(q.PaGain(gain, rng.uniform(0, 6.3))), (0,))
-    assume(np.abs(state.cov).max() <= 1e4)
     i_omega = 1j * q.symplectic_form(n_modes)
-    cov = _shift_lowest_eigenvalue(state.cov, i_omega, target)
+    cov = _shift_lowest_eigenvalue(state.cov, i_omega, target * TOL * _scale(state.cov))
     lowest = np.linalg.eigvalsh(cov + i_omega)[0]
-    assume(abs(lowest + q.gaussian.UNCERTAINTY_TOL) > 1e-12)
+    threshold = -TOL * _scale(cov)
+    assume(abs(lowest - threshold) > 1e-3 * TOL * _scale(cov))
     accepted = _accepts(lambda: q.GaussianState(state.mean, cov), q.ConsistencyError)
-    assert accepted == (lowest >= -q.gaussian.UNCERTAINTY_TOL)
+    assert accepted == (lowest >= threshold)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), gain=st.floats(1.0, 50.0),
-       eta=st.floats(0.01, 0.99), target=_TARGETS)
-def test_validity_check_decides_as_eigenvalues_do(seed, gain, eta, target):
+       eta=st.floats(0.01, 0.99), lossless=st.booleans(), target=_TARGETS)
+def test_validity_check_decides_as_eigenvalues_do(seed, gain, eta, lossless, target):
     rng = np.random.default_rng(seed)
     squeezer = embed_map(q.two_mode_squeezer(q.PaGain(gain, rng.uniform(0, 6.3))), (0, 1), 2)
-    lossy = q.compose(embed_map(q.loss_channel(eta), (int(rng.integers(0, 2)),), 2), squeezer)
-    element, modes = random_element(rng, 2)
-    gmap = q.compose(embed_map(element, modes, 2), lossy)
-    assume(np.abs(gmap.noise).max() <= 1e4)
-    omega = q.symplectic_form(2)
-    i_part = 1j * (omega - gmap.linear @ omega @ gmap.linear.T)
-    noise = _shift_lowest_eigenvalue(gmap.noise, i_part, target)
-    assume(np.abs(noise).max() > 0.0)
-    lowest = np.linalg.eigvalsh(noise + i_part)[0]
-    assume(abs(lowest + q.gaussian.UNCERTAINTY_TOL) > 1e-12)
-    accepted = _accepts(lambda: q.GaussianMap(gmap.linear, noise, gmap.displacement),
-                       q.ValidationError)
-    assert accepted == (lowest >= -q.gaussian.UNCERTAINTY_TOL)
+    if lossless:
+        # a splitter after the squeezer, perturbed in a random direction:
+        # to first order the residual grows linearly with the step, and a
+        # lossless validity matrix's lowest eigenvalue is minus its norm
+        gmap = q.compose(q.beam_splitter(q.SplitterSpec(rng.uniform(0, 1))), squeezer)
+        direction = rng.uniform(-1.0, 1.0, (4, 4))
+        omega = q.symplectic_form(2)
+        first = direction @ omega @ gmap.linear.T + gmap.linear @ omega @ direction.T
+        step = abs(target) * TOL * _scale(gmap.noise, gmap.linear) / np.linalg.norm(first, 2)
+        linear, noise = gmap.linear + step * direction, gmap.noise
+    else:
+        lossy = q.compose(embed_map(q.loss_channel(eta), (int(rng.integers(0, 2)),), 2), squeezer)
+        element, modes = random_element(rng, 2)
+        gmap = q.compose(embed_map(element, modes, 2), lossy)
+        assume(np.abs(gmap.noise).max() <= 1e4)
+        linear, scale = gmap.linear, _scale(gmap.noise, gmap.linear)
+        noise = _shift_lowest_eigenvalue(gmap.noise, _validity_i_part(linear), target * TOL * scale)
+        assume(np.abs(noise).max() > 0.0)
+    lowest = np.linalg.eigvalsh(noise + _validity_i_part(linear))[0]
+    threshold = -TOL * _scale(noise, linear)
+    assume(abs(lowest - threshold) > 1e-3 * TOL * _scale(noise, linear))
+    accepted = _accepts(lambda: q.GaussianMap(linear, noise, gmap.displacement), q.ValidationError)
+    assert accepted == (lowest >= threshold)
 
 
 _CHANNEL = "invalid Gaussian channel: min eig of validity matrix is nan"
