@@ -152,12 +152,14 @@ def _cmd_sweep(args) -> int:
                 out.write((",\n" if number else "[\n") + _json_text(records)[2:-2])
             out.write("\n]\n")
         else:
-            # '%.12g' % v is f"{v:.12g}", and no such field needs CSV quoting
+            # '%.12g' % v is f"{v:.12g}", and no such field needs CSV quoting;
+            # a chunk is one format call: the row template once per row
             template = ",".join(["%.12g"] * len(header)) + "\n"
             for number, columns in enumerate(chunks):
                 if not number:
                     csv.writer(out, lineterminator="\n").writerow(header)
-                out.write("".join(map(template.__mod__, zip(*(c.tolist() for c in columns)))))
+                rows = np.stack(columns, axis=-1)
+                out.write(template * len(rows) % tuple(rows.ravel().tolist()))
     return 0
 
 

@@ -27,10 +27,14 @@ noise + i*(Omega - S Omega S^T) >= 0 for any map, accept a smallest
 eigenvalue down to -UNCERTAINTY_TOL * scale, the size of the entries the
 matrix is summed from (max|cov|; max|S|^2 + max|noise|; at least 1), as
 backward error analysis asks (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., ch. 1-3).  Certificates come first: a lossless slice
-with max|S Omega S^T - Omega| <= UNCERTAINTY_TOL / dim, or one batched
-Cholesky factorisation with ``UNCERTAINTY_TOL / 2`` added to the diagonal.
-Else one ``eigvalsh`` call decides and reports the smallest eigenvalue.
+Algorithms, 2nd ed., ch. 1-3).  Certificates come first, each one pass
+over the whole stack, and per-slice work runs only where one fails.
+Symmetry: the stack's largest |A - A^T| within the absolute
+SYMMETRY_TOL.  Lossless maps: no noise entry in the stack and its largest
+|S Omega S^T - Omega| <= UNCERTAINTY_TOL / dim.  Positivity, for every
+other stack: one batched Cholesky factorisation with ``UNCERTAINTY_TOL /
+2`` added to the diagonal.  Else one ``eigvalsh`` call decides and
+reports the smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -91,10 +95,12 @@ def _check_positive(real: np.ndarray, imaginary: np.ndarray, error: type, messag
     diagonal (which is real).  Only without a certificate are the scale and
     eigenvalues computed, and a failure reports the first failing slice's.
     """
-    # the constants first: one add of their sum onto a real stack, not two
-    shift = _certificate_shift(real.shape[-1])
+    # built in complex dtype, then the constants' sum added in place: the
+    # same matrix as real + (shift + imaginary), without a mixed-dtype add
+    matrix = real.astype(complex)
+    matrix += _certificate_shift(real.shape[-1]) + imaginary
     try:
-        factor = np.linalg.cholesky(real + (shift + imaginary))
+        factor = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         pass
     else:
@@ -114,6 +120,17 @@ def _check_finite(arr: np.ndarray, core: int, name: str) -> None:
     if not math.isfinite(flat.dot(flat)):
         check(np.isfinite(arr).all(axis=tuple(range(-core, 0))), (), ValidationError,
               f"{name} must be finite")
+
+
+def _check_symmetric(matrix: np.ndarray, message: str) -> None:
+    """Raise a ValidationError unless every slice of ``matrix`` is
+    symmetric within SYMMETRY_TOL.  The tolerance is absolute, so one
+    whole-stack maximum certifies every slice (a NaN fails it); only a
+    failed one computes the per-slice maxima that name the slice."""
+    skew = np.abs(matrix - _transpose(matrix))
+    if not skew.max() <= SYMMETRY_TOL:
+        skew = skew.max(axis=(-2, -1))
+        check(skew <= SYMMETRY_TOL, skew, ValidationError, message)
 
 
 def _as_locked_array(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -178,8 +195,7 @@ class GaussianState:
             _check_finite(mean, 1, "mean")
             if tangent is not None:
                 _check_finite(tangent, 2, "tangent")
-            skew = np.abs(cov - _transpose(cov)).max(axis=(-2, -1))
-            check(skew <= SYMMETRY_TOL, skew, ValidationError, _ASYMMETRIC_COV)
+            _check_symmetric(cov, _ASYMMETRIC_COV)
             cov = (cov + _transpose(cov)) / 2.0
         cov.setflags(write=False)
         # outside the errstate: LAPACK keeps its own, and nesting one costs
@@ -262,15 +278,13 @@ class GaussianMap:
         noise = _as_locked_array(noise, batch + (dim, dim))
         disp = _as_locked_array(disp, batch + (dim,))
         with np.errstate(invalid="ignore", over="ignore"):  # as in GaussianState
-            skew = np.abs(noise - _transpose(noise)).max(axis=(-2, -1))
-            check(skew <= SYMMETRY_TOL, skew, ValidationError,
-                  "noise matrix must be symmetric; asymmetric by {:.3e}")
+            _check_symmetric(noise, "noise matrix must be symmetric; asymmetric by {:.3e}")
             omega = _omega(dim // 2)
             residual = omega - linear @ omega @ _transpose(linear)
-            # lossless: validity matrix i * residual, |eigenvalues| <= dim * max|residual|
-            lossless = np.abs(noise).max(axis=(-2, -1)) == 0.0
-            certified = lossless & (dim * np.abs(residual).max(axis=(-2, -1)) <= UNCERTAINTY_TOL)
-            if not np.all(certified):
+            # lossless: validity matrix i * residual, |eigenvalues| <= dim * max|residual|;
+            # one test for the whole stack: where a single slice fails it, the
+            # positivity check runs on every slice anyway
+            if noise.any() or not dim * np.abs(residual).max() <= UNCERTAINTY_TOL:
                 _check_positive(noise, 1j * residual, ValidationError, _INVALID_CHANNEL, linear)
             _check_finite(disp, 1, "displacement")
         object.__setattr__(self, "linear", linear)

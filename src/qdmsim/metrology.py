@@ -12,14 +12,14 @@ EXACT mode the epsilon slope is the one-sided derivative at
 epsilon -> 0+, since negative epsilon would be gain, not loss.  Every
 report of one operating point reads that same pass.
 The closed forms the measurements are checked against live in the
-``*_snr`` / ``*_noise`` functions below and are evaluated exactly as
-printed, so the two routes stay independent; :func:`closed_forms` picks
-those of a spec's topology.
+``*_snr`` / ``*_noise`` functions below, each in a form where no
+difference of large terms cancels.  They share no code with the
+measurement, so the two routes stay independent; :func:`closed_forms`
+picks those of a spec's topology.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -193,9 +193,16 @@ def split_snr(T3: float, i_ps: float, delta: float, epsilon: float) -> tuple[flo
 
 def sui_output_noise(gain1: PaGain, gain2: PaGain, phi: float) -> float:
     """Output quadrature variance of the non-degenerate amplifier pair,
-    minimal at phi = pi."""
+    (G1^2 + g1^2)(G2^2 + g2^2) + 4 G1 G2 g1 g2 cos(phi), minimal at phi = pi.
+
+    Written as a^2 + b^2 + 8 G1 G2 g1 g2 cos^2(phi/2), with a = G1 G2 - g1 g2
+    and b = G1 g2 - g1 G2 each taken as a quotient that does not cancel."""
     G1, g1, G2, g2 = gain1.G, gain1.g, gain2.G, gain2.g
-    return (G1 * G1 + g1 * g1) * (G2 * G2 + g2 * g2) + 4.0 * G1 * G2 * g1 * g2 * math.cos(phi)
+    a = (G1 * G1 + G2 * G2 - 1.0) / (G1 * G2 + g1 * g2)
+    cross = G1 * g2 + g1 * G2
+    b = (G2 - G1) * (G2 + G1) / cross if cross else 0.0  # 0/0 only at G1 = G2 = 1
+    half = math.cos(phi / 2.0)
+    return a * a + b * b + 8.0 * G1 * G2 * g1 * g2 * half * half
 
 
 def sui_snr_phase(
@@ -225,10 +232,13 @@ def dsui_output_noise(gain1: PaGain, gain2: PaGain) -> tuple[float, float]:
     """Variances of the two monitored quadratures of the degenerate pair,
     general in the amplifier phases (difference Delta = theta1 - theta2)."""
     G1, g1, G2, g2 = gain1.G, gain1.g, gain2.G, gain2.g
-    delta_angle = gain1.phase - gain2.phase
-    plus = abs(G1 + g1 * cmath.exp(-1j * delta_angle)) ** 2
-    minus = abs(G1 - g1 * cmath.exp(-1j * delta_angle)) ** 2
-    return ((G2 + g2) ** 2 * plus, (G2 - g2) ** 2 * minus)
+    half = (gain1.phase - gain2.phase) / 2.0
+    # |G1 +- g1 e^{-i Delta}|^2 = (G1 - g1)^2 + 4 G1 g1 (cos or sin)^2(Delta/2),
+    # and G - g = 1/(G + g) does not cancel
+    floor = 1.0 / (G1 + g1) ** 2
+    plus = floor + 4.0 * G1 * g1 * math.cos(half) ** 2
+    minus = floor + 4.0 * G1 * g1 * math.sin(half) ** 2
+    return ((G2 + g2) ** 2 * plus, minus / (G2 + g2) ** 2)
 
 
 def dsui_snr(
@@ -239,7 +249,7 @@ def dsui_snr(
     second gain."""
     mix = mixture_angles(theta2, delta, epsilon)
     up = (gain1.G + gain1.g) ** 2
-    down = (gain1.G - gain1.g) ** 2
+    down = 1.0 / (gain1.G + gain1.g) ** 2  # (G1 - g1)^2 without cancellation
     return (
         4.0 * i_ps * mix.gamma_minus**2 * up,
         4.0 * i_ps * mix.gamma_plus**2 * down,

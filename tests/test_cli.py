@@ -251,6 +251,24 @@ def test_sweep_through_zero_light_writes_nan_without_warnings(tmp_path):
     assert [r["enhancement[amplitude]"] is None for r in records] == [False, True, False]
 
 
+@pytest.mark.parametrize("axes, rows", [((), 629), (("phi=0:6.283185307179586:50", "G2=1:50:50"), 2500)])
+def test_sweep_csv_fields_are_written_at_12_significant_digits(capsys, axes, rows):
+    # the shipped sweep (one chunk) and a grid of two chunks
+    argv = ["sweep", str(SCENARIOS / "nested_sui_phase_sweep.json")]
+    assert main(argv + [f"--axis={axis}" for axis in axes]) == 0
+    header, *lines = capsys.readouterr().out.split("\n")
+    labels = ("phase", "amplitude")
+    names = [axis.split("=")[0] for axis in axes] or ["phi"]
+    assert header.split(",") == names + [
+        f"{column}[{label}]" for label in labels for column in ("noise_var", "snr", "enhancement")]
+    assert lines[-1] == ""
+    assert len(lines) == rows + 1
+    for line in lines[:-1]:
+        fields = line.split(",")
+        assert fields == ["%.12g" % float(field) for field in fields]
+        assert len(fields) == len(names) + 6
+
+
 def test_invalid_transmissivity_exits_3(tmp_path, capsys):
     path = write(tmp_path, "bad.json", mzi_payload(splitters=[1.2, 0.99]))
     assert main(["run", path]) == 3

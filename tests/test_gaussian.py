@@ -469,6 +469,56 @@ def test_stacked_refusal_names_the_one_violating_slice():
     assert info.value.batch_index == 1337
 
 
+def test_stacked_symmetry_refusals_name_their_slice():
+    # a failed whole-stack certificate falls back to the per-slice maxima:
+    # the message, finite margin and index the per-slice check always gave
+    state = _two_mode_squeezed_stack()
+    cov = state.cov.copy()
+    cov[1337, 0, 2] += 1e-9  # an entry of about 2 G g, so the skew is rounded
+    with pytest.raises(q.ValidationError) as info:
+        q.GaussianState(state.mean, cov)
+    assert str(info.value) == "cov is asymmetric by 1.000e-09 (tol 1e-12) at batch index 1337"
+    assert info.value.margins == (abs(cov[1337, 0, 2] - cov[1337, 2, 0]),)
+    assert info.value.batch_index == 1337
+
+    linear, noise = _loss_stack(2048)
+    noise[1337, 0, 1] += 1e-9
+    with pytest.raises(q.ValidationError) as info:
+        q.GaussianMap(linear, noise, np.zeros(2))
+    assert str(info.value) == (
+        "noise matrix must be symmetric; asymmetric by 1.000e-09 at batch index 1337"
+    )
+    assert info.value.margins == (abs(noise[1337, 0, 1] - noise[1337, 1, 0]),)
+    assert info.value.batch_index == 1337
+
+
+def test_lossless_stack_certificate_and_its_fallback(monkeypatch):
+    factorisations = _count_calls(monkeypatch, "cholesky")
+    eigenvalues = _count_calls(monkeypatch, "eigvalsh")
+    squeezer = q.two_mode_squeezer(q.PaGain(np.linspace(1.0, 50.0, 2048), 0.3))
+    assert squeezer.batch_shape == (2048,)
+    assert factorisations == eigenvalues == []
+
+    # one slice off by 1e-6 relative fails the whole-stack certificate: the
+    # stack goes to the positivity check, whose eigenvalues name that slice
+    linear = squeezer.linear.copy()
+    linear[1337] += 1e-6 * np.abs(linear[1337]).max() * _DIRECTION
+    with pytest.raises(q.ValidationError, match="^invalid Gaussian channel: min eig of validity") as info:
+        q.GaussianMap(linear, squeezer.noise, squeezer.displacement)
+    assert str(info.value).endswith(" at batch index 1337")
+    assert info.value.batch_index == 1337
+    assert eigenvalues == [(2048, 4, 4)]
+
+    # lossless and lossy slices in one stack: the positivity check decides
+    factorisations.clear()
+    eigenvalues.clear()
+    noise = np.zeros((2048, 4, 4))
+    noise[7] = 0.1 * np.eye(4)
+    assert q.GaussianMap(squeezer.linear, noise, squeezer.displacement).batch_shape == (2048,)
+    assert factorisations == [(2048, 4, 4)]
+    assert eigenvalues == []
+
+
 def test_pure_states_pass_without_eigenvalues(monkeypatch):
     # a pure state's cov + i*Omega is singular: it sits on the boundary
     states = [

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -284,6 +285,43 @@ def test_split_snr_shares_resource():
     snr_d, snr_e = q.split_snr(0.25, 100.0, 0.01, 0.01)
     assert snr_d == pytest.approx(4 * 0.25 * 100.0 * 1e-4)
     assert snr_e == pytest.approx(4 * 0.75 * 100.0 * 1e-4)
+
+
+def _closed_form_cases():
+    """(G1, G2, theta1, phi): gains log-uniform over [1, MAX_GAIN], any
+    angles, plus the balanced pair at phi = pi and the unit gains."""
+    rng = np.random.default_rng(21)
+    gains = 10.0 ** rng.uniform(0.0, math.log10(q.elements.MAX_GAIN), (200, 2))
+    angles = rng.uniform(-4.0, 4.0, (200, 2))
+    cases = [(G1, G2, theta1, phi) for (G1, G2), (theta1, phi) in zip(gains, angles)]
+    for G in (1.0, 1.05, 1e3, 1e4, 1e5, 1e6):
+        cases += [(G, G, math.pi, math.pi), (G, G, 0.0, 0.0), (G, 1e6, math.pi, math.pi)]
+    return cases
+
+
+def test_closed_forms_match_50_digit_arithmetic():
+    # no closed form may cancel: each is within 1e-12 of its formula as
+    # printed, evaluated at 50 digits from the float inputs (theta2 = 0, so
+    # the phase difference Delta is theta1 exactly)
+    def close(got, want):
+        assert abs(got - float(want)) <= 1e-12 * abs(float(want))
+
+    with mpmath.workdps(50):
+        for G1, G2, theta1, phi in _closed_form_cases():
+            gain1, gain2 = q.PaGain(G1, theta1), q.PaGain(G2, 0.0)
+            exact_G1, exact_G2 = mpmath.mpf(G1), mpmath.mpf(G2)
+            exact_g1, exact_g2 = mpmath.sqrt(exact_G1**2 - 1), mpmath.sqrt(exact_G2**2 - 1)
+            close(q.sui_output_noise(gain1, gain2, phi),
+                  (exact_G1**2 + exact_g1**2) * (exact_G2**2 + exact_g2**2)
+                  + 4 * exact_G1 * exact_G2 * exact_g1 * exact_g2 * mpmath.cos(phi))
+            turn = mpmath.exp(-1j * mpmath.mpf(theta1))
+            plus, minus = q.dsui_output_noise(gain1, gain2)
+            close(plus, (exact_G2 + exact_g2) ** 2 * abs(exact_G1 + exact_g1 * turn) ** 2)
+            close(minus, (exact_G2 - exact_g2) ** 2 * abs(exact_G1 - exact_g1 * turn) ** 2)
+            # theta2 = 0: the mixtures are -epsilon and delta exactly
+            up, down = q.dsui_snr(gain1, 1.0, 1.0, 1.0, 0.0)
+            close(up, 4 * (exact_G1 + exact_g1) ** 2)
+            close(down, 4 * (exact_G1 - exact_g1) ** 2)
 
 
 def _named_closed_forms(spec):
