@@ -180,16 +180,19 @@ class ElementKind:
     """One kind of circuit element: its Gaussian map, its Fock unitary
     (``unitary(*params, cutoff, basis)``, where ``basis(family, cutoff)``
     gives a :class:`qdmsim.elements.LadderBasis`), the oracle's envelope
-    check, all called with the op's parameters, whether the oracle runs it
-    on its mode and a fresh vacuum ancilla (loss), and the scalar
-    parameters at which its map is exactly the identity (None if there are
-    none worth naming)."""
+    check, all called with the op's parameters, the number of modes an op
+    of the kind names, whether the oracle runs it on its mode and a fresh
+    vacuum ancilla (loss), whether its unitary is diagonal in the number
+    basis (the phase shifter), and the scalar parameters at which its map
+    is exactly the identity (None if there are none worth naming)."""
 
     name: str
     gaussian_map: Callable[..., GaussianMap]
     unitary: Callable[..., elements.BlockUnitary]
     oracle_envelope: Callable[..., None] = lambda *params: None
+    n_modes: int = 1
     ancilla: bool = False
+    diagonal: bool = False
     identity: tuple[float, ...] | None = None
 
     def is_identity(self, params: tuple) -> bool:
@@ -203,12 +206,12 @@ class ElementKind:
 #: in this module when called, where a caller may have wrapped them.
 ELEMENT_KINDS = {kind.name: kind for kind in (
     ElementKind("beam_splitter", lambda T: beam_splitter(SplitterSpec(T)),
-                elements.splitter_unitary),
+                elements.splitter_unitary, n_modes=2),
     ElementKind("phase_shifter", lambda phi: phase_shifter(phi), elements.phase_unitary,
-                identity=(0.0,)),
+                diagonal=True, identity=(0.0,)),
     ElementKind("loss_channel", lambda t: loss_channel(t), elements.splitter_unitary, ancilla=True),
     ElementKind("two_mode_squeezer", lambda G, phase: two_mode_squeezer(PaGain(G, phase)),
-                elements.two_mode_squeezer_unitary, elements.gain_envelope),
+                elements.two_mode_squeezer_unitary, elements.gain_envelope, n_modes=2),
     ElementKind("single_mode_squeezer", lambda G, theta: single_mode_squeezer(PaGain(G, theta)),
                 elements.single_mode_squeezer_unitary, elements.gain_envelope),
     ElementKind("displace", lambda re, im: displacement_map(re + 1j * im),

@@ -25,6 +25,9 @@ Except for the phase shifter, every generator is a complex weight times
 the real chain of such matrix elements, the same chain for every element
 of one ladder family: a :class:`LadderBasis` diagonalises a family's
 chains once, and each element then only exponentiates their eigenvalues.
+A palindromic chain, as every photon-sum chain is, splits by its reversal
+symmetry into two half-size problems (one for an even length), and all
+problems of one size are solved in one stacked call.
 """
 
 from __future__ import annotations
@@ -197,20 +200,20 @@ class LadderBasis:
     entries at even offsets k - l only and sin(s C) at odd ones, so
     exp(s A) = (V diag(cas(s lam)) V^T) * S entrywise, with cas = cos + sin
     and S[k, l] = Re i^(k - l) + Im i^(k - l), which is 1, 1, -1, -1 for
-    k - l = 0, 1, 2, 3 mod 4.  The chains are diagonalised once here, and
-    :meth:`unitary` only exponentiates the eigenvalues, once per distinct
-    chain (those of photon difference +k and -k are equal bit for bit).
+    k - l = 0, 1, 2, 3 mod 4.  The chains are diagonalised once here (see
+    :func:`_eigenpairs`), and :meth:`unitary` only exponentiates the
+    eigenvalues, once per distinct chain (those of photon difference +k
+    and -k are equal bit for bit).
     """
 
     def __init__(self, family, d: int):
-        self._eigen = {}  # chain bytes -> (eigenvalues, eigenvectors)
+        chains = {}  # chain bytes -> raising amplitudes
         self._layout = []  # (rows, chain bytes) per block
         for rows, raising in family(d):
             key = raising.tobytes()
-            if key not in self._eigen:
-                chain = np.diag(raising, 1)
-                self._eigen[key] = np.linalg.eigh(chain + chain.T)
+            chains.setdefault(key, raising)
             self._layout.append((rows, key))
+        self._eigen = _eigenpairs(chains)  # chain bytes -> (eigenvalues, eigenvectors)
         self._sizes = np.cumsum([0] + [len(values) for values, _ in self._eigen.values()])
         self._values = np.concatenate([values for values, _ in self._eigen.values()])
         steps = np.arange(max(np.diff(self._sizes)))
@@ -231,6 +234,98 @@ class LadderBasis:
             m = len(values)
             distinct[key] = ((vectors * cas[lo:hi]) @ vectors.T) * pattern[:m, :m]
         return BlockUnitary(tuple((rows, distinct[key]) for rows, key in self._layout))
+
+
+def _chains(steps: np.ndarray) -> np.ndarray:
+    """The stack of real symmetric chains, zero on the diagonal, with
+    (k, s - 1) ``steps`` on the first off-diagonals."""
+    k, s = len(steps), steps.shape[1] + 1
+    stack = np.zeros((k, s, s))
+    flat = stack.reshape(k, s * s)
+    flat[:, 1 :: s + 1] = flat[:, s :: s + 1] = steps
+    return stack
+
+
+def _halves(raising: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The half-size problems of a stack of palindromic chains C of
+    (k, m - 1) ``raising`` amplitudes, of size m = 2h or 2h + 1 >= 2.
+
+    C commutes with the reversal, so it is block diagonal in the basis
+    (e_j + e_{m-1-j}) / sqrt(2), j < h (and e_h for odd m), of symmetric
+    vectors and (e_j - e_{m-1-j}) / sqrt(2) of antisymmetric ones.  Both
+    blocks are the chain of raising[:h - 1], plus the middle step: for even
+    m, +-raising[h - 1] on the last diagonal entry; for odd m, a step of
+    sqrt(2) raising[h - 1] to one more state in the symmetric block and
+    nothing in the antisymmetric one.  For even m only the symmetric block
+    is returned (see :func:`_unfold`)."""
+    h = (raising.shape[1] + 1) // 2
+    steps = raising[:, : h - 1]
+    if raising.shape[1] % 2:  # even m
+        symmetric = _chains(steps)
+        symmetric[:, -1, -1] = raising[:, h - 1]
+        return (symmetric,)
+    middle = math.sqrt(2.0) * raising[:, h - 1 : h]
+    return _chains(np.concatenate((steps, middle), axis=1)), _chains(steps)
+
+
+def _unfold(m: int, symmetric, antisymmetric=None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of a stack of palindromic chains of size ``m`` from
+    those of their :func:`_halves`, symmetric vectors first.  For even m
+    the antisymmetric block is -S (symmetric block) S with S = diag((-1)^j),
+    since the chain's diagonal is zero: its eigenpairs are the symmetric
+    block's with the values and the vectors' odd rows negated."""
+    h = m // 2
+    values, halves = symmetric
+    k = values.shape[1]
+    vectors = np.empty((len(values), m, m))
+    vectors[:, :h, :k] = halves[:, :h]
+    if antisymmetric is None:
+        opposite = -values
+        vectors[:, :h, k:] = halves
+        vectors[:, 1:h:2, k:] *= -1.0
+    else:
+        opposite, antihalves = antisymmetric
+        vectors[:, :h, k:] = antihalves
+    vectors[:, :h] /= math.sqrt(2.0)
+    vectors[:, m - h :] = vectors[:, h - 1 :: -1]
+    vectors[:, m - h :, k:] *= -1.0
+    if m % 2:
+        vectors[:, h, :k] = halves[:, h]
+        vectors[:, h, k:] = 0.0
+    return np.concatenate((values, opposite), axis=1), vectors
+
+
+def _eigenpairs(chains: dict) -> dict:
+    """(eigenvalues, eigenvectors) of the real symmetric chain of each of
+    ``chains``' raising amplitudes, by key.  Chains of one size that are
+    all palindromic are solved as their :func:`_halves`, others at full
+    size; all problems of one size go into one stacked ``eigh`` call."""
+    by_size = {}
+    for key, raising in chains.items():
+        by_size.setdefault(len(raising) + 1, []).append(key)
+    posed = {}  # problem size -> stacks of its problems
+    plan = []  # (keys, chain size, split, (problem size, stack index) per part)
+    for m, keys in by_size.items():
+        split = m > 1 and all(key == chains[key][::-1].tobytes() for key in keys)
+        raising = np.array([chains[key] for key in keys]).reshape(len(keys), m - 1)
+        refs = []
+        for part in _halves(raising) if split else (_chains(raising),):
+            stacks = posed.setdefault(part.shape[-1], [])
+            refs.append((part.shape[-1], len(stacks)))
+            stacks.append(part)
+        plan.append((keys, m, split, refs))
+    solved = {}
+    for size, stacks in posed.items():
+        values, vectors = np.linalg.eigh(np.concatenate(stacks))
+        lo = 0
+        for index, part in enumerate(stacks):
+            solved[size, index] = values[lo : lo + len(part)], vectors[lo : lo + len(part)]
+            lo += len(part)
+    eigen = {}
+    for keys, m, split, refs in plan:
+        values, vectors = _unfold(m, *map(solved.get, refs)) if split else solved[refs[0]]
+        eigen.update(zip(keys, zip(values, vectors)))
+    return eigen
 
 
 def photon_sum_family(d: int):

@@ -24,8 +24,21 @@ ancilla in vacuum meet a nonzero amplitude, so just those are applied,
 and the ancilla is then kept in the (pure) joint state to the end.  A
 monitor reads the three diagonals of its mode's reduced density matrix
 that the tridiagonal truncated quadrature and its square touch, which
-traces the ancillas and every other mode out.  A failure while the
-circuit is checked or run names the op's index and kind.
+traces the ancillas and every other mode out.
+
+A kind that is diagonal in the number basis (``ElementKind.diagonal``,
+the phase shifter) is applied as one multiply along its mode's axis, and
+a run applies it right after the last earlier op on its mode, or first
+if there is none: e^{i phi n} on one mode commutes with every op on the
+others, in the truncated space too, so it meets the smallest state, not
+one that later ancillas have grown.  After every other op a check reads
+the norm and the tail mass of the op's own modes and of the ancilla it
+adds; the reduced state of every other mode is unchanged, so its tail was
+checked before.  A diagonal op changes no modulus, so no check follows
+it; one with a parameter that is not finite stays in place and is
+checked.  A failure while the circuit is checked or run names the op's
+index and kind in the circuit; a circuit whose ops or monitors name
+modes it does not have is refused before any buffer is allocated.
 """
 
 from __future__ import annotations
@@ -94,19 +107,23 @@ def _to_front(psi: np.ndarray, modes: tuple[int, ...], work: _Workspace) -> np.n
     return front.reshape(-1, math.prod(front.shape[len(modes) :]))
 
 
+def _apply_diagonal(psi: np.ndarray, blocks, mode: int, work: _Workspace) -> np.ndarray:
+    """Apply 1x1 blocks, one per level of ``mode`` (a unitary diagonal in the
+    number basis), as one multiply along its axis with no reordered copy.
+    The result lies in a spare buffer of ``work``, laid out like ``psi``."""
+    diagonal = np.empty(psi.shape[mode], dtype=complex)
+    for rows, block in blocks:
+        diagonal[rows.start] = block[0, 0]
+    # a spare buffer laid out like psi: its memory order of axes is psi's
+    out = work.spare(psi, psi.shape).transpose(np.argsort(np.argsort(psi.strides)[::-1]))
+    return np.multiply(psi, diagonal.reshape((-1,) + (1,) * (psi.ndim - 1 - mode)), out=out)
+
+
 def _apply_blocks(psi: np.ndarray, blocks, modes: tuple[int, ...], work: _Workspace) -> np.ndarray:
     """Apply block-diagonal ``(rows, block)`` pairs over the flattened basis
-    of ``modes`` (see :class:`qdmsim.elements.BlockUnitary`): each block's
-    rows as one strided slice, a one-mode diagonal as one multiply along
-    its axis with no reordered copy.  Every axis has the cutoff's length.
-    The result lies in a spare buffer of ``work``."""
-    if len(modes) == 1 and len(blocks) == psi.shape[0]:
-        diagonal = np.empty(psi.shape[0], dtype=complex)
-        for rows, block in blocks:
-            diagonal[rows.start] = block[0, 0]
-        # a spare buffer laid out like psi: its memory order of axes is psi's
-        out = work.spare(psi, psi.shape).transpose(np.argsort(np.argsort(psi.strides)[::-1]))
-        return np.multiply(psi, diagonal.reshape((-1,) + (1,) * (psi.ndim - 1 - modes[0])), out=out)
+    of ``modes`` (see :class:`qdmsim.elements.BlockUnitary`), each block's
+    rows as one strided slice.  Every axis has the cutoff's length.  The
+    result lies in a spare buffer of ``work``."""
     flat = _to_front(psi, modes, work)
     out = work.spare(flat, flat.shape)
     for rows, block in blocks:
@@ -167,6 +184,52 @@ def _quadrature_moments(psi: np.ndarray, mode: int, angle: float,
     return _moments(_reduced_diagonals(psi, mode, work), angle)
 
 
+def _moves(op) -> bool:
+    """Whether ``op`` is diagonal in the number basis with finite parameters:
+    it then commutes with every op on other modes and changes no norm or
+    tail mass, so a run may apply it early and check nothing after it."""
+    return op.kind.diagonal and bool(np.all(np.isfinite(op.params)))
+
+
+def _schedule(ops) -> list[int]:
+    """The order in which a run applies ``ops``: an op that :func:`_moves`
+    right after the last earlier op on its mode, or first if there is none,
+    so it acts on the smallest state; every other op in circuit order."""
+    anchor = {}  # mode -> index of the last op on it that stays in place
+    keys = []
+    for index, op in enumerate(ops):
+        if _moves(op):
+            keys.append((anchor.get(op.modes[0], -1), 1, index))
+        else:
+            anchor.update(dict.fromkeys(op.modes, index))
+            keys.append((index, 0, index))
+    return [index for *_, index in sorted(keys)]
+
+
+def _check_wiring(circuit: CompiledCircuit) -> None:
+    """Refuse ops and monitors on modes the circuit does not have, an op on
+    repeated modes or on a number of modes its kind does not act on, and a
+    circuit without monitors, before any of them reaches a numpy index."""
+    n = circuit.n_modes
+    for index, op in enumerate(circuit.ops):
+        modes = tuple(op.modes)
+        outside = [mode for mode in modes if not 0 <= mode < n]
+        if len(set(modes)) != len(modes):
+            problem = f"mode indices must be distinct, got {modes}"
+        elif len(modes) != op.kind.n_modes:
+            problem = f"the element acts on {op.kind.n_modes} modes but {len(modes)} were selected"
+        elif outside:
+            problem = f"mode {outside[0]} out of range for {n} modes"
+        else:
+            continue
+        raise annotate(ValidationError(problem), f"at op {index} ({op.kind.name})")
+    if not circuit.monitors:
+        raise ValidationError("the circuit has no monitors")
+    for mon in circuit.monitors:
+        if not 0 <= mon.mode < n:
+            raise ValidationError(f"monitor {mon.label!r}: mode {mon.mode} out of range for {n} modes")
+
+
 class _FockRun:
     def __init__(self, circuit: CompiledCircuit, config: FockConfig):
         for index, op in enumerate(circuit.ops):
@@ -178,6 +241,7 @@ class _FockRun:
         check(config.cutoff**total_modes <= DIMENSION_GUARD, (config.cutoff, total_modes),
               ValidationError,
               f"cutoff^modes = {{}}^{{}} exceeds the dimension guard {DIMENSION_GUARD}")
+        _check_wiring(circuit)
         self.circuit = circuit
         self.config = config
         d = config.cutoff
@@ -188,7 +252,9 @@ class _FockRun:
         basis = functools.cache(elements.LadderBasis)
         self._unitary = functools.cache(lambda make, params: make(*params, d, basis))
 
-    def _check_state(self) -> None:
+    def _check_state(self, modes=None) -> None:
+        """Refuse a norm off 1 and a tail mass above the threshold in the top
+        two levels of each of ``modes`` (every axis when None)."""
         psi = self.psi
         # the state is a view of one contiguous array with its axes permuted;
         # read in that memory order, the norm is one contiguous dot product
@@ -198,9 +264,10 @@ class _FockRun:
         check(abs(norm - 1.0) <= NORM_TOL, norm, NumericalError, "state norm drifted to {!r}")
         threshold = self.config.tail_threshold
         axes = list(range(psi.ndim))
-        for mode, axis in enumerate(np.argsort(order)):
+        position = np.argsort(order)
+        for mode in axes if modes is None else sorted(modes):
             # the mode's top two levels as a strided float view: summed, not copied
-            top = contiguous[(slice(None),) * axis + (slice(-2, None),)].view(float)
+            top = contiguous[(slice(None),) * position[mode] + (slice(-2, None),)].view(float)
             tail = float(np.einsum(top, axes, top, axes, []))
             check(tail <= threshold, (tail, mode, threshold), TruncationError,
                   "tail mass {:.3e} in the top two levels of mode {} exceeds {:.1e}; "
@@ -210,14 +277,20 @@ class _FockRun:
         blocks = self._unitary(op.kind.unitary, op.params).blocks
         if op.kind.ancilla:
             self.psi = _apply_to_vacuum_ancilla(self.psi, blocks, op.modes[0], self.work)
+        elif op.kind.diagonal:
+            self.psi = _apply_diagonal(self.psi, blocks, op.modes[0], self.work)
         else:
             self.psi = _apply_blocks(self.psi, blocks, op.modes, self.work)
 
     def run(self) -> dict[str, tuple[float, float]]:
-        for index, op in enumerate(self.circuit.ops):
+        ops = self.circuit.ops
+        for index in _schedule(ops):
+            op = ops[index]
             try:
                 self._apply_op(op)
-                self._check_state()
+                if not _moves(op):
+                    # an op changes only its own modes' reduced states and adds its ancilla
+                    self._check_state(op.modes + ((self.psi.ndim - 1,) if op.kind.ancilla else ()))
             except (ValidationError, NumericalError) as exc:
                 raise annotate(exc, f"at op {index} ({op.kind.name})")
         results = {}

@@ -20,7 +20,15 @@ import pytest
 import qdmsim as q
 from qdmsim import elements
 from qdmsim.circuits import ELEMENT_KINDS
-from qdmsim.fock import _apply_blocks, _apply_to_vacuum_ancilla, _quadrature_moments, _Workspace
+from qdmsim.fock import (
+    _apply_blocks,
+    _apply_diagonal,
+    _apply_to_vacuum_ancilla,
+    _FockRun,
+    _quadrature_moments,
+    _schedule,
+    _Workspace,
+)
 from qdmsim.scenario import load_scenario
 from test_circuits import dsui_spec
 
@@ -94,6 +102,36 @@ def assemble(unitary, size):
     return dense
 
 
+def test_exact_nested_circuit_matches_the_dense_path(monkeypatch):
+    spec, _ = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "nested_validate.json")
+    circuit = q.build_circuit(spec)
+    # the phase shifter at op 6 acts on mode 0, last touched by op 1: the
+    # run applies it before the splitter, the modulator and the loss
+    kinds = [op.kind.name for op in circuit.ops]
+    assert (kinds[4], kinds[6], circuit.ops[6].modes) == ("loss_channel", "phase_shifter", (0,))
+    order = _schedule(circuit.ops)
+    assert order.index(6) == order.index(1) + 1 and order.index(6) < order.index(4)
+    checked = []
+    check_state = _FockRun._check_state
+
+    def recording(run, modes=None):
+        checked.append(modes)
+        return check_state(run, modes)
+
+    monkeypatch.setattr(_FockRun, "_check_state", recording)
+    d = 10
+    got = q.simulate_fock(circuit, q.FockConfig(cutoff=d))
+    # a check after every op but the phase shifters, each of the op's modes
+    # and the loss's ancilla only
+    assert checked == [op.modes + (3,) * op.kind.ancilla for op in circuit.ops
+                       if not op.kind.diagonal]
+    want = dense_monitor_stats(circuit, d)
+    assert got.keys() == want.keys()
+    for label, (mean, var) in want.items():
+        assert abs(got[label][0] - mean) <= 1e-12
+        assert abs(got[label][1] - var) <= 1e-12
+
+
 #: (element kind, dense reference, parameters, modes it acts on)
 CASES = [
     ("beam_splitter", dense_splitter, (0.7,), 2),
@@ -150,6 +188,52 @@ def test_diagonal_application_matches_dense():
         for mode in range(psi.ndim):
             got = _apply_blocks(psi, elements.phase_unitary(0.9, 9).blocks, (mode,), _Workspace(psi.size))
             assert np.max(np.abs(got - dense_apply(psi, dense_phase(0.9, 9), (mode,), 9))) <= 1e-12
+
+
+def test_diagonal_path_matches_dense():
+    # one multiply along the mode's axis, on states whose axes are not in memory order
+    for psi in random_states(9):
+        for mode in range(psi.ndim):
+            kept = psi.copy()
+            got = _apply_diagonal(psi, elements.phase_unitary(0.9, 9).blocks, mode, _Workspace(psi.size))
+            assert np.max(np.abs(got - dense_apply(psi, dense_phase(0.9, 9), (mode,), 9))) <= 1e-12
+            assert got.strides == psi.strides and np.array_equal(psi, kept)
+
+
+LADDER_FAMILIES = [elements.photon_sum_family, elements.photon_difference_family,
+                   elements.parity_family, elements.displacement_family]
+
+
+@pytest.mark.parametrize("d", [4, 7, 20, 40])
+@pytest.mark.parametrize("family", LADDER_FAMILIES, ids=lambda family: family.__name__)
+def test_every_chain_gets_orthonormal_eigenpairs(family, d):
+    # palindromic chains are solved as two half-size problems, or one for an even length
+    basis = elements.LadderBasis(family, d)
+    keys = {key for _, key in basis._layout}
+    assert keys == set(basis._eigen)
+    for key, (values, vectors) in basis._eigen.items():
+        chain = np.diag(np.frombuffer(key), 1)
+        chain += chain.T
+        residual = np.linalg.norm(chain @ vectors - vectors * values, 2)
+        assert residual <= 1e-13 * max(1.0, np.linalg.norm(chain, 2))
+        assert np.linalg.norm(vectors.T @ vectors - np.eye(len(values)), 2) <= 1e-13
+
+
+def test_photon_sum_basis_makes_one_half_size_eigh_call_per_size(monkeypatch):
+    d = 40
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(stack):
+        sizes.append(stack.shape[-1])
+        return eigh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    elements.LadderBasis(elements.photon_sum_family, d)
+    # photon sums 0 ... 2d - 2 give chains of sizes 1 ... d: every one
+    # palindromic, so each problem is at most half a chain's size
+    assert len(sizes) == len(set(sizes))
+    assert set(sizes) == set(range(1, d // 2 + 1))
 
 
 def test_mirror_photon_difference_blocks_share_one_diagonalisation():

@@ -4,10 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qdmsim as q
+from qdmsim import fock
 from qdmsim.circuits import ELEMENT_KINDS, CircuitOp, CompiledCircuit, Monitor
-from qdmsim.fock import _FockRun
+from qdmsim.exceptions import annotate
+from qdmsim.fock import _FockRun, _quadrature_moments
 from test_circuits import dsui_spec, mzi_spec, nested_spec
 
 XY = (Monitor("x", 0, 0.0), Monitor("y", 0, math.pi / 2))
@@ -349,3 +353,123 @@ def test_truncation_names_the_op_and_keeps_tail_mass():
     with pytest.raises(q.TruncationError, match=r"raise the cutoff at op 0 \(displace\)$") as err:
         q.simulate_fock(circuit, q.FockConfig(cutoff=8))
     assert err.value.tail_mass > 1e-6
+
+
+#: Hand-built circuits the oracle refuses before it allocates its buffers,
+#: and the refusal that names the op or the monitor.
+MALFORMED = {
+    "op mode out of range": (
+        [CircuitOp("displace", (3,), (0.5, 0.0))], XY,
+        r"^mode 3 out of range for 2 modes at op 0 \(displace\)$"),
+    "repeated op mode": (
+        [CircuitOp("beam_splitter", (0, 0), (0.5,))], XY,
+        r"^mode indices must be distinct, got \(0, 0\) at op 0 \(beam_splitter\)$"),
+    "two-mode kind on one mode": (
+        [CircuitOp("displace", (0,), (0.5, 0.0)), CircuitOp("beam_splitter", (0,), (0.5,))], XY,
+        r"^the element acts on 2 modes but 1 were selected at op 1 \(beam_splitter\)$"),
+    "monitor mode out of range": (
+        [CircuitOp("displace", (0,), (0.5, 0.0))], [Monitor("far", 2, 0.0)],
+        r"^monitor 'far': mode 2 out of range for 2 modes$"),
+    "no monitors": (
+        [CircuitOp("displace", (0,), (0.5, 0.0))], [],
+        r"^the circuit has no monitors$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_circuit_is_refused_before_any_buffer(case, monkeypatch):
+    ops, monitors, message = MALFORMED[case]
+    circuit = tiny_circuit(ops, 2, monitors)
+
+    def no_buffers(size):
+        raise AssertionError("a work buffer was allocated")
+
+    monkeypatch.setattr(fock, "_Workspace", no_buffers)
+    with pytest.raises(q.ValidationError, match=message):
+        q.simulate_fock(circuit, q.FockConfig(cutoff=8))
+    # compare_with_gaussian refuses too: the Gaussian side first, in its own words, where it can
+    with pytest.raises(q.ValidationError):
+        q.compare_with_gaussian(circuit, q.FockConfig(cutoff=8))
+
+
+def in_circuit_order(circuit, config):
+    """The oracle without its schedule: every op in circuit order, each
+    followed by a check of every axis; the monitors as a run reads them."""
+    run = _FockRun(circuit, config)
+    for index, op in enumerate(circuit.ops):
+        try:
+            run._apply_op(op)
+            run._check_state()
+        except (q.ValidationError, q.NumericalError) as exc:
+            raise annotate(exc, f"at op {index} ({op.kind.name})")
+    stats = {}
+    for mon in circuit.monitors:
+        mean, second = _quadrature_moments(run.psi, mon.mode, mon.angle, run.work)
+        stats[mon.label] = (mean, second - mean * mean)
+    return stats
+
+
+def outcome(simulate, circuit, config):
+    try:
+        return simulate(circuit, config)
+    except q.NumericalError as exc:
+        return type(exc), str(exc)
+
+
+#: Parameters inside each kind's oracle envelope; one phase in ten is NaN.
+PARAMS = {
+    "beam_splitter": st.tuples(st.floats(0.0, 1.0)),
+    "phase_shifter": st.tuples(st.integers(0, 9).flatmap(
+        lambda k: st.floats(-4.0, 4.0) if k else st.just(math.nan))),
+    "loss_channel": st.tuples(st.floats(0.05, 1.0)),
+    "two_mode_squeezer": st.tuples(st.floats(1.0, 1.3), st.floats(-4.0, 4.0)),
+    "single_mode_squeezer": st.tuples(st.floats(1.0, 1.3), st.floats(-4.0, 4.0)),
+    "displace": st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+}
+
+
+@st.composite
+def oracle_circuits(draw):
+    n_modes = draw(st.integers(2, 3))
+    # light in the first modes, so that a phase applied out of turn shows
+    ops = [CircuitOp("displace", (m,), draw(PARAMS["displace"]))
+           for m in range(draw(st.integers(1, n_modes)))]
+    losses = 0
+    for _ in range(draw(st.integers(1, 7))):
+        # phase shifters weighted up: the schedule moves them
+        name = draw(st.sampled_from(sorted(ELEMENT_KINDS) + ["phase_shifter"] * 3))
+        kind = ELEMENT_KINDS[name]
+        if kind.ancilla and losses == 2:
+            continue
+        losses += kind.ancilla
+        modes = draw(st.permutations(range(n_modes)))[: kind.n_modes]
+        ops.append(CircuitOp(name, tuple(modes), draw(PARAMS[name])))
+    angle = draw(st.floats(0.5, 2.5))
+    monitors = [Monitor(f"{label}{m}", m, a) for m in range(n_modes)
+                for label, a in (("x", 0.0), ("a", angle))]
+    return CompiledCircuit(n_modes, tuple(ops), tuple(monitors))
+
+
+#: A splitter that sends two coherent fields into its second mode, the
+#: higher-numbered one: the tail check must read both of an op's modes.
+BRIGHT_SECOND_MODE = tiny_circuit(
+    [CircuitOp("displace", (0,), (1.0, 0.0)), CircuitOp("displace", (1,), (1.0, 0.0)),
+     CircuitOp("beam_splitter", (1, 0), (0.5,))], 2, XY)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(oracle_circuits(), st.integers(5, 9), st.floats(-6.0, -3.0))
+@example(BRIGHT_SECOND_MODE, 8, -3.0)
+def test_schedule_and_narrow_checks_change_nothing_but_rounding(circuit, cutoff, log_threshold):
+    # phase shifters applied early and checks of only the changed modes
+    # give the stats of the circuit-order run, or its refusal word for word
+    config = q.FockConfig(cutoff=cutoff, tail_threshold=10.0**log_threshold)
+    want = outcome(in_circuit_order, circuit, config)
+    got = outcome(q.simulate_fock, circuit, config)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, dict) and got.keys() == want.keys()
+    for label, (mean, var) in want.items():
+        assert abs(got[label][0] - mean) <= 1e-12
+        assert abs(got[label][1] - var) <= 1e-12
