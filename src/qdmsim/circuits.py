@@ -29,6 +29,10 @@ one evaluation gives every monitor's mean, variance and exact slopes.  At
 the operating point, delta = eps = 0, the modulators' maps are exact
 identities (``ElementKind.identity``): evaluation builds no map for them,
 and the one that carries the modulation only adds its tangent columns.
+Every map is certified as it is built; the ops run on bare arrays, and
+only the state the evaluation returns is certified (in
+:func:`stage_snapshots`, the state at each stage), so a failing state
+check names the last op, which formed that state.
 
 Grids: a spec whose swept fields hold one value per grid point (arrays
 along one leading axis, the batch axis of :mod:`qdmsim.gaussian`) compiles
@@ -48,7 +52,6 @@ not corrected here.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
@@ -70,7 +73,8 @@ from .exceptions import NumericalError, ValidationError, annotate, check
 from .gaussian import (
     GaussianMap,
     GaussianState,
-    apply_map,
+    _apply_to_arrays,
+    _selected_modes,
     displacement_map,
     quadrature_direction,
     quadrature_stats,
@@ -271,9 +275,9 @@ class CompiledCircuit:
         raise ValidationError(f"unknown output {label!r}; circuit monitors: {known}")
 
 
-def _tangent_source(op: CircuitOp, gmap: GaussianMap | None, state: GaussianState) -> np.ndarray:
-    """d(output mean)/d(delta, eps) that ``op``, which carries the
-    modulation, adds on its mode; ``gmap`` is its map, None for an identity.
+def _tangent_source(op: CircuitOp, gmap: GaussianMap | None, mean: np.ndarray) -> np.ndarray:
+    """d(output mean)/d(delta, eps) that ``op``, which carries the modulation,
+    adds on its mode, given the ``mean`` before it; ``gmap`` is its map, None for an identity.
 
     The modulation multiplies a field v by e^{i delta - eps}, whose
     derivatives at zero are i v and -v, in quadratures J v and -v.  For a
@@ -281,7 +285,7 @@ def _tangent_source(op: CircuitOp, gmap: GaussianMap | None, state: GaussianStat
     of the rotation and of the e^{-2 eps} loss at eps -> 0+.
     """
     if isinstance(op.carrier, str):  # OWN_FIELD
-        field = state.mean[..., 2 * op.modes[0] : 2 * op.modes[0] + 2]
+        field = mean[..., 2 * op.modes[0] : 2 * op.modes[0] + 2]
         if gmap is not None:
             field = (gmap.linear @ field[..., None])[..., 0] + gmap.displacement
     else:
@@ -290,24 +294,37 @@ def _tangent_source(op: CircuitOp, gmap: GaussianMap | None, state: GaussianStat
     return np.stack(((elements._J @ field[..., None])[..., 0], -field), axis=-1)
 
 
-def _states(circuit: CompiledCircuit) -> Iterator[GaussianState]:
-    """The vacuum input, then the state after each op, as :func:`evaluate_circuit` computes them."""
+def _states(circuit: CompiledCircuit) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The vacuum input's (mean, cov, tangent) arrays, then those after each
+    op, as :func:`evaluate_circuit` computes them: each map checked, no state."""
     dim = 2 * circuit.n_modes
-    state = GaussianState(np.zeros(dim), np.eye(dim), np.zeros((dim, 2)))
-    yield state
+    mean, cov, tangent = np.zeros(dim), np.eye(dim), np.zeros((dim, 2))
+    yield mean, cov, tangent
     for index, op in enumerate(circuit.ops):
         try:
-            # an array carrier stacks the state, which only apply_map does
+            modes, n = _selected_modes(circuit.n_modes, op.modes), op.kind.n_modes
+            if len(modes) != n:
+                raise ValidationError(f"the element acts on {n} modes but {len(modes)} were selected")
+            # an array carrier stacks the state, which only the map's update does
             if op.kind.is_identity(op.params) and not _is_grid(op.carrier):
-                if op.carrier is not None:
-                    state = state.with_tangent_source(op.modes, _tangent_source(op, None, state))
+                if op.carrier is not None:  # on its one mode, as the identity map's update would
+                    tangent = tangent.copy()
+                    tangent[..., 2 * modes[0] : 2 * modes[0] + 2, :] += _tangent_source(op, None, mean)
             else:
                 gmap = op.kind.gaussian_map(*op.params)
-                source = None if op.carrier is None else _tangent_source(op, gmap, state)
-                state = apply_map(state, gmap, op.modes, source)
+                source = None if op.carrier is None else _tangent_source(op, gmap, mean)
+                mean, cov, tangent = _apply_to_arrays(mean, cov, tangent, gmap, modes, source)
         except (ValidationError, NumericalError) as exc:
             raise annotate(exc, f"at op {index} ({op.kind.name})")
-        yield state
+        yield mean, cov, tangent
+
+
+def _certified(circuit: CompiledCircuit, upto: int, arrays: tuple) -> GaussianState:
+    """The state the first ``upto`` ops formed; a failing check names the last of them."""
+    try:
+        return GaussianState(*arrays)
+    except (ValidationError, NumericalError) as exc:
+        raise annotate(exc, f"at op {upto - 1} ({circuit.ops[upto - 1].kind.name})") if upto else exc
 
 
 def evaluate_circuit(circuit: CompiledCircuit) -> GaussianState:
@@ -315,9 +332,12 @@ def evaluate_circuit(circuit: CompiledCircuit) -> GaussianState:
     d mean/d(delta, eps) at the circuit's modulation depths.  A grid
     circuit's state carries the batch axis from its first op with array
     parameters on.  An op whose map is exactly the identity builds none: it
-    only adds its tangent columns if it carries the modulation.  A failing
-    check names the op's index and kind."""
-    return deque(_states(circuit), maxlen=1).pop()
+    only adds its tangent columns if it carries the modulation.  Each map
+    is checked as it is built, and only the returned state as a state; a
+    failing check names the op's index and kind, the last op's for it."""
+    for arrays in _states(circuit):
+        pass
+    return _certified(circuit, len(circuit.ops), arrays)
 
 
 class MonitorReading(NamedTuple):
@@ -536,5 +556,6 @@ def stage_snapshots(spec: CircuitSpec) -> list[StageSnapshot]:
         raise ValidationError("stage snapshots are defined for DEGENERATE_SUI only, "
                               f"got {spec.topology.value}")
     states = list(_states(circuit))
-    probes = [(label, states[upto].reduced(0)) for label, upto in circuit.stage_bounds]
-    return [StageSnapshot(label, tuple(p.mean.tolist()), *_ellipse(p.cov)) for label, p in probes]
+    staged = [(label, _certified(circuit, upto, states[upto])) for label, upto in circuit.stage_bounds]
+    return [StageSnapshot(label, tuple(s.mean[..., :2].tolist()), *_ellipse(s.cov[..., :2, :2]))
+            for label, s in staged]

@@ -6,9 +6,12 @@ coherent amplitude alpha has mean (2 Re alpha, 2 Im alpha).  Quadratures
 are interleaved per mode as (X1, Y1, X2, Y2, ...), which keeps each mode's
 2x2 covariance block contiguous.
 
-States and maps are immutable values; every operation returns a new state.
-A state may carry a tangent d mean/d(parameters), which :func:`apply_map`
-carries forward with it (forward-mode differentiation).
+States and maps are immutable values, each certified as it is built (see
+below), and every operation returns a new state.  A state may carry a
+tangent d mean/d(parameters), which :func:`apply_map` carries forward with
+it (forward-mode differentiation).  A circuit evaluation
+(:mod:`qdmsim.circuits`) runs its ops on bare arrays and certifies only the
+state it returns.
 
 Batch axis: every array of a state or map may carry one leading batch
 axis of length B, which stacks B independent objects of the same shape:
@@ -214,38 +217,6 @@ class GaussianState:
     def batch_shape(self) -> tuple[int, ...]:
         return self.mean.shape[:-1]
 
-    def with_tangent_source(self, modes: Sequence[int], source: np.ndarray) -> "GaussianState":
-        """This state with ``source`` added to the tangent rows of ``modes``,
-        as :func:`apply_map` adds it for an element whose map is the
-        identity.  Mean and covariance are shared, already certified; only
-        the new tangent is checked.  ``source`` may not add a batch axis."""
-        if self.tangent is None:
-            raise ValidationError("a tangent source needs a state that carries a tangent")
-        modes = _selected_modes(self, modes)
-        rows, _, order = _register_rows(modes)
-        source = np.asarray(source, dtype=float)
-        if order is not None:
-            source = source[..., order, :]
-        if (source.shape[-2:] != (2 * len(modes), self.tangent.shape[-1])
-                or _batch_shape(self.batch_shape, source.shape[:-2]) != self.batch_shape):
-            raise ValidationError(f"tangent source shape {source.shape} does not match "
-                                  f"the tangent rows of modes {modes}")
-        tangent = self.tangent.copy()
-        with np.errstate(invalid="ignore", over="ignore"):  # as in __post_init__
-            tangent[..., rows, :] += source
-            _check_finite(tangent, 2, "tangent")
-        tangent.setflags(write=False)
-        state = object.__new__(type(self))
-        for name, value in (("mean", self.mean), ("cov", self.cov), ("tangent", tangent)):
-            object.__setattr__(state, name, value)
-        return state
-
-    def reduced(self, mode: int) -> "GaussianState":
-        """Single-mode marginal state."""
-        _check_mode(self, mode)
-        sl = slice(2 * mode, 2 * mode + 2)
-        return GaussianState(self.mean[..., sl].copy(), self.cov[..., sl, sl].copy())
-
 
 @dataclass(frozen=True)
 class GaussianMap:
@@ -278,13 +249,15 @@ class GaussianMap:
         noise = _as_locked_array(noise, batch + (dim, dim))
         disp = _as_locked_array(disp, batch + (dim,))
         with np.errstate(invalid="ignore", over="ignore"):  # as in GaussianState
-            _check_symmetric(noise, "noise matrix must be symmetric; asymmetric by {:.3e}")
+            lossy = noise.any()  # an all-zero stack is symmetric; a NaN is truthy, so it is checked
+            if lossy:
+                _check_symmetric(noise, "noise matrix must be symmetric; asymmetric by {:.3e}")
             omega = _omega(dim // 2)
             residual = omega - linear @ omega @ _transpose(linear)
             # lossless: validity matrix i * residual, |eigenvalues| <= dim * max|residual|;
             # one test for the whole stack: where a single slice fails it, the
             # positivity check runs on every slice anyway
-            if noise.any() or not dim * np.abs(residual).max() <= UNCERTAINTY_TOL:
+            if lossy or not dim * np.abs(residual).max() <= UNCERTAINTY_TOL:
                 _check_positive(noise, 1j * residual, ValidationError, _INVALID_CHANNEL, linear)
             _check_finite(disp, 1, "displacement")
         object.__setattr__(self, "linear", linear)
@@ -332,18 +305,14 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
-def _check_mode(state: GaussianState, mode: int) -> None:
-    if not 0 <= mode < state.n_modes:
-        raise ValidationError(f"mode {mode} out of range for {state.n_modes} modes")
-
-
-def _selected_modes(state: GaussianState, modes: Sequence[int]) -> tuple[int, ...]:
-    """``modes`` as a tuple of ints, refused unless distinct and in range."""
+def _selected_modes(n_modes: int, modes: Sequence[int]) -> tuple[int, ...]:
+    """``modes`` as a tuple of ints, refused unless distinct and in range(n_modes)."""
     modes = tuple(int(m) for m in modes)
     if len(set(modes)) != len(modes):
         raise ValidationError(f"mode indices must be distinct, got {modes}")
     for m in modes:
-        _check_mode(state, m)
+        if not 0 <= m < n_modes:
+            raise ValidationError(f"mode {m} out of range for {n_modes} modes")
     return modes
 
 
@@ -403,10 +372,17 @@ def apply_map(
     element itself adds to the selected modes' output mean.  A stacked
     state, map or source makes the result stacked.
     """
-    modes = _selected_modes(state, modes)
+    modes = _selected_modes(state.n_modes, modes)
+    return GaussianState(*_apply_to_arrays(state.mean, state.cov, state.tangent, gmap, modes, source))
+
+
+def _apply_to_arrays(mean: np.ndarray, cov: np.ndarray, tangent: np.ndarray | None, gmap: GaussianMap,
+                     modes: tuple[int, ...], source: np.ndarray | None = None) -> tuple:
+    """:func:`apply_map` on the bare arrays of a state, ``modes`` already
+    selected: new (mean, cov, tangent) arrays, not checked as a state."""
     if gmap.n_in != len(modes):
         raise ValidationError(f"map acts on {gmap.n_in} modes but {len(modes)} were selected")
-    if source is not None and state.tangent is None:
+    if source is not None and tangent is None:
         raise ValidationError("a tangent source needs a state that carries a tangent")
     rows, block, order = _register_rows(modes)
     linear, noise, disp = gmap.linear, gmap.noise, gmap.displacement
@@ -416,24 +392,23 @@ def apply_map(
         disp = disp[..., order]
         source = None if source is None else source[..., order, :]
     batch = _batch_shape(
-        state.batch_shape, gmap.batch_shape, () if source is None else source.shape[:-2]
+        mean.shape[:-1], gmap.batch_shape, () if source is None else source.shape[:-2]
     )
-    dim = 2 * state.n_modes
-    mean = _broadcast_copy(state.mean, batch + (dim,))
-    cov = _broadcast_copy(state.cov, batch + (dim, dim))
+    dim = mean.shape[-1]
+    mean = _broadcast_copy(mean, batch + (dim,))
+    cov = _broadcast_copy(cov, batch + (dim, dim))
     mean[..., rows] = _matvec(linear, mean[..., rows]) + disp
     cov[..., rows, :] = linear @ cov[..., rows, :]
     cov[..., :, rows] = cov[..., :, rows] @ _transpose(linear)
     cov[block] += noise
     # the product is symmetric analytically; enforce it against rounding
     cov = (cov + _transpose(cov)) / 2.0
-    tangent = None
-    if state.tangent is not None:
-        tangent = _broadcast_copy(state.tangent, batch + state.tangent.shape[-2:])
+    if tangent is not None:
+        tangent = _broadcast_copy(tangent, batch + tangent.shape[-2:])
         tangent[..., rows, :] = linear @ tangent[..., rows, :]
         if source is not None:
             tangent[..., rows, :] += source
-    return GaussianState(mean, cov, tangent)
+    return mean, cov, tangent
 
 
 def quadrature_direction(angle) -> np.ndarray:
@@ -445,7 +420,7 @@ def quadrature_direction(angle) -> np.ndarray:
 def quadrature_stats(state: GaussianState, mode: int, angle) -> tuple:
     """Mean and variance of X_theta = a e^{-i theta} + a† e^{i theta} on one
     mode: floats for an unstacked state and angle, else one per slice."""
-    _check_mode(state, mode)
+    _selected_modes(state.n_modes, (mode,))
     direction = quadrature_direction(angle)[..., None, :]
     sl = slice(2 * mode, 2 * mode + 2)
     mean = (direction @ state.mean[..., sl, None])[..., 0, 0]

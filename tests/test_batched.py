@@ -211,6 +211,51 @@ def test_exact_amplifiers_keep_the_mzi_input_mode():
         ("input", 0), ("after_first_amplifier", 1), ("after_encoding", 2), ("output", 3))
 
 
+def apply_map_chain(circuit):
+    """The evaluation as a chain of public ``apply_map`` calls from the
+    vacuum, each state certified: an identity op as ``identity_map``, the
+    modulation's (J v, -v) as the carrier's source."""
+    dim = 2 * circuit.n_modes
+    state = q.GaussianState(np.zeros(dim), np.eye(dim), np.zeros((dim, 2)))
+    for op in circuit.ops:
+        identity = op.kind.is_identity(op.params) and not isinstance(op.carrier, np.ndarray)
+        gmap = q.identity_map(len(op.modes)) if identity else op.kind.gaussian_map(*op.params)
+        source = None
+        if op.carrier is not None:
+            if isinstance(op.carrier, str):  # the mode's own mean after the op
+                m = op.modes[0]
+                field = q.apply_map(state, gmap, op.modes).mean[..., 2 * m : 2 * m + 2]
+            else:
+                carrier = np.asarray(op.carrier, dtype=complex)
+                field = np.stack((2.0 * carrier.real, 2.0 * carrier.imag), axis=-1)
+            source = np.stack((np.stack((-field[..., 1], field[..., 0]), axis=-1), -field), axis=-1)
+        state = q.apply_map(state, gmap, op.modes, source)
+    return state
+
+
+def assert_same_bits_as_apply_map_chain(spec):
+    # at the spec's depths and at the operating point, where the modulators are identities
+    for point in (spec, replace(spec, delta=0.0, epsilon=0.0)):
+        circuit = q.build_circuit(point)
+        got, want = q.evaluate_circuit(circuit), apply_map_chain(circuit)
+        for field in ("mean", "cov", "tangent"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("topology", sorted(BASES))
+def test_two_axis_grid_evaluates_as_an_apply_map_chain(topology, mode):
+    assert_same_bits_as_apply_map_chain(grid(BASES[topology](mode), *AXES[topology])[0])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_shipped_scenario_evaluates_as_an_apply_map_chain(name, mode):
+    spec, options = load_scenario(SCENARIOS / name)
+    spec = replace(spec, modulation_mode=mode)
+    assert_same_bits_as_apply_map_chain(grid(spec, *options.axes)[0] if options.axes else spec)
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_shipped_scenarios_match_reference(name):
     spec, options = load_scenario(SCENARIOS / name)

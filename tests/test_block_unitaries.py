@@ -182,8 +182,8 @@ def test_blocked_application_matches_dense(modes):
 
 
 def test_diagonal_application_matches_dense():
-    # the phase shifter's 1x1 blocks are applied as one multiply along the
-    # mode's axis, here of a state whose axes are not in memory order
+    # the phase shifter's 1x1 blocks through the general block path, here
+    # on a state whose axes are not in memory order
     for psi in random_states(9):
         for mode in range(psi.ndim):
             got = _apply_blocks(psi, elements.phase_unitary(0.9, 9).blocks, (mode,), _Workspace(psi.size))

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 import qdmsim as q
 from conftest import embed_map
 from qdmsim.circuits import CircuitOp, Monitor
+from qdmsim.cli import main
 from qdmsim.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -458,6 +461,73 @@ def test_snapshots_with_modulation_build_every_map(monkeypatch, mode):
     assert len(built) == sum(not op.kind.is_identity(op.params) for op in ops)
 
 
+def count_state_checks(monkeypatch):
+    """A list that records every state the package certifies."""
+    checked = []
+    certify = q.GaussianState.__post_init__
+
+    def counted(state):
+        checked.append(state)
+        certify(state)
+
+    monkeypatch.setattr(q.GaussianState, "__post_init__", counted)
+    return checked
+
+
+@pytest.mark.parametrize("topology, mode", NON_IDENTITY_MAPS, ids=lambda v: str(v))
+def test_an_evaluation_certifies_only_the_state_it_returns(monkeypatch, topology, mode):
+    circuit = q.build_circuit(SPECS[topology](delta=1e-3, epsilon=1e-3, modulation_mode=mode))
+    checked = count_state_checks(monkeypatch)
+    state = q.evaluate_circuit(circuit)
+    assert checked == [state]
+    q.monitor_stats(circuit)
+    assert len(checked) == 2
+
+
+@pytest.mark.parametrize("mode", [q.ModulationMode.LINEARIZED, q.ModulationMode.EXACT])
+def test_snapshots_certify_one_state_per_stage(monkeypatch, mode):
+    spec = dsui_spec(delta=1e-3, epsilon=1e-3, modulation_mode=mode)
+    checked = count_state_checks(monkeypatch)
+    snapshots = q.stage_snapshots(spec)
+    assert len(checked) == len(snapshots) == len(q.build_circuit(spec).stage_bounds)
+
+
+def run_refusal(tmp_path, capsys, **fields):
+    """Exit code, stdout and stderr of ``qdmsim run`` on the shipped nested
+    scenario at one operating point with ``fields`` replaced."""
+    payload = json.loads((SCENARIOS / "nested_sui_phase_sweep.json").read_text())
+    del payload["sweep"], payload["format"]
+    path = tmp_path / "dark_fringe.json"
+    path.write_text(json.dumps({**payload, **fields}))
+    code = main(["run", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+UNCERTAINTY_REFUSAL = r"^error: uncertainty relation violated: min eig of cov \+ i\*Omega is -\d\.\d{3}e-0[78] "
+
+
+@pytest.mark.parametrize("fields, where", [
+    ({}, "at op 3 (two_mode_squeezer)"),
+    ({"modulation_mode": "EXACT"}, "at op 6 (two_mode_squeezer)"),
+    # the check reads the state after the detection loss, the last op
+    ({"detection_loss": 0.5}, "at op 5 (loss_channel)"),
+], ids=["linearized", "exact", "lossy"])
+def test_balanced_dark_fringe_refusal_names_the_last_op(tmp_path, capsys, fields, where):
+    # G1 = G2 = 100 at phi = pi: the op-by-op covariance loses about 8 digits
+    code, out, err = run_refusal(tmp_path, capsys, gains=[{"G": 100.0}, {"G": 100.0}], **fields)
+    assert (code, out) == (4, "")
+    assert re.match(UNCERTAINTY_REFUSAL + re.escape(where) + "\n$", err), err
+
+
+def test_balanced_dark_fringe_passes_behind_a_strong_detection_loss(tmp_path, capsys):
+    code, out, err = run_refusal(tmp_path, capsys, gains=[{"G": 100.0}, {"G": 100.0}],
+                                 detection_loss=0.01)
+    assert (code, err) == (0, "")
+    for report in json.loads(out)["reports"].values():
+        assert abs(report["noise_var"] - 1.0) <= 1e-8
+
+
 def test_identity_with_an_array_carrier_stacks_the_state():
     carrier = np.array([1.0, 2j, -3.0])
     circuit = q.CompiledCircuit(
@@ -465,6 +535,19 @@ def test_identity_with_an_array_carrier_stacks_the_state():
     tangent = q.evaluate_circuit(circuit).tangent
     field = np.stack((2 * carrier.real, 2 * carrier.imag), axis=-1)
     assert np.array_equal(tangent[:, :, 1], -field)
+
+
+@pytest.mark.parametrize("modes, message", [
+    ((0, 1), "the element acts on 1 modes but 2 were selected at op 0 (phase_shifter)"),
+    ((2,), "mode 2 out of range for 2 modes at op 0 (phase_shifter)"),
+])
+def test_identity_carrier_on_wrong_modes_is_refused(modes, message):
+    # an identity op builds no map, so its modes are checked in the evaluation itself
+    circuit = q.CompiledCircuit(2, (CircuitOp("phase_shifter", modes, (0.0,), q.circuits.OWN_FIELD),),
+                                (Monitor("x", 0, 0.0),))
+    with pytest.raises(q.ValidationError) as info:
+        q.evaluate_circuit(circuit)
+    assert str(info.value) == message
 
 
 def test_identity_rule_refuses_grid_parameters():

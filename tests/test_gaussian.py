@@ -593,41 +593,3 @@ def test_states_are_immutable():
         state.mean[0] = 1.0
     with pytest.raises(ValueError):
         state.cov[0, 0] = 2.0
-
-
-@pytest.mark.parametrize("modes", [(0,), (2,), (2, 0)])
-def test_tangent_source_matches_an_identity_map(modes):
-    rng = np.random.default_rng(5)
-    state = random_state(rng, 3)
-    state = q.GaussianState(state.mean, state.cov, rng.normal(size=(6, 2)))
-    source = rng.normal(size=(2 * len(modes), 2))
-    got = state.with_tangent_source(modes, source)
-    want = q.apply_map(state, q.identity_map(len(modes)), modes, source)
-    assert got.mean is state.mean and got.cov is state.cov
-    assert np.array_equal(got.tangent, want.tangent)
-    assert not got.tangent.flags.writeable
-
-
-def test_tangent_source_keeps_a_stacked_state_stacked():
-    rng = np.random.default_rng(6)
-    state = random_state(rng, 2)
-    stacked = q.GaussianState(np.stack([state.mean] * 3), np.stack([state.cov] * 3),
-                              np.zeros((3, 4, 2)))
-    source = rng.normal(size=(3, 2, 2))
-    got = stacked.with_tangent_source((1,), source)
-    assert np.array_equal(got.tangent, q.apply_map(stacked, q.identity_map(1), (1,), source).tangent)
-
-
-@pytest.mark.parametrize("tangent, source, message", [
-    (None, np.zeros((2, 2)), "a tangent source needs a state that carries a tangent"),
-    (np.zeros((4, 2)), np.zeros((2, 3)),
-     "tangent source shape (2, 3) does not match the tangent rows of modes (1,)"),
-    (np.zeros((4, 2)), np.zeros((3, 2, 2)),
-     "tangent source shape (3, 2, 2) does not match the tangent rows of modes (1,)"),
-    (np.zeros((4, 2)), np.full((2, 2), np.inf), "tangent must be finite"),
-], ids=["no tangent", "wrong columns", "new batch axis", "infinite"])
-def test_tangent_source_is_checked(tangent, source, message):
-    state = q.GaussianState(np.zeros(4), np.eye(4), tangent)
-    with pytest.raises(q.ValidationError) as info:
-        state.with_tangent_source((1,), source)
-    assert str(info.value) == message
