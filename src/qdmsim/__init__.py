@@ -2,6 +2,8 @@
 interferometers, with homodyne signal/noise/SNR extraction, closed-form
 cross-checks, and a truncated Fock-space validation oracle."""
 
+from types import ModuleType as _ModuleType
+
 from .exceptions import (
     ConsistencyError,
     NumericalError,
@@ -67,20 +69,6 @@ from .fock import ComparisonReport, FockConfig, compare_with_gaussian, simulate_
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CircuitSpec", "CompiledCircuit", "ComparisonReport", "ConsistencyError",
-    "FockConfig", "GaussianMap", "GaussianState", "LossTolerancePoint",
-    "MixtureAngle", "ModulationMode", "MonitorReading", "NumericalError", "PaGain",
-    "ResourceSummary", "ScenarioParseError", "SnrReport", "SplitterSpec",
-    "StageSnapshot", "Topology", "TruncationError", "ValidationError",
-    "apply_map", "beam_splitter", "build_circuit",
-    "channel_report", "closed_forms", "compare_with_gaussian", "compose",
-    "displace", "displacement_map", "dsui_output_noise", "dsui_snr",
-    "enhancement_and_resources", "evaluate_circuit", "identity_map",
-    "loss_channel", "loss_tolerance_scan", "mixture_angles", "monitor_stats",
-    "operating_point", "phase_shifter",
-    "probe_photon_number", "quadrature_stats", "simulate_fock",
-    "single_mode_squeezer", "split_snr",
-    "stage_snapshots", "su2_snr", "sui_output_noise", "sui_snr_amplitude", "sui_snr_optimum",
-    "sui_snr_phase", "symplectic_form", "two_mode_squeezer", "vacuum_state",
-]
+#: Every public name imported above, but not the submodules those imports bind.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -29,8 +29,9 @@ one evaluation gives every monitor's mean, variance and exact slopes.  At
 the operating point, delta = eps = 0, the modulators' maps are exact
 identities (``ElementKind.identity``): evaluation builds no map for them,
 and the one that carries the modulation only adds its tangent columns.
-Every map is certified as it is built; the ops run on bare arrays, and
-only the state the evaluation returns is certified (in
+Both engines refuse what :func:`check_wiring` refuses before they walk
+the ops.  Every map is certified as it is built; the ops run on bare
+arrays, and only the state the evaluation returns is certified (in
 :func:`stage_snapshots`, the state at each stage), so a failing state
 check names the last op, which formed that state.
 
@@ -245,6 +246,7 @@ class CircuitOp:
             if self.kind not in ELEMENT_KINDS:
                 raise ValidationError(f"unknown circuit op kind {self.kind!r}")
             object.__setattr__(self, "kind", ELEMENT_KINDS[self.kind])
+        object.__setattr__(self, "modes", tuple(map(int, self.modes)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ class Monitor:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """Ops and monitors compiled from a :class:`CircuitSpec`."""
+    """Ops and monitors compiled from a :class:`CircuitSpec`, or built by hand."""
 
     n_modes: int
     ops: tuple[CircuitOp, ...]
@@ -273,6 +275,35 @@ class CompiledCircuit:
                 return mon
         known = ", ".join(m.label for m in self.monitors)
         raise ValidationError(f"unknown output {label!r}; circuit monitors: {known}")
+
+
+def check_wiring(circuit: CompiledCircuit) -> None:
+    """Refuse what either engine would misread: an op on repeated modes, on
+    a mode the circuit does not have or on a number of modes its kind does
+    not act on; a carrier on an op of more than one mode; parameters that do
+    not number those the kind's map takes; a monitor on a mode the circuit
+    does not have, or none.  Both engines call it before they walk the ops."""
+    n = circuit.n_modes
+    for index, op in enumerate(circuit.ops):
+        kind, count = op.kind, op.kind.gaussian_map.__code__.co_argcount
+        try:
+            _selected_modes(n, op.modes)
+            if len(op.modes) != kind.n_modes:
+                raise ValidationError(f"the element acts on {kind.n_modes} modes "
+                                      f"but {len(op.modes)} were selected")
+            if op.carrier is not None and kind.n_modes != 1:
+                raise ValidationError("only an element on one mode may carry the modulation, "
+                                      f"this one acts on {kind.n_modes}")
+            if len(op.params) != count:
+                raise ValidationError(f"the element takes {count} parameters "
+                                      f"but {len(op.params)} were given")
+        except ValidationError as exc:
+            raise annotate(exc, f"at op {index} ({kind.name})")
+    if not circuit.monitors:
+        raise ValidationError("the circuit has no monitors")
+    for mon in circuit.monitors:
+        if not 0 <= mon.mode < n:
+            raise ValidationError(f"monitor {mon.label!r}: mode {mon.mode} out of range for {n} modes")
 
 
 def _tangent_source(op: CircuitOp, gmap: GaussianMap | None, mean: np.ndarray) -> np.ndarray:
@@ -297,23 +328,22 @@ def _tangent_source(op: CircuitOp, gmap: GaussianMap | None, mean: np.ndarray) -
 def _states(circuit: CompiledCircuit) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The vacuum input's (mean, cov, tangent) arrays, then those after each
     op, as :func:`evaluate_circuit` computes them: each map checked, no state."""
+    check_wiring(circuit)
     dim = 2 * circuit.n_modes
     mean, cov, tangent = np.zeros(dim), np.eye(dim), np.zeros((dim, 2))
     yield mean, cov, tangent
     for index, op in enumerate(circuit.ops):
         try:
-            modes, n = _selected_modes(circuit.n_modes, op.modes), op.kind.n_modes
-            if len(modes) != n:
-                raise ValidationError(f"the element acts on {n} modes but {len(modes)} were selected")
             # an array carrier stacks the state, which only the map's update does
             if op.kind.is_identity(op.params) and not _is_grid(op.carrier):
                 if op.carrier is not None:  # on its one mode, as the identity map's update would
                     tangent = tangent.copy()
-                    tangent[..., 2 * modes[0] : 2 * modes[0] + 2, :] += _tangent_source(op, None, mean)
+                    row = 2 * op.modes[0]
+                    tangent[..., row : row + 2, :] += _tangent_source(op, None, mean)
             else:
                 gmap = op.kind.gaussian_map(*op.params)
                 source = None if op.carrier is None else _tangent_source(op, gmap, mean)
-                mean, cov, tangent = _apply_to_arrays(mean, cov, tangent, gmap, modes, source)
+                mean, cov, tangent = _apply_to_arrays(mean, cov, tangent, gmap, op.modes, source)
         except (ValidationError, NumericalError) as exc:
             raise annotate(exc, f"at op {index} ({op.kind.name})")
         yield mean, cov, tangent

@@ -36,9 +36,9 @@ the norm and the tail mass of the op's own modes and of the ancilla it
 adds; the reduced state of every other mode is unchanged, so its tail was
 checked before.  A diagonal op changes no modulus, so no check follows
 it; one with a parameter that is not finite stays in place and is
-checked.  A failure while the circuit is checked or run names the op's
-index and kind in the circuit; a circuit whose ops or monitors name
-modes it does not have is refused before any buffer is allocated.
+checked.  What :func:`qdmsim.circuits.check_wiring` or an envelope
+refuses is refused before any buffer is allocated, and a failure names
+the op's index and kind in the circuit.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .circuits import (
     CompiledCircuit,
     ModulationMode,
     build_circuit,
+    check_wiring,
     monitor_stats,
 )
 from .exceptions import NumericalError, TruncationError, ValidationError, annotate, check
@@ -206,32 +207,9 @@ def _schedule(ops) -> list[int]:
     return [index for *_, index in sorted(keys)]
 
 
-def _check_wiring(circuit: CompiledCircuit) -> None:
-    """Refuse ops and monitors on modes the circuit does not have, an op on
-    repeated modes or on a number of modes its kind does not act on, and a
-    circuit without monitors, before any of them reaches a numpy index."""
-    n = circuit.n_modes
-    for index, op in enumerate(circuit.ops):
-        modes = tuple(op.modes)
-        outside = [mode for mode in modes if not 0 <= mode < n]
-        if len(set(modes)) != len(modes):
-            problem = f"mode indices must be distinct, got {modes}"
-        elif len(modes) != op.kind.n_modes:
-            problem = f"the element acts on {op.kind.n_modes} modes but {len(modes)} were selected"
-        elif outside:
-            problem = f"mode {outside[0]} out of range for {n} modes"
-        else:
-            continue
-        raise annotate(ValidationError(problem), f"at op {index} ({op.kind.name})")
-    if not circuit.monitors:
-        raise ValidationError("the circuit has no monitors")
-    for mon in circuit.monitors:
-        if not 0 <= mon.mode < n:
-            raise ValidationError(f"monitor {mon.label!r}: mode {mon.mode} out of range for {n} modes")
-
-
 class _FockRun:
     def __init__(self, circuit: CompiledCircuit, config: FockConfig):
+        check_wiring(circuit)  # first: the envelopes need the parameter counts it checks
         for index, op in enumerate(circuit.ops):
             try:
                 op.kind.oracle_envelope(*op.params)
@@ -241,7 +219,6 @@ class _FockRun:
         check(config.cutoff**total_modes <= DIMENSION_GUARD, (config.cutoff, total_modes),
               ValidationError,
               f"cutoff^modes = {{}}^{{}} exceeds the dimension guard {DIMENSION_GUARD}")
-        _check_wiring(circuit)
         self.circuit = circuit
         self.config = config
         d = config.cutoff

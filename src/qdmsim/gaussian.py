@@ -307,7 +307,7 @@ def vacuum_state(n_modes: int) -> GaussianState:
 
 def _selected_modes(n_modes: int, modes: Sequence[int]) -> tuple[int, ...]:
     """``modes`` as a tuple of ints, refused unless distinct and in range(n_modes)."""
-    modes = tuple(int(m) for m in modes)
+    modes = tuple(map(int, modes))
     if len(set(modes)) != len(modes):
         raise ValidationError(f"mode indices must be distinct, got {modes}")
     for m in modes:
@@ -373,17 +373,21 @@ def apply_map(
     state, map or source makes the result stacked.
     """
     modes = _selected_modes(state.n_modes, modes)
+    if gmap.n_in != len(modes):
+        raise ValidationError(f"map acts on {gmap.n_in} modes but {len(modes)} were selected")
+    if source is not None:
+        if state.tangent is None:
+            raise ValidationError("a tangent source needs a state that carries a tangent")
+        source, want = np.asarray(source), (2 * len(modes), state.tangent.shape[-1])
+        if source.shape[-2:] != want:
+            raise ValidationError(f"tangent source shape {source.shape} does not end in {want}")
     return GaussianState(*_apply_to_arrays(state.mean, state.cov, state.tangent, gmap, modes, source))
 
 
 def _apply_to_arrays(mean: np.ndarray, cov: np.ndarray, tangent: np.ndarray | None, gmap: GaussianMap,
                      modes: tuple[int, ...], source: np.ndarray | None = None) -> tuple:
-    """:func:`apply_map` on the bare arrays of a state, ``modes`` already
-    selected: new (mean, cov, tangent) arrays, not checked as a state."""
-    if gmap.n_in != len(modes):
-        raise ValidationError(f"map acts on {gmap.n_in} modes but {len(modes)} were selected")
-    if source is not None and tangent is None:
-        raise ValidationError("a tangent source needs a state that carries a tangent")
+    """:func:`apply_map` on the bare arrays of a state, its arguments
+    already checked: new (mean, cov, tangent) arrays, not checked as a state."""
     rows, block, order = _register_rows(modes)
     linear, noise, disp = gmap.linear, gmap.noise, gmap.displacement
     if order is not None:

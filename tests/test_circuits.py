@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qdmsim as q
 from conftest import embed_map
-from qdmsim.circuits import CircuitOp, Monitor
+from qdmsim.circuits import ELEMENT_KINDS, OWN_FIELD, CircuitOp, Monitor
 from qdmsim.cli import main
 from qdmsim.scenario import load_scenario
 
@@ -558,3 +560,94 @@ def test_identity_rule_refuses_grid_parameters():
     assert not kinds["displace"].is_identity((np.zeros(3), 0.0))
     assert not kinds["displace"].is_identity((0.0, 1e-300))
     assert not kinds["beam_splitter"].is_identity((1.0,))
+
+
+#: Hand-built circuits that the two engines used to refuse in different
+#: words or with an untyped exception, each with the refusal both now give.
+MISWIRED = {
+    "mode out of range on a one-mode kind": (
+        CircuitOp("phase_shifter", (0, 5), (0.3,)),
+        "mode 5 out of range for 2 modes at op 0 (phase_shifter)"),
+    "carrier on a beam splitter": (
+        CircuitOp("beam_splitter", (0, 1), (0.5,), OWN_FIELD),
+        "only an element on one mode may carry the modulation, this one acts on 2 "
+        "at op 0 (beam_splitter)"),
+    "parameter missing": (
+        CircuitOp("displace", (0,), (0.5,)),
+        "the element takes 2 parameters but 1 were given at op 0 (displace)"),
+}
+
+
+def miswired(case):
+    return q.CompiledCircuit(2, (MISWIRED[case][0],), (Monitor("x", 0, 0.0),))
+
+
+def refusal(run, circuit):
+    """The text of the ValidationError ``run(circuit)`` raises, else None;
+    any exception other than a QdmsimError propagates."""
+    try:
+        run(circuit)
+    except q.ValidationError as exc:
+        return str(exc)
+    except q.exceptions.QdmsimError:
+        pass
+    return None
+
+
+def fock_at_cutoff_5(circuit):
+    return q.simulate_fock(circuit, q.FockConfig(cutoff=5))
+
+
+@pytest.mark.parametrize("case", sorted(MISWIRED))
+def test_both_engines_refuse_a_miswired_circuit_alike(case):
+    message = MISWIRED[case][1]
+    assert refusal(q.evaluate_circuit, miswired(case)) == message
+    assert refusal(fock_at_cutoff_5, miswired(case)) == message
+
+
+#: Parameters inside each kind's oracle envelope.
+ENVELOPE_PARAMS = {
+    "beam_splitter": st.tuples(st.floats(0.0, 1.0)),
+    "phase_shifter": st.tuples(st.floats(-4.0, 4.0)),
+    "loss_channel": st.tuples(st.floats(0.05, 1.0)),
+    "two_mode_squeezer": st.tuples(st.floats(1.0, 1.3), st.floats(-4.0, 4.0)),
+    "single_mode_squeezer": st.tuples(st.floats(1.0, 1.3), st.floats(-4.0, 4.0)),
+    "displace": st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+}
+
+
+@st.composite
+def hand_built_circuits(draw):
+    """Circuits on 1-3 modes.  Half are wired by the rules; in the others an
+    op may name repeated modes, modes out of range, one mode too few or too
+    many and one parameter too few or too many, any op may carry the
+    modulation, and 0-2 monitors may lie out of range.  Every parameter lies
+    inside the oracle envelope."""
+    n_modes, sloppy = draw(st.integers(1, 3)), draw(st.booleans())
+    mode = st.integers(-1, n_modes) if sloppy else st.integers(0, n_modes - 1)
+    off_by_one = st.sampled_from((0, 0, 0, -1, 1) if sloppy else (0,))
+    ops = []
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(ELEMENT_KINDS)))
+        n = ELEMENT_KINDS[name].n_modes
+        if n > n_modes and not sloppy:
+            continue
+        arity = n + draw(off_by_one)
+        modes = draw(st.lists(mode, min_size=arity, max_size=arity, unique=not sloppy))
+        params = draw(ENVELOPE_PARAMS[name]) + (0.5,)
+        params = params[: len(params) - 1 + draw(off_by_one)]
+        carriers = (None, None, OWN_FIELD, 0.3 - 0.2j) if sloppy or n == 1 else (None,)
+        ops.append(CircuitOp(name, tuple(modes), params, draw(st.sampled_from(carriers))))
+    monitors = [Monitor(f"m{k}", draw(mode), draw(st.floats(0.0, 3.0)))
+                for k in range(draw(st.integers(0 if sloppy else 1, 2)))]
+    return q.CompiledCircuit(n_modes, tuple(ops), tuple(monitors))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hand_built_circuits())
+@example(miswired("mode out of range on a one-mode kind"))
+@example(miswired("carrier on a beam splitter"))
+@example(miswired("parameter missing"))
+def test_both_engines_accept_the_same_hand_built_circuits(circuit):
+    # nothing but a QdmsimError, and a refusal of the wiring in the same words
+    assert refusal(q.evaluate_circuit, circuit) == refusal(fock_at_cutoff_5, circuit)

@@ -411,6 +411,10 @@ REFUSED = {
     "source without tangent": (
         lambda: q.apply_map(q.vacuum_state(1), q.phase_shifter(0.3), (0,), np.zeros((2, 2))),
         "a tangent source needs a state that carries a tangent"),
+    "source of the wrong shape": (
+        lambda: q.apply_map(q.GaussianState(np.zeros(4), np.eye(4), np.zeros((4, 2))),
+                            q.phase_shifter(0.3), (1,), np.zeros((3, 2))),
+        "tangent source shape (3, 2) does not end in (2, 2)"),
     "displacement nan": (lambda: q.GaussianMap(np.eye(2), np.zeros((2, 2)), [math.nan, 0.0]),
                          "displacement must be finite"),
     "stacked displacement inf": (
