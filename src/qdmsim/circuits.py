@@ -94,6 +94,26 @@ def _is_grid(value) -> bool:
     return isinstance(value, np.ndarray)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number or a grid array of them."""
+    if _is_grid(value):
+        return value.dtype.kind in "iuf"
+    return isinstance(value, (float, np.floating)) or _is_int(value)
+
+
+def _sequence_of(values, accept) -> tuple | None:
+    """``values`` as a tuple if it is a sequence whose items ``accept`` takes, else None."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        return None
+    return items if all(map(accept, items)) else None
+
+
 class Topology(str, Enum):
     DIRECT_HOMODYNE = "DIRECT_HOMODYNE"
     MZI = "MZI"
@@ -232,7 +252,8 @@ class CircuitOp:
     ``carrier`` marks the op that applies the modulation e^{i delta - eps}
     and names the field it multiplies: :data:`OWN_FIELD` for a physical
     modulator, the constant arm amplitude for a linearized displacement,
-    ``None`` for every other op.  In a grid circuit a parameter or
+    ``None`` for every other op.  ``modes`` must be a sequence of ints and
+    ``params`` one of real numbers; in a grid circuit a parameter or
     carrier amplitude may be an array with one entry per grid point.
     """
 
@@ -246,7 +267,14 @@ class CircuitOp:
             if self.kind not in ELEMENT_KINDS:
                 raise ValidationError(f"unknown circuit op kind {self.kind!r}")
             object.__setattr__(self, "kind", ELEMENT_KINDS[self.kind])
-        object.__setattr__(self, "modes", tuple(map(int, self.modes)))
+        modes, params = _sequence_of(self.modes, _is_int), _sequence_of(self.params, _is_real)
+        if modes is None:
+            raise ValidationError(f"modes must be a sequence of ints, got {self.modes!r}")
+        if params is None:
+            raise ValidationError("params must be a sequence of real numbers or real grid arrays, "
+                                  f"got {self.params!r}")
+        object.__setattr__(self, "modes", tuple(map(int, modes)))
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -273,8 +301,12 @@ class CompiledCircuit:
         for mon in self.monitors:
             if mon.label == label:
                 return mon
-        known = ", ".join(m.label for m in self.monitors)
-        raise ValidationError(f"unknown output {label!r}; circuit monitors: {known}")
+        raise unknown_output(label, [mon.label for mon in self.monitors])
+
+
+def unknown_output(label: str, labels) -> ValidationError:
+    """The refusal of an output ``label`` that is not among a circuit's monitor ``labels``."""
+    return ValidationError(f"unknown output {label!r}; circuit monitors: {', '.join(labels)}")
 
 
 def check_wiring(circuit: CompiledCircuit) -> None:

@@ -11,20 +11,30 @@ elements, and the eigenbasis of each ladder family it uses
 diagonalisation and so do the two-mode squeezers; nothing outlives the run.
 
 A run also owns two flat complex work buffers, each sized for its largest
-state (``cutoff ** (modes + ancillas)``, bounded by :data:`DIMENSION_GUARD`).
-Each op reads the state from one buffer and writes it into the other: the
-reordered copy that brings the target modes to the front (skipped when they
-already lead in memory), the op's output, and a monitor's gathered mode all
-go into the buffer the state does not occupy, so no op allocates a
-state-sized array.  The buffers live as long as the run.
+possible state (``cutoff ** (modes + ancillas)``, bounded by
+:data:`DIMENSION_GUARD`), an upper bound since an ancilla may keep fewer
+levels.  Each op reads the state from one buffer and writes it into the
+other: the reordered copy that brings the target modes to the front
+(skipped when they already lead in memory), the op's output, and a
+monitor's gathered mode all go into the buffer the state does not occupy,
+so no op allocates a state-sized array.  The buffers live as long as the
+run.
 
 A kind that needs an ancilla (loss) couples the mode to a fresh vacuum
 mode through a beam splitter.  Only the splitter's columns with the
 ancilla in vacuum meet a nonzero amplitude, so just those are applied,
-and the ancilla is then kept in the (pure) joint state to the end.  A
-monitor reads the three diagonals of its mode's reduced density matrix
-that the tridiagonal truncated quadrature and its square touch, which
-traces the ancillas and every other mode out.
+and the ancilla is then kept in the (pure) joint state to the end.  It
+keeps only its levels 0..K-1: K is the fewest levels, at least 2, whose
+top two and the dropped ones above hold at most
+b = min(:data:`ANCILLA_TAIL`, tail threshold) of probability, found from
+the mode's level populations before anything is written.  No later op
+acts on an ancilla, so a dropped level would only have added its own
+probability to the reduced states, and since b is at most the tail
+threshold, the ancilla's tail check refuses exactly when a full-cutoff
+axis would.  Mass that is not finite keeps every level.  A monitor reads
+the three diagonals of its mode's reduced density matrix that the
+tridiagonal truncated quadrature and its square touch, which traces the
+ancillas and every other mode out.
 
 A kind that is diagonal in the number basis (``ElementKind.diagonal``,
 the phase shifter) is applied as one multiply along its mode's axis, and
@@ -54,6 +64,7 @@ from .circuits import (
     CircuitSpec,
     CompiledCircuit,
     ModulationMode,
+    _is_int,
     build_circuit,
     check_wiring,
     monitor_stats,
@@ -63,6 +74,10 @@ from .exceptions import NumericalError, TruncationError, ValidationError, annota
 #: Hard cap on the truncated Hilbert-space dimension, ancillas included.
 DIMENSION_GUARD = 2_000_000
 NORM_TOL = 1e-9
+#: Probability a loss's ancilla may hold in its top two kept levels and
+#: the dropped ones above, capped by the tail threshold: 2^-53, half the
+#: spacing of doubles at 1.
+ANCILLA_TAIL = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -75,8 +90,7 @@ class FockConfig:
     tail_threshold: float = 1e-6
 
     def __post_init__(self):
-        integral = isinstance(self.cutoff, (int, np.integer)) and not isinstance(self.cutoff, bool)
-        check(integral, self.cutoff, ValidationError, "cutoff must be an integer, got {!r}")
+        check(_is_int(self.cutoff), self.cutoff, ValidationError, "cutoff must be an integer, got {!r}")
         object.__setattr__(self, "cutoff", int(self.cutoff))  # no fixed-width overflow in cutoff**modes
         check(self.cutoff >= 4, self.cutoff, ValidationError, "cutoff must be >= 4, got {}")
         check(0.0 < self.tail_threshold <= 1e-3, self.tail_threshold, ValidationError,
@@ -116,15 +130,18 @@ def _apply_diagonal(psi: np.ndarray, blocks, mode: int, work: _Workspace) -> np.
     for rows, block in blocks:
         diagonal[rows.start] = block[0, 0]
     # a spare buffer laid out like psi: its memory order of axes is psi's
-    out = work.spare(psi, psi.shape).transpose(np.argsort(np.argsort(psi.strides)[::-1]))
+    order = np.argsort(psi.strides)[::-1]
+    out = work.spare(psi, tuple(np.take(psi.shape, order))).transpose(np.argsort(order))
     return np.multiply(psi, diagonal.reshape((-1,) + (1,) * (psi.ndim - 1 - mode)), out=out)
 
 
 def _apply_blocks(psi: np.ndarray, blocks, modes: tuple[int, ...], work: _Workspace) -> np.ndarray:
     """Apply block-diagonal ``(rows, block)`` pairs over the flattened basis
     of ``modes`` (see :class:`qdmsim.elements.BlockUnitary`), each block's
-    rows as one strided slice.  Every axis has the cutoff's length.  The
-    result lies in a spare buffer of ``work``."""
+    rows as one strided slice.  The axes of ``modes`` have the cutoff's
+    length, and an ancilla's, which may be shorter, come after them, so
+    moving ``modes`` to the front keeps the state's shape.  The result lies
+    in a spare buffer of ``work``."""
     flat = _to_front(psi, modes, work)
     out = work.spare(flat, flat.shape)
     for rows, block in blocks:
@@ -136,24 +153,47 @@ def _apply_blocks(psi: np.ndarray, blocks, modes: tuple[int, ...], work: _Worksp
     return np.moveaxis(out.reshape(psi.shape), range(len(modes)), modes)
 
 
-def _apply_to_vacuum_ancilla(psi: np.ndarray, blocks, mode: int, work: _Workspace) -> np.ndarray:
+def _ancilla_levels(populations: np.ndarray, columns, bound: float) -> int:
+    """How many levels of a loss's ancilla to keep: the fewest, at least 2,
+    such that levels K - 2 and above hold at most ``bound``, or all of them.
+
+    Level n of the lossy mode, of probability ``populations[n]``, leaves
+    |c_n[n - k]|^2 of it in ancilla level k, for c_n its block's column in
+    ``columns``.  Mass that is not finite keeps every level."""
+    weights = np.zeros((len(columns), len(columns)))
+    for n, column in enumerate(columns):
+        weights[n, : n + 1] = np.abs(column[::-1]) ** 2
+    tail = np.cumsum((populations @ weights)[::-1])[::-1]  # tail[k]: levels k and above
+    if not math.isfinite(tail[0]):
+        return len(columns)
+    above = np.flatnonzero(tail > bound)
+    return min(len(columns), int(above[-1]) + 3) if above.size else 2
+
+
+def _apply_to_vacuum_ancilla(psi: np.ndarray, blocks, mode: int, work: _Workspace,
+                             bound: float) -> np.ndarray:
     """Apply photon-sum blocks (see :func:`qdmsim.elements.photon_sum_family`)
     to ``mode`` and a fresh vacuum ancilla appended as the last axis.
 
     The only input states are |n, 0>, each the last state of block n, so
     each block contributes its last column times the amplitudes of level n
     of ``mode``; every other entry of the extended state, which lies in a
-    spare buffer of ``work``, is zero."""
+    spare buffer of ``work``, is zero.  The ancilla keeps only the levels
+    that :func:`_ancilla_levels` asks for at ``bound``."""
     d = psi.shape[mode]
     front = _to_front(psi, (mode,), work)
-    out = work.spare(front, (d * d, front.shape[1]))
+    columns = [block[:, -1] for rows, block in blocks if rows[-1] % d == 0]  # block n, n < d
+    parts = front.view(float)
+    keep = _ancilla_levels(np.einsum("ij,ij->i", parts, parts), columns, bound)
+    out = work.spare(front, (d * keep, front.shape[1]))
     out.fill(0.0)
-    for rows, block in blocks:
-        level, ancilla = divmod(rows[-1], d)
-        if ancilla == 0:
-            rows = slice(rows.start, rows.stop, rows.step)
-            np.multiply(block[:, -1:], front[level], out=out[rows])
-    return np.moveaxis(out.reshape((d,) * (psi.ndim + 1)), (0, 1), (mode, psi.ndim))
+    for n, column in enumerate(columns):
+        # |n, 0> -> |j, n - j>, flat index j keep + n - j, for ancilla levels n - j < keep
+        lo = max(0, n - keep + 1)
+        rows = slice(lo * (keep - 1) + n, n * (keep - 1) + n + 1, keep - 1)
+        np.multiply(column[lo:, None], front[n], out=out[rows])
+    shape = (d, keep) + psi.shape[:mode] + psi.shape[mode + 1 :]
+    return np.moveaxis(out.reshape(shape), (0, 1), (mode, psi.ndim))
 
 
 def _reduced_diagonals(psi: np.ndarray, mode: int, work: _Workspace) -> tuple[np.ndarray, ...]:
@@ -253,7 +293,8 @@ class _FockRun:
     def _apply_op(self, op) -> None:
         blocks = self._unitary(op.kind.unitary, op.params).blocks
         if op.kind.ancilla:
-            self.psi = _apply_to_vacuum_ancilla(self.psi, blocks, op.modes[0], self.work)
+            bound = min(ANCILLA_TAIL, self.config.tail_threshold)
+            self.psi = _apply_to_vacuum_ancilla(self.psi, blocks, op.modes[0], self.work, bound)
         elif op.kind.diagonal:
             self.psi = _apply_diagonal(self.psi, blocks, op.modes[0], self.work)
         else:

@@ -33,6 +33,7 @@ from .circuits import (
     _is_grid,
     build_circuit,
     monitor_stats,
+    unknown_output,
 )
 from .elements import PaGain
 from .exceptions import NumericalError, ValidationError, check
@@ -99,8 +100,7 @@ def _reading(readings: dict[str, MonitorReading], output: str) -> MonitorReading
     try:
         return readings[output]
     except KeyError:
-        known = ", ".join(readings)
-        raise ValidationError(f"unknown output {output!r}; circuit monitors: {known}") from None
+        raise unknown_output(output, readings) from None
 
 
 def _classical_bound(i_ps: float, noise_var: float, slope: float) -> float:

@@ -21,6 +21,7 @@ import qdmsim as q
 from qdmsim import elements
 from qdmsim.circuits import ELEMENT_KINDS
 from qdmsim.fock import (
+    ANCILLA_TAIL,
     _apply_blocks,
     _apply_diagonal,
     _apply_to_vacuum_ancilla,
@@ -31,6 +32,7 @@ from qdmsim.fock import (
 )
 from qdmsim.scenario import load_scenario
 from test_circuits import dsui_spec
+from test_fock import kept_levels
 
 
 def _destroy(d):
@@ -269,7 +271,8 @@ def test_loss_on_the_vacuum_column_matches_the_padded_splitter(d):
     unitary = ELEMENT_KINDS["loss_channel"].unitary(math.exp(-0.3), d)
     for psi in random_states(d):
         for mode in range(psi.ndim):
-            got = _apply_to_vacuum_ancilla(psi, unitary.blocks, mode, _Workspace(psi.size * d))
+            work = _Workspace(psi.size * d)
+            got = _apply_to_vacuum_ancilla(psi, unitary.blocks, mode, work, ANCILLA_TAIL)
             assert np.max(np.abs(got - padded_loss(psi, unitary, mode, d))) <= 1e-12
 
 
@@ -349,7 +352,8 @@ def test_ops_on_a_state_in_either_work_buffer_match_dense(which):
             assert np.max(np.abs(got - dense_apply(psi, dense, modes, d))) <= 1e-12
         for mode in range(psi.ndim):
             work = _Workspace(psi.size * d)  # room for the ancilla
-            got = _apply_to_vacuum_ancilla(in_work_buffer(psi, work, which), loss.blocks, mode, work)
+            got = _apply_to_vacuum_ancilla(in_work_buffer(psi, work, which), loss.blocks, mode, work,
+                                           ANCILLA_TAIL)
             assert np.max(np.abs(got - padded_loss(psi, loss, mode, d))) <= 1e-12
 
 
@@ -362,7 +366,7 @@ def test_ops_only_read_an_array_they_do_not_own():
             for modes, unitary, _ in one_and_two_mode_cases(psi.ndim, d):
                 _apply_blocks(psi, unitary.blocks, modes, _Workspace(psi.size))
             for mode in range(psi.ndim):
-                _apply_to_vacuum_ancilla(psi, loss.blocks, mode, _Workspace(psi.size * d))
+                _apply_to_vacuum_ancilla(psi, loss.blocks, mode, _Workspace(psi.size * d), ANCILLA_TAIL)
                 _quadrature_moments(psi, mode, 0.7, _Workspace(psi.size))
             assert np.array_equal(psi, kept)
 
@@ -402,3 +406,50 @@ def test_three_splitter_mzi_alternating_modes_matches_the_dense_path():
     for label, (mean, var) in want.items():
         assert abs(got[label][0] - mean) <= 1e-12
         assert abs(got[label][1] - var) <= 1e-12
+
+
+def test_nested_circuit_with_a_short_ancilla_matches_the_dense_path(monkeypatch):
+    spec, _ = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "nested_validate.json")
+    circuit = q.build_circuit(spec)
+    kept = kept_levels(monkeypatch)
+    d = 16
+    got = q.simulate_fock(circuit, q.FockConfig(cutoff=d))
+    # the loss's ancilla keeps only the levels that hold probability
+    assert len(kept) == 1 and kept[0] < d
+    want = dense_monitor_stats(circuit, d)
+    assert got.keys() == want.keys()
+    for label, (mean, var) in want.items():
+        assert abs(got[label][0] - mean) <= 1e-12
+        assert abs(got[label][1] - var) <= 1e-12
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_ops_after_a_short_ancilla_match_dense(which):
+    # mode 0 holds amplitudes of about 0.1^n: the loss on it leaves the
+    # ancilla ~3e-16 in level 6 and ~1e-18 above, so it keeps 9 of 12 levels
+    d = 12
+    rng = np.random.default_rng(7)
+    for permuted in random_states(d):
+        if permuted.ndim < 2:
+            continue
+        decay = np.moveaxis(np.zeros(permuted.shape), 0, -1) + 0.1 ** np.arange(d)
+        psi = permuted * np.moveaxis(decay, -1, 0) * np.exp(2j * np.pi * rng.random(permuted.shape))
+        psi /= np.linalg.norm(psi)
+        loss = ELEMENT_KINDS["loss_channel"].unitary(math.exp(-0.3), d)
+        work = _Workspace(psi.size * d)
+        lossy = _apply_to_vacuum_ancilla(in_work_buffer(psi, work, which), loss.blocks, 0, work,
+                                         ANCILLA_TAIL)
+        padded = padded_loss(psi, loss, 0, d)
+        keep = lossy.shape[-1]
+        assert keep == 9 and lossy.shape[:-1] == psi.shape
+        assert np.max(np.abs(lossy - padded[..., :keep])) <= 1e-12
+        assert np.vdot(padded[..., keep - 2 :], padded[..., keep - 2 :]).real <= ANCILLA_TAIL
+        for modes, unitary, dense in one_and_two_mode_cases(psi.ndim, d):
+            # an op may overwrite the buffer its input lies in: each gets a copy
+            work = _Workspace(lossy.size)
+            state = in_work_buffer(lossy, work, which)
+            if all(block.shape == (1, 1) for _, block in unitary.blocks):  # the phase shifter
+                got = _apply_diagonal(state, unitary.blocks, modes[0], work)
+            else:
+                got = _apply_blocks(state, unitary.blocks, modes, work)
+            assert np.max(np.abs(got - dense_apply(padded, dense, modes, d)[..., :keep])) <= 1e-12

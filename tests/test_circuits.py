@@ -544,12 +544,41 @@ def test_identity_with_an_array_carrier_stacks_the_state():
     ((2,), "mode 2 out of range for 2 modes at op 0 (phase_shifter)"),
 ])
 def test_identity_carrier_on_wrong_modes_is_refused(modes, message):
-    # an identity op builds no map, so its modes are checked in the evaluation itself
+    # an identity op builds no map, but check_wiring refuses its modes before any op runs
     circuit = q.CompiledCircuit(2, (CircuitOp("phase_shifter", modes, (0.0,), q.circuits.OWN_FIELD),),
                                 (Monitor("x", 0, 0.0),))
     with pytest.raises(q.ValidationError) as info:
         q.evaluate_circuit(circuit)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("modes, params, message", [
+    ((0,), 0.3, "params must be a sequence of real numbers or real grid arrays, got 0.3"),
+    (0, (0.3,), "modes must be a sequence of ints, got 0"),
+    ((0,), ("a",), "params must be a sequence of real numbers or real grid arrays, got ('a',)"),
+], ids=["scalar params", "scalar modes", "string param"])
+def test_op_refuses_modes_or_params_of_the_wrong_type(modes, params, message):
+    with pytest.raises(q.ValidationError) as info:
+        CircuitOp("phase_shifter", modes, params)
+    assert str(info.value) == message
+
+
+def test_op_accepts_numpy_scalars_and_grid_arrays():
+    op = CircuitOp("displace", np.array([0]), [np.float64(0.5), np.int64(0)])
+    assert op.modes == (0,) and type(op.modes[0]) is int
+    assert op.params == (0.5, 0)
+    grid = CircuitOp("phase_shifter", (np.int32(0),), (np.linspace(0.0, 1.0, 3),))
+    circuit = q.CompiledCircuit(1, (op, grid), (Monitor("y", 0, math.pi / 2),))
+    mean = q.evaluate_circuit(circuit).mean
+    assert mean.shape == (3, 2)
+    assert np.allclose(mean[:, 1], np.sin(np.linspace(0.0, 1.0, 3)), rtol=0.0, atol=1e-15)
+
+
+def test_a_circuit_refuses_an_unknown_output_as_a_report_does():
+    circuit = q.build_circuit(mzi_spec())
+    with pytest.raises(q.ValidationError) as info:
+        circuit.monitor("mix_minus")
+    assert str(info.value) == "unknown output 'mix_minus'; circuit monitors: phase, amplitude"
 
 
 def test_identity_rule_refuses_grid_parameters():

@@ -818,6 +818,15 @@ def test_validate_small_circuit(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_validate_with_every_loss_on_vacuum_exits_0(tmp_path, capsys):
+    # alpha 0: each loss acts on vacuum, so its ancilla keeps levels 0-2 and
+    # the top two, which its tail check reads, hold nothing
+    payload = mzi_payload(alpha=0.0, splitters=[0.5, 0.5, 0.5], modulation_mode="EXACT",
+                          detection_loss=0.8)
+    assert main(["validate", write(tmp_path, "mzi.json", payload), "--cutoff", "8"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_validate_rejects_linearized(tmp_path):
     path = write(tmp_path, "mzi.json", mzi_payload())
     assert main(["validate", path]) == 3

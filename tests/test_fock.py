@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdmsim as q
-from qdmsim import fock
+from qdmsim import elements, fock
 from qdmsim.circuits import ELEMENT_KINDS, CircuitOp, CompiledCircuit, Monitor
 from qdmsim.exceptions import annotate
 from qdmsim.fock import _FockRun, _quadrature_moments
@@ -473,3 +473,68 @@ def test_schedule_and_narrow_checks_change_nothing_but_rounding(circuit, cutoff,
     for label, (mean, var) in want.items():
         assert abs(got[label][0] - mean) <= 1e-12
         assert abs(got[label][1] - var) <= 1e-12
+
+
+#: A loss on a mode in vacuum, after ops that leave light in the other mode:
+#: its ancilla holds no photon, so only levels 0-2 are kept.
+LOSS_ON_VACUUM = tiny_circuit(
+    [CircuitOp("displace", (0,), (0.6, 0.0)), CircuitOp("loss_channel", (1,), (0.5,)),
+     CircuitOp("beam_splitter", (0, 1), (0.5,))], 2, XY)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(oracle_circuits(), st.integers(5, 12), st.floats(-6.0, -3.0))
+@example(LOSS_ON_VACUUM, 12, -6.0)
+@example(BRIGHT_SECOND_MODE, 8, -3.0)
+def test_dropped_ancilla_levels_change_nothing_but_rounding(circuit, cutoff, log_threshold):
+    # an ancilla bounded at zero keeps every level that holds any probability
+    config = q.FockConfig(cutoff=cutoff, tail_threshold=10.0**log_threshold)
+    got = outcome(q.simulate_fock, circuit, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "ANCILLA_TAIL", 0.0)
+        want = outcome(q.simulate_fock, circuit, config)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, dict) and got.keys() == want.keys()
+    for label, (mean, var) in want.items():
+        assert abs(got[label][0] - mean) <= 1e-12
+        assert abs(got[label][1] - var) <= 1e-12
+
+
+def kept_levels(monkeypatch):
+    """The number of levels each loss's ancilla keeps, in run order."""
+    kept, levels = [], fock._ancilla_levels
+
+    def recording(*args):
+        kept.append(levels(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(fock, "_ancilla_levels", recording)
+    return kept
+
+
+def test_a_loss_on_vacuum_keeps_three_levels(monkeypatch):
+    kept = kept_levels(monkeypatch)
+    stats = q.simulate_fock(LOSS_ON_VACUUM, q.FockConfig(cutoff=12))
+    # level 0 holds all the probability, and the top two kept levels must be empty
+    assert kept == [3]
+    assert stats["x"] == pytest.approx((0.6 * 2 * math.sqrt(0.5), 1.0), abs=1e-9)  # truncation at 12
+
+
+@pytest.mark.parametrize("populations", [
+    [math.nan] + [0.0] * 7, [1.0, math.nan] + [0.0] * 6, [1.0] + [0.0] * 6 + [math.inf]])
+def test_mass_that_is_not_finite_keeps_every_level(populations):
+    columns = [block[:, -1] for rows, block in elements.splitter_unitary(0.5, 8).blocks
+               if rows[-1] % 8 == 0]
+    assert fock._ancilla_levels(np.array(populations), columns, fock.ANCILLA_TAIL) == 8
+
+
+def test_a_nan_loss_keeps_its_refusal_and_every_level(monkeypatch):
+    kept = kept_levels(monkeypatch)
+    circuit = tiny_circuit([CircuitOp("displace", (0,), (0.5, 0.0)),
+                            CircuitOp("loss_channel", (0,), (math.nan,))])
+    with pytest.raises(q.NumericalError) as err:
+        q.simulate_fock(circuit, q.FockConfig(cutoff=8))
+    assert str(err.value) == "state norm drifted to nan at op 1 (loss_channel)"
+    assert kept == [8]
