@@ -13,8 +13,6 @@ import contextlib
 import csv
 import errno
 import functools
-import itertools
-import json
 import math
 import os
 import stat
@@ -76,11 +74,10 @@ def _parse_axis_flag(flag: str) -> SweepAxis:
     return SweepAxis(name, start, stop, count)
 
 
-def _sweep_columns(payload) -> list[np.ndarray]:
+def _sweep_columns(spec, start: int, axis_columns, labels) -> list[np.ndarray]:
     """Row columns of a contiguous run of grid points from grid index
     ``start`` on, evaluated as one grid spec: the axis values, then noise,
     SNR and enhancement per label."""
-    spec, start, axis_columns, labels = payload
     try:
         for name, column in axis_columns:
             spec = apply_axis_value(spec, name, column)
@@ -103,19 +100,6 @@ def _sweep_columns(payload) -> list[np.ndarray]:
     ]
 
 
-def _evaluate_chunks(payloads, workers: int):
-    """``_sweep_columns`` of each payload, in order; with ``workers`` > 1
-    in a process pool, with at most ``workers`` chunks in flight."""
-    if workers == 1:
-        yield from map(_sweep_columns, payloads)
-        return
-    # imported here: it loads multiprocessing, which a serial command never needs
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        while group := list(itertools.islice(payloads, workers)):
-            yield from pool.map(_sweep_columns, group)
-
-
 def _cmd_sweep(args) -> int:
     spec, options = load_scenario(args.scenario)
     axes = tuple(_parse_axis_flag(flag) for flag in args.axis) if args.axis else options.axes
@@ -134,15 +118,14 @@ def _cmd_sweep(args) -> int:
     values = [np.array(ax.values()) for ax in axes]
     shape = tuple(len(v) for v in values)
     points = math.prod(shape)
-    size = min(CHUNK_POINTS, -(-points // args.workers))
 
     def chunk(start):
-        indices = np.unravel_index(np.arange(start, min(start + size, points)), shape)
-        return spec, start, [(ax.name, v[i]) for ax, v, i in zip(axes, values, indices)], labels
+        indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, points)), shape)
+        axis_columns = [(ax.name, v[i]) for ax, v, i in zip(axes, values, indices)]
+        return _sweep_columns(spec, start, axis_columns, labels)
 
-    payloads = map(chunk, range(0, points, size))
     with _streamed_output(args.out) as out:
-        chunks = _evaluate_chunks(payloads, args.workers if points > size else 1)
+        chunks = map(chunk, range(0, points, CHUNK_POINTS))
         # write nothing before the first chunk is done: a sweep that fails
         # there prints nothing, as a sweep of one chunk always did
         if (args.format or options.fmt or "csv") == "json":
@@ -194,8 +177,8 @@ def _cmd_validate(args) -> int:
 def _json_text(value) -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)`` with every
     non-finite float written as null, built in one pass over ``value``.
-    What ``json.dumps`` refuses is refused alike: a value or key of a type
-    it does not take raises TypeError, a non-finite float key ValueError."""
+    A value of a type ``json.dumps`` does not take, or a key that is not a
+    str, raises TypeError."""
     parts = []
     _encode_json(value, parts, "\n")
     return "".join(parts)
@@ -220,7 +203,9 @@ def _encode_json(value, parts: list, newline: str) -> None:
         if isinstance(value, dict):
             separator = "{" + inner
             for key, item in sorted(value.items()):
-                parts.append(f"{separator}{_json_string(_json_key(key))}: ")
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                parts.append(f"{separator}{_json_string(key)}: ")
                 _encode_json(item, parts, inner)
                 separator = "," + inner
             parts.append(newline + "}")
@@ -233,16 +218,6 @@ def _encode_json(value, parts: list, newline: str) -> None:
             parts.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json.dumps`` writes it: a str as it is, a float,
-    int, bool or None as its JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):  # a bool is an int
-        return json.dumps(key, allow_nan=False)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _write_json(path, document) -> None:
@@ -324,16 +299,6 @@ def _streamed_output(path):
         raise
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 @functools.lru_cache(maxsize=None)  # built once; parsing keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -351,7 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--axis", action="append", metavar="name=start:stop:count")
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", choices=("json", "csv"), default=None)
-    sweep.add_argument("--workers", type=_positive_int, default=1)
+    # accepted only because bench/workloads.py passes --workers 1; the
+    # benchmark change that drops that argument deletes this line
+    sweep.add_argument("--workers", type=int, choices=(1,), help=argparse.SUPPRESS)
 
     export = sub.add_parser("export-states", help="stage-by-stage phase-space snapshots")
     export.add_argument("scenario")

@@ -7,7 +7,7 @@ failing slice of a stacked :func:`check` (None for an unstacked one, and
 absent from an error no check raised), then the places :func:`annotate`
 added on its way up, such as ``at op 4 (two_mode_squeezer)``.  ``str``
 renders the message followed by those places.  All of it is instance
-data, which pickling across a process pool keeps.
+data.
 """
 
 import numpy as np

@@ -219,12 +219,6 @@ def _moments(diagonals: tuple[np.ndarray, ...], angle: float) -> tuple[float, fl
     return float(mean), float(second)
 
 
-def _quadrature_moments(psi: np.ndarray, mode: int, angle: float,
-                        work: _Workspace) -> tuple[float, float]:
-    """<X> and <X^2> of the truncated quadrature at ``angle`` on ``mode``."""
-    return _moments(_reduced_diagonals(psi, mode, work), angle)
-
-
 def _moves(op) -> bool:
     """Whether ``op`` is diagonal in the number basis with finite parameters:
     it then commutes with every op on other modes and changes no norm or
@@ -269,9 +263,9 @@ class _FockRun:
         basis = functools.cache(elements.LadderBasis)
         self._unitary = functools.cache(lambda make, params: make(*params, d, basis))
 
-    def _check_state(self, modes=None) -> None:
+    def _check_state(self, modes) -> None:
         """Refuse a norm off 1 and a tail mass above the threshold in the top
-        two levels of each of ``modes`` (every axis when None)."""
+        two levels of each of ``modes``."""
         psi = self.psi
         # the state is a view of one contiguous array with its axes permuted;
         # read in that memory order, the norm is one contiguous dot product
@@ -282,7 +276,7 @@ class _FockRun:
         threshold = self.config.tail_threshold
         axes = list(range(psi.ndim))
         position = np.argsort(order)
-        for mode in axes if modes is None else sorted(modes):
+        for mode in sorted(modes):
             # the mode's top two levels as a strided float view: summed, not copied
             top = contiguous[(slice(None),) * position[mode] + (slice(-2, None),)].view(float)
             tail = float(np.einsum(top, axes, top, axes, []))

@@ -26,7 +26,8 @@ from qdmsim.fock import (
     _apply_diagonal,
     _apply_to_vacuum_ancilla,
     _FockRun,
-    _quadrature_moments,
+    _moments,
+    _reduced_diagonals,
     _schedule,
     _Workspace,
 )
@@ -282,7 +283,7 @@ def test_monitor_read_matches_the_dense_quadrature(d, angle):
     for psi in random_states(d):
         for mode in range(psi.ndim):
             shifted = dense_apply(psi, dense_quadrature(angle, d), (mode,), d)
-            mean, second = _quadrature_moments(psi, mode, angle, _Workspace(psi.size))
+            mean, second = _moments(_reduced_diagonals(psi, mode, _Workspace(psi.size)), angle)
             assert abs(mean - np.vdot(psi, shifted).real) <= 1e-12
             assert abs(second - np.vdot(shifted, shifted).real) <= 1e-12
 
@@ -367,7 +368,7 @@ def test_ops_only_read_an_array_they_do_not_own():
                 _apply_blocks(psi, unitary.blocks, modes, _Workspace(psi.size))
             for mode in range(psi.ndim):
                 _apply_to_vacuum_ancilla(psi, loss.blocks, mode, _Workspace(psi.size * d), ANCILLA_TAIL)
-                _quadrature_moments(psi, mode, 0.7, _Workspace(psi.size))
+                _moments(_reduced_diagonals(psi, mode, _Workspace(psi.size)), 0.7)
             assert np.array_equal(psi, kept)
 
 

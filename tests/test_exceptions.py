@@ -70,4 +70,4 @@ def test_nan_fock_state_is_refused():
     run = _FockRun(tiny_circuit([CircuitOp("displace", (0,), (0.5, 0.0))]), q.FockConfig(cutoff=8))
     run.psi = np.full_like(run.psi, math.nan)
     with pytest.raises(q.NumericalError, match="^state norm drifted to nan$"):
-        run._check_state()
+        run._check_state(range(run.psi.ndim))
