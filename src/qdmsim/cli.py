@@ -13,6 +13,7 @@ import contextlib
 import csv
 import errno
 import functools
+import io
 import math
 import os
 import stat
@@ -227,12 +228,36 @@ def _write_json(path, document) -> None:
 
 def _write_output(path, text: str) -> None:
     """Write a whole document, once complete: a command that fails before
-    it has one never opens ``path``."""
-    if path:
-        with _open_output(path, "w", path) as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    it has one never opens ``path``.  An existing ``path`` is overwritten in
+    place and then, if it is a regular file, cut to the document's length,
+    so its inode, links and permission bits stay.  This skips the truncation
+    of ``open(path, "w")``, which costs more than the write when a file is
+    rewritten (ext4, for one, starts writeback at close of a file it sees
+    replaced by truncation).  A failed write empties a regular file, so no
+    new bytes are left in front of old ones.  Only a sweep, which writes
+    while it can still fail, replaces its output whole through a temporary
+    sibling (:func:`_streamed_output`)."""
+    if not path:
+        with _stdout() as out:
+            out.write(text)
+        return
+    # the bytes open(path, "w") writes: its encoding, and no newline
+    # translation on a POSIX system
+    data = text.encode(io.TextIOWrapper(io.BytesIO()).encoding)
+    with _output_errors(path):
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # a device or pipe is not cut
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            with contextlib.suppress(OSError):  # EINVAL: not a regular file
+                os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
 
 
 def _refuse_unwritable(path) -> None:
@@ -257,12 +282,31 @@ def _refuse_unwritable(path) -> None:
         raise OutputError(f"cannot write output {path}: {os.strerror(code)}")
 
 
-def _open_output(target, mode: str, path):
-    """``open(target, mode)`` on the way to writing the output ``path``."""
+@contextlib.contextmanager
+def _output_errors(path):
+    """Raise an OSError from opening, writing, flushing or closing the
+    output ``path`` as an OutputError."""
     try:
-        return open(target, mode)
+        yield
     except OSError as exc:
         raise OutputError(f"cannot write output {path}: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def _stdout():
+    """``sys.stdout``, flushed once the command has written to it."""
+    with _output_errors("<stdout>"):
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError:
+            # the interpreter flushes what is left at exit and would fail
+            # again: send it to devnull, as the signal module's docs do on
+            # a broken pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
 
 
 @contextlib.contextmanager
@@ -274,29 +318,31 @@ def _streamed_output(path):
     ``path`` that is not a regular file (a device or pipe such as
     /dev/stdout) is written directly."""
     if not path:
-        yield sys.stdout
+        with _stdout() as out:
+            yield out
         return
     try:
         mode = os.stat(path).st_mode
     except OSError:  # no such file: opening it below says why
         mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with _open_output(path, "w", path) as handle:
-            yield handle
-        return
-    real = os.path.realpath(path) if os.path.islink(path) else path  # replace the link's target
-    directory, name = os.path.split(real)
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    handle = _open_output(temporary, "x", path)
-    try:
-        with handle:
-            if mode is not None:
-                os.chmod(temporary, stat.S_IMODE(mode))
-            yield handle
-        os.replace(temporary, real)
-    except BaseException:
-        os.remove(temporary)
-        raise
+    with _output_errors(path):
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w") as handle:
+                yield handle
+            return
+        real = os.path.realpath(path) if os.path.islink(path) else path  # replace the link's target
+        directory, name = os.path.split(real)
+        temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+        handle = open(temporary, "x")
+        try:
+            with handle:
+                if mode is not None:
+                    os.chmod(temporary, stat.S_IMODE(mode))
+                yield handle
+            os.replace(temporary, real)
+        except BaseException:
+            os.remove(temporary)
+            raise
 
 
 @functools.lru_cache(maxsize=None)  # built once; parsing keeps no state in it

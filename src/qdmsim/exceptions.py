@@ -38,7 +38,8 @@ class ScenarioParseError(QdmsimError, ValueError):
 
 
 class OutputError(QdmsimError):
-    """A command's output file cannot be written."""
+    """A command's output cannot be written: an unwritable ``--out``, or
+    a write, flush or close of a file or of stdout that fails."""
 
     exit_code = 2
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -1012,3 +1013,160 @@ def test_envelope_boundary_at_load(tmp_path, capsys, field, value, message):
     assert main(["run", write(tmp_path, "edge.json", document)]) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
+
+def _document_argv(command):
+    """``command`` on a shipped scenario it writes one document for."""
+    return {
+        "run": ["run", str(SCENARIOS / "mzi_basic.json")],
+        "export-states": ["export-states", str(SCENARIOS / "degenerate_sui_states.json")],
+        "validate": ["validate", DSUI_VALIDATE, "--cutoff", "30"],
+    }[command]
+
+
+def _fresh_document(tmp_path, command):
+    """The bytes ``command`` writes to a new file."""
+    fresh = tmp_path / "fresh" / "document"
+    fresh.parent.mkdir()
+    assert main([*_document_argv(command), "--out", str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+DOCUMENT_COMMANDS = ["run", "export-states", "validate"]
+
+
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
+@pytest.mark.parametrize("longer", [True, False], ids=["longer", "shorter"])
+def test_rewritten_output_holds_the_bytes_of_a_fresh_write(tmp_path, command, longer):
+    fresh = _fresh_document(tmp_path, command)
+    earlier = b"x" * 65536 if longer else b"{}\n"
+    assert (len(earlier) > len(fresh)) == longer
+    out = tmp_path / "out"
+    out.write_bytes(earlier)
+    for _ in range(3):
+        assert main([*_document_argv(command), "--out", str(out)]) == 0
+        assert out.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
+def test_rewritten_output_keeps_its_file_links_and_mode(tmp_path, command):
+    fresh = _fresh_document(tmp_path, command)
+    target, link, hard = tmp_path / "target", tmp_path / "link", tmp_path / "hard"
+    target.write_bytes(b"x" * 65536)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    os.link(target, hard)
+    inode = target.stat().st_ino
+    assert main([*_document_argv(command), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    # the file is written where it is: a hard link sees the new document
+    assert target.read_bytes() == hard.read_bytes() == fresh
+    assert target.stat().st_ino == inode
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("run", dsui_payload(modulation_mode="EXACT", delta=0.2)),  # refused at report time
+    ("export-states", mzi_payload()),
+    ("validate", mzi_payload()),
+])
+def test_failed_command_leaves_an_existing_output_as_it_was(tmp_path, capsys, command, payload):
+    scenario = write(tmp_path, "scenario.json", payload)
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 65536)
+    assert main([command, scenario, "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == b"x" * 65536
+    assert sorted(os.listdir(tmp_path)) == ["out", "scenario.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", [*DOCUMENT_COMMANDS, "sweep"])
+def test_full_device_output_exits_2(capsys, command):
+    argv = ["sweep", NESTED_SWEEP] if command == "sweep" else _document_argv(command)
+    assert main([*argv, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot write output /dev/full: "
+                                       "No space left on device\n")
+
+
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
+def test_failed_write_empties_an_existing_output(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 65536)
+    inode = out.stat().st_ino
+    real_write = os.write
+
+    def write_half_then_fail(fd, data):
+        if os.fstat(fd).st_ino != inode:
+            return real_write(fd, data)
+        real_write(fd, bytes(data[:len(data) // 2]))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.os, "write", write_half_then_fail)
+    assert main([*_document_argv(command), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write output {out}: No space left on device\n"
+    # no new bytes in front of old ones
+    assert out.read_bytes() == b""
+    assert os.listdir(tmp_path) == ["out"]
+
+
+class _FullDiskFile:
+    """A text file whose writes fail as on a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+
+def test_failed_sweep_write_keeps_the_output_and_directory(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    out.write_text("earlier output\n")
+    monkeypatch.setattr(cli, "open", lambda *args: _FullDiskFile(open(*args)), raising=False)
+    assert main(["sweep", NESTED_SWEEP, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write output {out}: "
+                                       "No space left on device\n")
+    assert out.read_text() == "earlier output\n"
+    assert os.listdir(tmp_path) == ["sweep.csv"]
+
+
+def _command_process(argv, stdout):
+    """``python -m qdmsim.cli *argv`` in a child that imports this package,
+    with stdout block-buffered, so output can still be pending at exit."""
+    package_root = str(Path(q.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "qdmsim.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, text=True, env=env)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["run", str(SCENARIOS / "mzi_basic.json")],
+    ["sweep", NESTED_SWEEP],
+], ids=["run", "sweep"])
+def test_full_stdout_exits_2_with_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = _command_process(argv, full)
+        _, err = proc.communicate()
+    # no traceback, and nothing left to fail at interpreter exit
+    assert (proc.returncode, err) == (2, "error: cannot write output <stdout>: "
+                                         "No space left on device\n")
+
+
+def test_closed_stdout_pipe_exits_2_with_one_error_line():
+    # 5000 rows in three chunks, far more than a pipe holds
+    argv = ["sweep", NESTED_SWEEP, "--axis", "phi=0:6.283185307179586:100", "--axis", "G2=1:50:50"]
+    proc = _command_process(argv, subprocess.PIPE)
+    assert proc.stdout.readline().startswith("phi,G2,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, "error: cannot write output <stdout>: Broken pipe\n")
