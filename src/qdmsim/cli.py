@@ -13,7 +13,6 @@ import contextlib
 import csv
 import errno
 import functools
-import io
 import math
 import os
 import stat
@@ -229,29 +228,33 @@ def _write_json(path, document) -> None:
 def _write_output(path, text: str) -> None:
     """Write a whole document, once complete: a command that fails before
     it has one never opens ``path``.  An existing ``path`` is overwritten in
-    place and then, if it is a regular file, cut to the document's length,
-    so its inode, links and permission bits stay.  This skips the truncation
-    of ``open(path, "w")``, which costs more than the write when a file is
-    rewritten (ext4, for one, starts writeback at close of a file it sees
-    replaced by truncation).  A failed write empties a regular file, so no
-    new bytes are left in front of old ones.  Only a sweep, which writes
-    while it can still fail, replaces its output whole through a temporary
-    sibling (:func:`_streamed_output`)."""
+    place and then, if it is a longer regular file, cut to the document's
+    length, so its inode, links and permission bits stay.  This skips the
+    truncation of ``open(path, "w")``, which costs more than the write when
+    a file is rewritten: ext4, for one, starts writeback at close of a file
+    it sees replaced by truncation (``auto_da_alloc``), and the speed comes
+    from skipping that writeback.  A write, flush or close that fails with an
+    error cuts a regular file to 0 bytes.  A kill or a crash during the
+    rewrite gets no such cut: it can leave new bytes in front of the old
+    tail, and after a crash the file can hold old data at the new length.
+    Only a sweep, which writes while it can still fail, replaces its output
+    whole through a temporary sibling (:func:`_streamed_output`)."""
     if not path:
         with _stdout() as out:
             out.write(text)
         return
-    # the bytes open(path, "w") writes: its encoding, and no newline
-    # translation on a POSIX system
-    data = text.encode(io.TextIOWrapper(io.BytesIO()).encoding)
     with _output_errors(path):
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # open(path, "w") without O_TRUNC
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # a device or pipe is not cut
-                os.ftruncate(fd, len(data))
+            earlier = os.fstat(fd)
+            # the text handle is closed before the fd, so no byte it still
+            # buffers can be written after the cut to 0 below
+            with open(fd, "w", closefd=False) as handle:
+                handle.write(text)
+                # only a longer regular file has a tail to cut; a device or
+                # pipe is never cut
+                if stat.S_ISREG(earlier.st_mode) and earlier.st_size > handle.tell():
+                    handle.truncate()
         except BaseException:
             with contextlib.suppress(OSError):  # EINVAL: not a regular file
                 os.ftruncate(fd, 0)

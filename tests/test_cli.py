@@ -1088,27 +1088,6 @@ def test_full_device_output_exits_2(capsys, command):
                                        "No space left on device\n")
 
 
-@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
-def test_failed_write_empties_an_existing_output(tmp_path, capsys, monkeypatch, command):
-    out = tmp_path / "out"
-    out.write_bytes(b"x" * 65536)
-    inode = out.stat().st_ino
-    real_write = os.write
-
-    def write_half_then_fail(fd, data):
-        if os.fstat(fd).st_ino != inode:
-            return real_write(fd, data)
-        real_write(fd, bytes(data[:len(data) // 2]))
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(cli.os, "write", write_half_then_fail)
-    assert main([*_document_argv(command), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: cannot write output {out}: No space left on device\n"
-    # no new bytes in front of old ones
-    assert out.read_bytes() == b""
-    assert os.listdir(tmp_path) == ["out"]
-
-
 class _FullDiskFile:
     """A text file whose writes fail as on a full disk."""
 
@@ -1136,7 +1115,7 @@ def test_failed_sweep_write_keeps_the_output_and_directory(tmp_path, capsys, mon
     assert os.listdir(tmp_path) == ["sweep.csv"]
 
 
-def _command_process(argv, stdout):
+def _command_process(argv, stdout, **popen):
     """``python -m qdmsim.cli *argv`` in a child that imports this package,
     with stdout block-buffered, so output can still be pending at exit."""
     package_root = str(Path(q.__file__).resolve().parent.parent)
@@ -1144,7 +1123,7 @@ def _command_process(argv, stdout):
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-m", "qdmsim.cli", *argv], stdout=stdout,
-                            stderr=subprocess.PIPE, text=True, env=env)
+                            stderr=subprocess.PIPE, text=True, env=env, **popen)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -1170,3 +1149,25 @@ def test_closed_stdout_pipe_exits_2_with_one_error_line():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (2, "error: cannot write output <stdout>: Broken pipe\n")
+
+
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
+def test_failed_write_empties_an_existing_output(tmp_path, command):
+    resource = pytest.importorskip("resource")
+    fresh = _fresh_document(tmp_path, command)
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 65536)
+
+    def refuse_the_second_half():
+        # the kernel writes the first half of the document and refuses the
+        # rest (EFBIG), as a full disk would
+        _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (len(fresh) // 2, hard))
+
+    proc = _command_process([*_document_argv(command), "--out", str(out)], subprocess.PIPE,
+                            preexec_fn=refuse_the_second_half)
+    assert proc.communicate() == ("", f"error: cannot write output {out}: File too large\n")
+    assert proc.returncode == 2
+    # no new bytes in front of old ones
+    assert out.read_bytes() == b""
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "out"]
