@@ -30,10 +30,11 @@ the operating point, delta = eps = 0, the modulators' maps are exact
 identities (``ElementKind.identity``): evaluation builds no map for them,
 and the one that carries the modulation only adds its tangent columns.
 Both engines refuse what :func:`check_wiring` refuses before they walk
-the ops.  Every map is certified as it is built; the ops run on bare
-arrays, and only the state the evaluation returns is certified (in
-:func:`stage_snapshots`, the state at each stage), so a failing state
-check names the last op, which formed that state.
+the ops.  Each element map comes from a formula the tests certify over
+the engine's envelope, and a non-finite parameter is refused at its op;
+the ops run on bare arrays, and only the state the evaluation returns is
+certified (in :func:`stage_snapshots`, the state at each stage), so a
+failing state check names the last op, which formed that state.
 
 Grids: a spec whose swept fields hold one value per grid point (arrays
 along one leading axis, the batch axis of :mod:`qdmsim.gaussian`) compiles
@@ -359,7 +360,7 @@ def _tangent_source(op: CircuitOp, gmap: GaussianMap | None, mean: np.ndarray) -
 
 def _states(circuit: CompiledCircuit) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The vacuum input's (mean, cov, tangent) arrays, then those after each
-    op, as :func:`evaluate_circuit` computes them: each map checked, no state."""
+    op, as :func:`evaluate_circuit` computes them: no state checked."""
     check_wiring(circuit)
     dim = 2 * circuit.n_modes
     mean, cov, tangent = np.zeros(dim), np.eye(dim), np.zeros((dim, 2))
@@ -394,9 +395,10 @@ def evaluate_circuit(circuit: CompiledCircuit) -> GaussianState:
     d mean/d(delta, eps) at the circuit's modulation depths.  A grid
     circuit's state carries the batch axis from its first op with array
     parameters on.  An op whose map is exactly the identity builds none: it
-    only adds its tangent columns if it carries the modulation.  Each map
-    is checked as it is built, and only the returned state as a state; a
-    failing check names the op's index and kind, the last op's for it."""
+    only adds its tangent columns if it carries the modulation.  A
+    non-finite element parameter is refused at its op, and only the
+    returned state is checked as a state; a failing check names the op's
+    index and kind, the last op's for the state."""
     for arrays in _states(circuit):
         pass
     return _certified(circuit, len(circuit.ops), arrays)

@@ -9,8 +9,14 @@ same element applied with its two modes swapped.
 Every element is one formula over its parameters.  A parameter may be a
 scalar or an array with one entry per batch slice; the map then carries
 the matching batch axis (see :mod:`qdmsim.gaussian`), so the element of
-a whole sweep grid is built and checked as one map.  A parameter check
-names the first failing slice, as the map checks do.
+a whole sweep grid is built as one map.  Its parameters are checked
+first, a non-finite angle included, and a check names the first failing
+slice.  The map is built by :meth:`GaussianMap._from_formula`, without
+the validity checks that ``GaussianMap(...)`` runs on any other map:
+the tests certify each formula once over the engine's envelope
+(``MAX_GAIN``, ``MAX_ALPHA``), where its rounding stays far below the
+checks' tolerance (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 3).
 
 A unitary is the exponential of the element's generator at the cutoff,
 kept as a :class:`BlockUnitary`: one block per value of a conserved
@@ -105,9 +111,14 @@ class PaGain:
         return np.sqrt(self.G * self.G - 1.0)
 
 
+def _check_angle(angle, name: str) -> None:
+    """Refuse a non-finite angle before cos and sin warn about it."""
+    check(np.isfinite(angle), angle, ValidationError, f"{name} must be finite, got {{}}")
+
+
 def _lossless(linear: np.ndarray) -> GaussianMap:
     size = linear.shape[-1]
-    return GaussianMap(linear, np.zeros((size, size)), np.zeros(size))
+    return GaussianMap._from_formula(linear, np.zeros((size, size)), np.zeros(size))
 
 
 def beam_splitter(spec: SplitterSpec) -> GaussianMap:
@@ -117,6 +128,7 @@ def beam_splitter(spec: SplitterSpec) -> GaussianMap:
 
 def phase_shifter(phi: float) -> GaussianMap:
     """Single-mode rotation a -> a e^{i phi}."""
+    _check_angle(phi, "phase")
     return _lossless(_scale(np.cos(phi), _EYE2) + _scale(np.sin(phi), _J))
 
 
@@ -130,13 +142,14 @@ def loss_channel(transmission: float) -> GaussianMap:
     t = transmission
     check((0.0 < t) & (t <= 1.0), t, ValidationError,
           "transmission must lie in (0, 1], got {}")
-    return GaussianMap(_scale(np.sqrt(t), _EYE2), _scale(1.0 - t, _EYE2), np.zeros(2))
+    return GaussianMap._from_formula(_scale(np.sqrt(t), _EYE2), _scale(1.0 - t, _EYE2), np.zeros(2))
 
 
 def _amplifier(gain: PaGain, identity, conj, conj_i) -> GaussianMap:
     """G identity + g (cos(phase) conj + sin(phase) conj_i): each output gets
     G times its input plus g e^{i phase} times the conjugate that ``conj``
     and ``conj_i`` route to it."""
+    _check_angle(gain.phase, "amplifier phase")
     coupling = _scale(np.cos(gain.phase), conj) + _scale(np.sin(gain.phase), conj_i)
     return _lossless(_scale(gain.G, identity) + _scale(gain.g, coupling))
 

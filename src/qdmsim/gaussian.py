@@ -6,8 +6,12 @@ coherent amplitude alpha has mean (2 Re alpha, 2 Im alpha).  Quadratures
 are interleaved per mode as (X1, Y1, X2, Y2, ...), which keeps each mode's
 2x2 covariance block contiguous.
 
-States and maps are immutable values, each certified as it is built (see
-below), and every operation returns a new state.  A state may carry a
+States and maps are immutable values, and every operation returns a new
+state.  A state, and a map built by ``GaussianMap(...)``, is certified as
+it is built (see below).  An element's map (:mod:`qdmsim.elements`) is
+built by :meth:`GaussianMap._from_formula`, which only refuses a
+non-finite entry: each element formula is certified once, by the tests,
+over the engine's whole envelope.  A state may carry a
 tangent d mean/d(parameters), which :func:`apply_map` carries forward with
 it (forward-mode differentiation).  A circuit evaluation
 (:mod:`qdmsim.circuits`) runs its ops on bare arrays and certifies only the
@@ -26,7 +30,7 @@ index and its margin, and records that index as the exception's
 ``batch_index`` (None for an unstacked object).
 
 Both positivity checks, cov + i*Omega >= 0 for a state and the validity
-noise + i*(Omega - S Omega S^T) >= 0 for any map, accept a smallest
+noise + i*(Omega - S Omega S^T) >= 0 for a map, accept a smallest
 eigenvalue down to -UNCERTAINTY_TOL * scale, the size of the entries the
 matrix is summed from (max|cov|; max|S|^2 + max|noise|; at least 1), as
 backward error analysis asks (Higham, Accuracy and Stability of Numerical
@@ -37,7 +41,8 @@ SYMMETRY_TOL.  Lossless maps: no noise entry in the stack and its largest
 |S Omega S^T - Omega| <= UNCERTAINTY_TOL / dim.  Positivity, for every
 other stack: one batched Cholesky factorisation with ``UNCERTAINTY_TOL /
 2`` added to the diagonal.  Else one ``eigvalsh`` call decides and
-reports the smallest eigenvalue.
+reports the smallest eigenvalue; a slice with a non-finite entry, on
+which it might not converge, has a NaN margin instead.
 """
 
 from __future__ import annotations
@@ -109,7 +114,12 @@ def _check_positive(real: np.ndarray, imaginary: np.ndarray, error: type, messag
     else:
         if math.isfinite(factor.diagonal(axis1=-2, axis2=-1).real.sum()):
             return
-    eig_min = np.linalg.eigvalsh(real + imaginary)[..., 0]
+    # LAPACK may not converge on a slice with a non-finite entry: it gets
+    # zeros in the call and a NaN margin
+    matrix = real + imaginary
+    finite = np.isfinite(matrix).all(axis=(-2, -1))
+    eig_min = np.linalg.eigvalsh(np.where(finite[..., None, None], matrix, 0.0))[..., 0]
+    eig_min = np.where(finite, eig_min, np.nan)
     scale = np.abs(real).max(axis=(-2, -1))
     scale += 0.0 if linear is None else np.abs(linear).max(axis=(-2, -1)) ** 2
     check(eig_min >= -UNCERTAINTY_TOL * np.maximum(scale, 1.0), eig_min, error, message)
@@ -158,6 +168,24 @@ def _batch_shape(*shapes: tuple[int, ...]) -> tuple[int, ...]:
                 raise ValidationError(f"batch shapes {shapes} do not match one batch axis")
             batch = shape
     return batch
+
+
+def _map_arrays(linear, noise, displacement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A map's three arrays as read-only floats on their one batch shape,
+    refused unless they fit one square map."""
+    linear = np.asarray(linear, dtype=float)
+    noise = np.asarray(noise, dtype=float)
+    disp = np.asarray(displacement, dtype=float)
+    dim = linear.shape[-1] if linear.ndim in (2, 3) else 0
+    if not dim or dim % 2 or linear.shape[-2] != dim:
+        raise ValidationError(f"linear part must be 2n x 2n, got {linear.shape}")
+    if noise.shape[-2:] != (dim, dim):
+        raise ValidationError(f"noise shape {noise.shape} does not match map size {dim}")
+    if disp.shape[-1:] != (dim,):
+        raise ValidationError(f"displacement shape {disp.shape} does not match map size {dim}")
+    batch = _batch_shape(linear.shape[:-2], noise.shape[:-2], disp.shape[:-1])
+    return (_as_locked_array(linear, batch + (dim, dim)), _as_locked_array(noise, batch + (dim, dim)),
+            _as_locked_array(disp, batch + (dim,)))
 
 
 _ASYMMETRIC_COV = f"cov is asymmetric by {{:.3e}} (tol {SYMMETRY_TOL})"
@@ -227,6 +255,8 @@ class GaussianMap:
     The linear part is square, (2n, 2n) on n modes.  Every map must satisfy
     the Gaussian-channel validity inequality noise + i*Omega - i*linear
     Omega linear^T >= 0; a lossless one (zero noise) is then symplectic.
+    The constructor checks it; :meth:`_from_formula`, for the elements'
+    certified formulas, does not.
     """
 
     linear: np.ndarray
@@ -234,20 +264,8 @@ class GaussianMap:
     displacement: np.ndarray
 
     def __post_init__(self):
-        linear = np.asarray(self.linear, dtype=float)
-        noise = np.asarray(self.noise, dtype=float)
-        disp = np.asarray(self.displacement, dtype=float)
-        dim = linear.shape[-1] if linear.ndim in (2, 3) else 0
-        if not dim or dim % 2 or linear.shape[-2] != dim:
-            raise ValidationError(f"linear part must be 2n x 2n, got {linear.shape}")
-        if noise.shape[-2:] != (dim, dim):
-            raise ValidationError(f"noise shape {noise.shape} does not match map size {dim}")
-        if disp.shape[-1:] != (dim,):
-            raise ValidationError(f"displacement shape {disp.shape} does not match map size {dim}")
-        batch = _batch_shape(linear.shape[:-2], noise.shape[:-2], disp.shape[:-1])
-        linear = _as_locked_array(linear, batch + (dim, dim))
-        noise = _as_locked_array(noise, batch + (dim, dim))
-        disp = _as_locked_array(disp, batch + (dim,))
+        linear, noise, disp = _map_arrays(self.linear, self.noise, self.displacement)
+        dim = linear.shape[-1]
         with np.errstate(invalid="ignore", over="ignore"):  # as in GaussianState
             lossy = noise.any()  # an all-zero stack is symmetric; a NaN is truthy, so it is checked
             if lossy:
@@ -263,6 +281,22 @@ class GaussianMap:
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "displacement", disp)
+
+    @classmethod
+    def _from_formula(cls, linear, noise, displacement) -> GaussianMap:
+        """The map of an element formula (see :mod:`qdmsim.elements`): its
+        arrays converted, broadcast and locked as the constructor does, and
+        refused if an entry is not finite, but not checked for validity,
+        which the tests certify for each formula over the envelope."""
+        linear, noise, disp = _map_arrays(linear, noise, displacement)
+        _check_finite(linear, 2, "linear part")
+        _check_finite(noise, 2, "noise")
+        _check_finite(disp, 1, "displacement")
+        gmap = object.__new__(cls)
+        object.__setattr__(gmap, "linear", linear)
+        object.__setattr__(gmap, "noise", noise)
+        object.__setattr__(gmap, "displacement", disp)
+        return gmap
 
     @property
     def n_in(self) -> int:
@@ -284,7 +318,7 @@ def displacement_map(alpha) -> GaussianMap:
     number or an array of them, one per batch slice) to the mean."""
     # a complex viewed as two floats is (Re, Im)
     disp = 2.0 * np.asarray(alpha, dtype=complex)[..., None].view(float)
-    return GaussianMap(np.eye(2), np.zeros((2, 2)), disp)
+    return GaussianMap._from_formula(np.eye(2), np.zeros((2, 2)), disp)
 
 
 def compose(second: GaussianMap, first: GaussianMap) -> GaussianMap:

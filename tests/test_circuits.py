@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -632,6 +633,26 @@ def test_both_engines_refuse_a_miswired_circuit_alike(case):
     message = MISWIRED[case][1]
     assert refusal(q.evaluate_circuit, miswired(case)) == message
     assert refusal(fock_at_cutoff_5, miswired(case)) == message
+
+
+#: Non-finite element parameters given through the library, each with its refusal.
+NON_FINITE = {
+    "nan pump phase": (replace(nested_spec(), gains=(q.PaGain(1.5, math.nan), q.PaGain(1.5))),
+                       "amplifier phase must be finite, got nan at op 0 (two_mode_squeezer)"),
+    "inf phi": (nested_spec(phi=math.inf), "phase must be finite, got inf at op 2 (phase_shifter)"),
+    "phi grid with a nan": (nested_spec(phi=np.array([0.0, math.nan, 1.0])),
+                            "phase must be finite, got nan at batch index 1 at op 2 (phase_shifter)"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_a_non_finite_element_parameter_is_refused_at_its_op(case):
+    spec, message = NON_FINITE[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before cos or sin could warn
+        with pytest.raises(q.ValidationError) as info:
+            q.monitor_stats(q.build_circuit(spec))
+    assert str(info.value) == message
 
 
 #: Parameters inside each kind's oracle envelope.

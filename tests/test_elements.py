@@ -177,7 +177,7 @@ def test_one_mode_symplectic_maps_preserve_ellipse_area():
 
 
 def test_loss_channel_satisfies_validity_inequality():
-    # constructor enforces noise + i(Omega - S Omega S^T) >= 0
+    # the formula satisfies noise + i(Omega - S Omega S^T) >= 0
     gmap = q.loss_channel(0.4)
     omega = symplectic_form(1)
     validity = gmap.noise + 1j * (omega - gmap.linear @ omega @ gmap.linear.T)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -177,17 +178,29 @@ _ANGLES = st.floats(-10.0, 10.0)
 _AMPLITUDES = st.floats(-q.elements.MAX_ALPHA / 2, q.elements.MAX_ALPHA / 2)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(G=_GAINS, phase=_ANGLES, T=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0, exclude_min=True),
-       phi=_ANGLES, re=_AMPLITUDES, im=_AMPLITUDES)
-def test_every_element_map_is_accepted_over_the_envelope(G, phase, T, t, phi, re, im):
+def _certified(gmap):
+    """``gmap``'s arrays through the checked constructor.  An element
+    builds its map without the checks, so this is where its formula is
+    certified."""
+    return q.GaussianMap(gmap.linear, gmap.noise, gmap.displacement)
+
+
+def _certify_elements(G, phase, T, t, phi, re, im):
+    """Certify the map of every element kind at one point of the envelope."""
     params = {"beam_splitter": (T,), "phase_shifter": (phi,), "loss_channel": (t,),
               "two_mode_squeezer": (G, phase), "single_mode_squeezer": (G, phase),
               "displace": (re, im)}
     kinds = q.circuits.ELEMENT_KINDS
     assert set(params) == set(kinds)
     for name, kind in kinds.items():
-        kind.gaussian_map(*params[name])
+        _certified(kind.gaussian_map(*params[name]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(G=_GAINS, phase=_ANGLES, T=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0, exclude_min=True),
+       phi=_ANGLES, re=_AMPLITUDES, im=_AMPLITUDES)
+def test_every_element_map_is_accepted_over_the_envelope(G, phase, T, t, phi, re, im):
+    _certify_elements(G, phase, T, t, phi, re, im)
 
 
 @pytest.mark.parametrize("element", SQUEEZERS)
@@ -195,7 +208,46 @@ def test_stacked_squeezers_are_accepted_over_the_envelope(element):
     # a sweep builds one map over its whole gain axis
     gains = np.logspace(0.0, math.log10(q.elements.MAX_GAIN), 601)
     for phase in (0.0, 0.3, 2.0):
-        assert element(q.PaGain(gains, phase)).batch_shape == (601,)
+        assert _certified(element(q.PaGain(gains, phase))).batch_shape == (601,)
+
+
+def _flipped_split():
+    split = q.elements._SPLIT.copy()
+    split[2, 0] = -split[2, 0]
+    return split
+
+
+_AMPLIFIER = q.elements._amplifier
+
+
+def _amplifier_with_g_for_G(gain, *rest):
+    return _AMPLIFIER(SimpleNamespace(G=gain.g, g=gain.G, phase=gain.phase), *rest)
+
+
+def _loss_with_noise_t(t):
+    return q.GaussianMap._from_formula(math.sqrt(t) * np.eye(2), t * np.eye(2), np.zeros(2))
+
+
+#: Broken element formulas: (module, attribute, replacement).
+_MUTATIONS = {
+    "splitter coupling not antisymmetric": (q.elements, "_SPLIT", _flipped_split()),
+    "G and g swapped": (q.elements, "_amplifier", _amplifier_with_g_for_G),
+    "loss noise t for 1 - t": (q.circuits, "loss_channel", _loss_with_noise_t),
+}
+
+
+#: Envelope points where every mutation breaks validity far past the
+#: tolerance: T inside (0, 1), a gain below 1e4 (the swapped amplifier's
+#: validity matrix has eigenvalue -2, while the tolerance grows as G^2) and
+#: t < 1/2 (noise t falls short of 1 - t).
+@pytest.mark.parametrize("point", [(1.5, 0.3, 0.3, 0.3, 0.7, 1.0, -2.0),
+                                   (50.0, 2.0, 0.99, 0.05, -3.0, 0.0, 1e7)])
+@pytest.mark.parametrize("mutation", _MUTATIONS)
+def test_a_broken_element_formula_fails_the_envelope_certification(monkeypatch, mutation, point):
+    _certify_elements(*point)
+    monkeypatch.setattr(*_MUTATIONS[mutation])
+    with pytest.raises(q.ValidationError, match="^invalid Gaussian channel: min eig of validity"):
+        _certify_elements(*point)
 
 
 #: A fixed perturbation direction, entries in [-1, 1].
@@ -284,15 +336,15 @@ def _count_calls(monkeypatch, name):
 def test_validity_certificates_run_for_lossy_maps_only(monkeypatch):
     factorisations = _count_calls(monkeypatch, "cholesky")
     eigenvalues = _count_calls(monkeypatch, "eigvalsh")
-    q.beam_splitter(q.SplitterSpec(0.3))
-    q.two_mode_squeezer(q.PaGain(1.5, 0.2))
+    _certified(q.beam_splitter(q.SplitterSpec(0.3)))
+    _certified(q.two_mode_squeezer(q.PaGain(1.5, 0.2)))
     assert factorisations == []
-    q.loss_channel(0.5)
+    t = 0.5
+    q.GaussianMap(math.sqrt(t) * np.eye(2), (1.0 - t) * np.eye(2), np.zeros(2))
     assert factorisations == [(2, 2)]
     assert eigenvalues == []
     # a lossy map with too little noise has no certificate: its
     # eigenvalues refuse it
-    t = 0.5
     with pytest.raises(q.ValidationError, match="invalid Gaussian channel"):
         q.GaussianMap(math.sqrt(t) * np.eye(2), 0.5 * (1.0 - t) * np.eye(2), np.zeros(2))
     assert eigenvalues == [(2, 2)]
@@ -375,14 +427,30 @@ def _non_finite_maps():
     bad_stack_noise = stack_noise.copy()
     bad_stack_noise[5, 0, 0] = math.nan
     yield pytest.param(stack_linear, bad_stack_noise, _ASYMMETRIC_NOISE, 5, id="stack noise nan")
+    # 4 x 4: the two-mode squeezer's formula at a non-finite phase
+    for phase, index, name in ((math.nan, None, "nan"), (math.inf, None, "inf"),
+                               (np.array([0.0, math.nan, 1.0]), 1, "stack nan")):
+        for square_noise, kind in ((np.zeros((4, 4)), "lossless"), (0.1 * np.eye(4), "noisy")):
+            yield pytest.param(_squeezer_linear(phase), square_noise, _CHANNEL, index,
+                               id=f"squeezer phase {name} {kind}")
+
+
+def _squeezer_linear(phase):
+    """The two-mode squeezer's linear part at G = 1.5 by its formula, at a
+    phase the element itself refuses."""
+    phase = np.asarray(phase)[..., None, None]
+    with np.errstate(invalid="ignore"):
+        coupling = np.cos(phase) * q.elements._PAIR_CONJ + np.sin(phase) * q.elements._PAIR_CONJ_I
+    return 1.5 * np.eye(4) + math.sqrt(1.25) * coupling
 
 
 @pytest.mark.parametrize("linear, noise, message, index", _non_finite_maps())
 def test_non_finite_lossy_map_is_refused(linear, noise, message, index):
     # a NaN can pass through a Cholesky factorisation without raising; the
-    # finite-diagonal guard sends it to the eigenvalues, which refuse it
+    # finite-diagonal guard sends it to the eigenvalues, which refuse it,
+    # and a slice they might not converge on gets a NaN margin
     with pytest.raises(q.ValidationError) as info:
-        q.GaussianMap(linear, noise, np.zeros(2))
+        q.GaussianMap(linear, noise, np.zeros(linear.shape[-1]))
     want = message if index is None else f"{message} at batch index {index}"
     assert str(info.value) == want
     assert info.value.batch_index == index
