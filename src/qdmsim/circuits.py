@@ -95,6 +95,14 @@ def _is_grid(value) -> bool:
     return isinstance(value, np.ndarray)
 
 
+def _complex(re, im):
+    """``complex(re, im)``, one per grid point where either part is an
+    array; unlike ``re + 1j * im``, an infinite part meets no arithmetic."""
+    value = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    value.real, value.imag = re, im
+    return value if value.ndim else complex(value)
+
+
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -135,7 +143,9 @@ class CircuitSpec:
     interferometer) and ``mzi_phi`` (Mach-Zehnder, 0 = dark fringe) are
     those :data:`TOPOLOGIES` says the topology takes; an unread phase keeps
     its default.  Gain phases are the squeezing angles theta1/theta2 in the
-    degenerate case and pump phases (kept at zero) otherwise.
+    degenerate case and pump phases (kept at zero) otherwise.  A LINEARIZED
+    amplifier topology's encoding assumes T1 = T2 and ``mzi_phi = 0``, so
+    its spec must hold both: every spec constructed compiles.
 
     A grid spec holds an array with one entry per grid point in any of the
     scalar fields, splitter transmissivities and gain parameters; every
@@ -199,6 +209,12 @@ class CircuitSpec:
                 value, default = getattr(self, field), self.__dataclass_fields__[field].default
                 check(value == default, value, ValidationError,
                       f"{name} does not read {field}, so it must stay {default!r}, got {{}}")
+        if self.modulation_mode is ModulationMode.LINEARIZED and shape.gains:
+            t1, t2 = self.splitters[0].T, self.splitters[1].T
+            check(t1 == t2, (t1, t2), ValidationError,
+                  "linearized encoding assumes identical splitters, got T1={}, T2={}")
+            check(self.mzi_phi == 0.0, self.mzi_phi, ValidationError,
+                  "linearized encoding assumes the embedded interferometer at dark fringe, got mzi_phi={}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +256,7 @@ ELEMENT_KINDS = {kind.name: kind for kind in (
                 elements.two_mode_squeezer_unitary, elements.gain_envelope, n_modes=2),
     ElementKind("single_mode_squeezer", lambda G, theta: single_mode_squeezer(PaGain(G, theta)),
                 elements.single_mode_squeezer_unitary, elements.gain_envelope),
-    ElementKind("displace", lambda re, im: displacement_map(re + 1j * im),
+    ElementKind("displace", lambda re, im: displacement_map(_complex(re, im)),
                 elements.displacement_unitary, elements.alpha_envelope, identity=(0.0, 0.0)),
 )}
 
@@ -297,12 +313,6 @@ class CompiledCircuit:
     #: (stage label, number of leading ops making up that stage) pairs,
     #: populated for the degenerate topology only.
     stage_bounds: tuple[tuple[str, int], ...] = ()
-
-    def monitor(self, label: str) -> Monitor:
-        for mon in self.monitors:
-            if mon.label == label:
-                return mon
-        raise unknown_output(label, [mon.label for mon in self.monitors])
 
 
 def unknown_output(label: str, labels) -> ValidationError:
@@ -468,7 +478,9 @@ def _mzi_block(spec: CircuitSpec, a_mode: int, b_mode: int) -> list[CircuitOp]:
         ops.extend(_exact_modulator_ops(spec, b_mode, spec.mzi_phi + spec.delta))
     else:
         ops.append(CircuitOp("phase_shifter", (b_mode,), (spec.mzi_phi,)))
-        arm_mean = -np.sqrt(t1.R) * spec.alpha * np.exp(1j * spec.mzi_phi)
+        # exp meets nan, not inf, where the phase is not finite: the phase shifter refuses it
+        rotation = np.exp(1j * np.where(np.isfinite(spec.mzi_phi), spec.mzi_phi, np.nan))
+        arm_mean = -np.sqrt(t1.R) * spec.alpha * rotation
         ops.append(_modulation_op(spec, b_mode, arm_mean))
     # second splitter: same element with the mode roles swapped
     ops.append(CircuitOp("beam_splitter", (b_mode, a_mode), (t2.T,)))
@@ -479,19 +491,17 @@ def _embedded_mzi(spec: CircuitSpec, a_mode: int, b_mode: int) -> tuple[list, li
     """The embedded Mach-Zehnder's input ops and own ops; LINEARIZED mode
     elides both to one displacement of the arm-B mean field -sqrt(R) alpha."""
     if spec.modulation_mode is ModulationMode.LINEARIZED:
-        t1, t2 = spec.splitters[0].T, spec.splitters[1].T
-        check(t1 == t2, (t1, t2), ValidationError,
-              "linearized encoding assumes identical splitters, got T1={}, T2={}")
-        check(spec.mzi_phi == 0.0, spec.mzi_phi, ValidationError,
-              "linearized encoding assumes the embedded interferometer at dark fringe, got mzi_phi={}")
         return [], [_modulation_op(spec, b_mode, -np.sqrt(spec.splitters[0].R) * spec.alpha)]
     return [_displace_op(a_mode, spec.alpha)], _mzi_block(spec, a_mode, b_mode)
 
 
-def _compiled(spec: CircuitSpec, ops: list[CircuitOp], monitors: tuple[Monitor, ...],
+def _compiled(spec: CircuitSpec, ops: list[CircuitOp], taps: tuple[tuple[int, float], ...],
               stage_bounds=()) -> CompiledCircuit:
     """``ops``, then, if any point has ``detection_loss < 1``, that loss on
-    each monitored mode: the circuit on modes 0 up to the highest it names."""
+    each monitored mode: the circuit on modes 0 up to the highest it names.
+    The (mode, angle) ``taps`` are the topology's outputs, in table order."""
+    labels = TOPOLOGIES[spec.topology].outputs
+    monitors = tuple(Monitor(label, *tap) for label, tap in zip(labels, taps, strict=True))
     if _anywhere(spec.detection_loss < 1.0):
         monitored = dict.fromkeys(mon.mode for mon in monitors)
         ops = ops + [CircuitOp("loss_channel", (m,), (spec.detection_loss,)) for m in monitored]
@@ -508,8 +518,7 @@ def _build_direct_homodyne(spec: CircuitSpec) -> CompiledCircuit:
     else:
         ops.append(_modulation_op(spec, 0, spec.alpha))
     ops.append(CircuitOp("beam_splitter", (0, 1), (spec.splitters[0].T,)))
-    monitors = (Monitor("phase", 0, math.pi / 2), Monitor("amplitude", 1, 0.0))
-    return _compiled(spec, ops, monitors)
+    return _compiled(spec, ops, ((0, math.pi / 2), (1, 0.0)))
 
 
 def _build_mzi(spec: CircuitSpec) -> CompiledCircuit:
@@ -520,10 +529,8 @@ def _build_mzi(spec: CircuitSpec) -> CompiledCircuit:
     ops.extend(_mzi_block(spec, a_mode=0, b_mode=1))
     if len(spec.splitters) == 3:
         ops.append(CircuitOp("beam_splitter", (1, 2), (spec.splitters[2].T,)))
-        monitors = (Monitor("phase", 1, math.pi / 2), Monitor("amplitude", 2, 0.0))
-    else:
-        monitors = (Monitor("phase", 1, math.pi / 2), Monitor("amplitude", 1, 0.0))
-    return _compiled(spec, ops, monitors)
+    # phase on the dark port, mode 1; amplitude there too, or past the third splitter on mode 2
+    return _compiled(spec, ops, ((1, math.pi / 2), (len(spec.splitters) - 1, 0.0)))
 
 
 def _build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
@@ -540,8 +547,7 @@ def _build_nested_sui(spec: CircuitSpec) -> CompiledCircuit:
     ops.extend(mzi)
     ops.append(CircuitOp("phase_shifter", (0,), (spec.phi,)))
     ops.append(CircuitOp("two_mode_squeezer", (0, 1), (g2.G, g2.phase)))
-    monitors = (Monitor("phase", 0, math.pi / 2), Monitor("amplitude", 1, 0.0))
-    return _compiled(spec, ops, monitors)
+    return _compiled(spec, ops, ((0, math.pi / 2), (1, 0.0)))
 
 
 def _build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
@@ -563,28 +569,25 @@ def _build_degenerate_sui(spec: CircuitSpec) -> CompiledCircuit:
     ops.append(CircuitOp("single_mode_squeezer", (0,), (g2.G, g2.phase)))
     stage_bounds.append(("output", len(ops)))
     half = g2.phase / 2.0
-    monitors = (
-        Monitor("mix_minus", 0, half),
-        Monitor("mix_plus", 0, half + math.pi / 2),
-    )
-    return _compiled(spec, ops, monitors, stage_bounds)
+    return _compiled(spec, ops, ((0, half), (0, half + math.pi / 2)), stage_bounds)
 
 
 class _Shape(NamedTuple):
-    """A topology's builder, splitter counts, gain count and phases it reads."""
+    """A topology's builder, splitter counts, gain count, phases it reads and output labels."""
 
     build: Callable[[CircuitSpec], CompiledCircuit]
     splitters: tuple[int, ...]
     gains: int
     reads: tuple[str, ...]
+    outputs: tuple[str, ...]
 
 
-#: Every topology's shape, the one place that says what a topology reads.
+#: Every topology's shape, the one place that says what a topology reads and monitors.
 TOPOLOGIES = {
-    Topology.DIRECT_HOMODYNE: _Shape(_build_direct_homodyne, (1,), 0, ()),
-    Topology.MZI: _Shape(_build_mzi, (2, 3), 0, ("mzi_phi",)),
-    Topology.NESTED_SUI: _Shape(_build_nested_sui, (2,), 2, ("phi", "mzi_phi")),
-    Topology.DEGENERATE_SUI: _Shape(_build_degenerate_sui, (2,), 2, ("mzi_phi",)),
+    Topology.DIRECT_HOMODYNE: _Shape(_build_direct_homodyne, (1,), 0, (), ("phase", "amplitude")),
+    Topology.MZI: _Shape(_build_mzi, (2, 3), 0, ("mzi_phi",), ("phase", "amplitude")),
+    Topology.NESTED_SUI: _Shape(_build_nested_sui, (2,), 2, ("phi", "mzi_phi"), ("phase", "amplitude")),
+    Topology.DEGENERATE_SUI: _Shape(_build_degenerate_sui, (2,), 2, ("mzi_phi",), ("mix_minus", "mix_plus")),
 }
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import functools
 import math
@@ -135,12 +134,12 @@ def _cmd_sweep(args) -> int:
                 out.write((",\n" if number else "[\n") + _json_text(records)[2:-2])
             out.write("\n]\n")
         else:
-            # '%.12g' % v is f"{v:.12g}", and no such field needs CSV quoting;
-            # a chunk is one format call: the row template once per row
+            # '%.12g' % v is f"{v:.12g}"; no field, axis name or output label needs
+            # CSV quoting; a chunk is one format call: the row template once per row
             template = ",".join(["%.12g"] * len(header)) + "\n"
             for number, columns in enumerate(chunks):
                 if not number:
-                    csv.writer(out, lineterminator="\n").writerow(header)
+                    out.write(",".join(header) + "\n")
                 rows = np.stack(columns, axis=-1)
                 out.write(template * len(rows) % tuple(rows.ravel().tolist()))
     return 0

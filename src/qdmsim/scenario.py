@@ -3,6 +3,8 @@
 Unknown keys, input the topology does not read (``circuits.TOPOLOGIES``)
 and sweep axes the circuit cannot take are rejected, and every constraint
 is re-validated on load, so a report is reproducible from its spec echo.
+Loading compiles nothing: the table names each topology's outputs, and
+:class:`qdmsim.circuits.CircuitSpec` refuses a spec that could not compile.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from .circuits import TOPOLOGIES, CircuitSpec, ModulationMode, build_circuit
+from .circuits import TOPOLOGIES, CircuitSpec, ModulationMode, _complex, unknown_output
 from .elements import PaGain, SplitterSpec
 from .exceptions import ScenarioParseError, ValidationError
 
@@ -178,15 +178,15 @@ def parse_scenario(text: str) -> tuple[CircuitSpec, RunOptions]:
         modulation_mode=doc.get("modulation_mode", ModulationMode.LINEARIZED),
         **{key: _as_float(doc[key], key) for key in _FLOAT_FIELDS if key in doc},
     )
-    circuit = build_circuit(spec)  # the LINEARIZED assumptions, and the monitors
-
+    labels = TOPOLOGIES[spec.topology].outputs
     outputs = doc.get("outputs")
     if outputs is None:
-        outputs = [mon.label for mon in circuit.monitors]
+        outputs = labels
     elif not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         raise ValidationError("outputs must be a list of monitor labels")
     for label in outputs:
-        circuit.monitor(label)
+        if label not in labels:
+            raise unknown_output(label, labels)
         if outputs.count(label) > 1:
             raise ValidationError(f"outputs must name each monitor once, got {label!r} twice")
 
@@ -244,13 +244,6 @@ def _check_entry(spec: CircuitSpec, name: str) -> None:
         raise ValidationError(f"{name} sweeps {_PART_NOUNS[axis.part]} the topology does not have")
     if axis.field in ("phi", "mzi_phi") and axis.field not in TOPOLOGIES[spec.topology].reads:
         raise ValidationError(f"{name} sweeps a phase the topology does not read")
-
-
-def _complex(re, im):
-    """``complex(re, im)``, one per grid point where either part is a column."""
-    alpha = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    alpha.real, alpha.imag = re, im
-    return alpha if alpha.ndim else complex(alpha)
 
 
 def apply_axis_value(spec: CircuitSpec, name: str, value) -> CircuitSpec:

@@ -508,10 +508,11 @@ def test_mzi_phi_axis_still_sweeps_in_exact_mode(capsys):
     ("mzi_phi", [0.0, 0.5], "dark fringe, got mzi_phi=0.5 at batch index 1"),
 ])
 def test_linearized_sui_grid_spec_names_its_bad_point(axis, values, message):
-    # the library route to what the sweep axes reject at load time
-    spec = apply_axis_value(BASES["NESTED_SUI"](q.ModulationMode.LINEARIZED), axis, np.array(values))
+    # the library route to what the sweep axes reject at load time: the
+    # grid spec itself is refused, at its first bad point
+    base = BASES["NESTED_SUI"](q.ModulationMode.LINEARIZED)
     with pytest.raises(q.ValidationError, match=message) as info:
-        q.operating_point(spec)
+        apply_axis_value(base, axis, np.array(values))
     assert info.value.batch_index == 1
 
 

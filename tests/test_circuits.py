@@ -14,7 +14,7 @@ import qdmsim as q
 from conftest import embed_map
 from qdmsim.circuits import ELEMENT_KINDS, OWN_FIELD, CircuitOp, Monitor
 from qdmsim.cli import main
-from qdmsim.scenario import load_scenario
+from qdmsim.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -274,12 +274,6 @@ def test_direct_homodyne_noise_is_vacuum():
 def test_direct_homodyne_needs_one_splitter():
     with pytest.raises(q.ValidationError):
         q.build_circuit(q.CircuitSpec(q.Topology.DIRECT_HOMODYNE, alpha=1.0))
-
-
-def test_unknown_monitor_label_rejected():
-    circuit = q.build_circuit(direct_spec())
-    with pytest.raises(q.ValidationError):
-        circuit.monitor("bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +569,78 @@ def test_op_accepts_numpy_scalars_and_grid_arrays():
     assert np.allclose(mean[:, 1], np.sin(np.linspace(0.0, 1.0, 3)), rtol=0.0, atol=1e-15)
 
 
-def test_a_circuit_refuses_an_unknown_output_as_a_report_does():
-    circuit = q.build_circuit(mzi_spec())
+def test_a_scenario_refuses_an_unknown_output_as_a_report_does():
+    message = "unknown output 'mix_minus'; circuit monitors: phase, amplitude"
+    document = {"topology": "MZI", "alpha": 100.0, "splitters": [0.99, 0.99], "outputs": ["mix_minus"]}
     with pytest.raises(q.ValidationError) as info:
-        circuit.monitor("mix_minus")
-    assert str(info.value) == "unknown output 'mix_minus'; circuit monitors: phase, amplitude"
+        parse_scenario(json.dumps(document))
+    assert str(info.value) == message
+    with pytest.raises(q.ValidationError) as info:
+        q.channel_report(mzi_spec(), "mix_minus")
+    assert str(info.value) == message
+
+
+@st.composite
+def drawn_specs(draw):
+    """``CircuitSpec`` arguments on any topology, in either mode, with a
+    splitter count and the gains the topology takes: T1 and T2 equal or
+    not, mzi_phi zero or not, phi drawn where the topology reads it."""
+    topology = draw(st.sampled_from(list(q.Topology)))
+    shape = q.circuits.TOPOLOGIES[topology]
+    splitters = [draw(st.floats(0.5, 0.999)) for _ in range(draw(st.sampled_from(shape.splitters)))]
+    if len(splitters) > 1 and draw(st.booleans()):
+        splitters[1] = splitters[0]
+    kwargs = {
+        "alpha": draw(st.floats(-10.0, 10.0)),
+        "splitters": tuple(map(q.SplitterSpec, splitters)),
+        "gains": tuple(q.PaGain(draw(st.floats(1.0, 3.0)), draw(st.floats(-4.0, 4.0)))
+                       for _ in range(shape.gains)),
+        "mzi_phi": draw(st.just(0.0) | st.floats(-4.0, 4.0)),
+        "delta": draw(st.floats(-0.05, 0.05)),
+        "epsilon": draw(st.floats(0.0, 0.05)),
+        "modulation_mode": draw(st.sampled_from(list(q.ModulationMode))),
+        "detection_loss": draw(st.sampled_from((1.0, 0.8))),
+    }
+    if "phi" in shape.reads:
+        kwargs["phi"] = draw(st.floats(-4.0, 4.0))
+    return topology, kwargs
+
+
+def linearized_sui(topology, T2, mzi_phi):
+    """A LINEARIZED amplifier topology's draw with T1 = 0.9."""
+    return topology, {"splitters": (q.SplitterSpec(0.9), q.SplitterSpec(T2)), "mzi_phi": mzi_phi,
+                      "gains": (q.PaGain(1.5, math.pi), q.PaGain(1.5)), "alpha": 1.0,
+                      "modulation_mode": q.ModulationMode.LINEARIZED}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn_specs())
+@example(linearized_sui(q.Topology.NESTED_SUI, 0.95, 0.0))
+@example(linearized_sui(q.Topology.NESTED_SUI, 0.9, 0.3))
+@example(linearized_sui(q.Topology.DEGENERATE_SUI, 0.9, -0.2))
+@example(linearized_sui(q.Topology.DEGENERATE_SUI, 0.9, 0.0))
+def test_every_accepted_spec_compiles_with_the_tables_outputs(drawn):
+    # refused only for an unread mzi_phi or a LINEARIZED amplifier
+    # topology's T1 != T2 or mzi_phi != 0; else it compiles
+    topology, kwargs = drawn
+    shape = q.circuits.TOPOLOGIES[topology]
+    splitters, mzi_phi = kwargs["splitters"], kwargs["mzi_phi"]
+    assumed = (kwargs["modulation_mode"] is q.ModulationMode.LINEARIZED and shape.gains
+               and (splitters[0] != splitters[1] or mzi_phi != 0.0))
+    unread = mzi_phi != 0.0 and "mzi_phi" not in shape.reads
+    try:
+        spec = q.CircuitSpec(topology, **kwargs)
+    except q.ValidationError:
+        assert assumed or unread
+        return
+    assert not (assumed or unread)
+    circuit = q.build_circuit(spec)
+    assert tuple(mon.label for mon in circuit.monitors) == shape.outputs
+
+
+def test_every_table_output_is_a_report_channel():
+    for shape in q.circuits.TOPOLOGIES.values():
+        assert set(shape.outputs) <= set(q.metrology._CHANNELS)
 
 
 def test_identity_rule_refuses_grid_parameters():
@@ -642,6 +703,9 @@ NON_FINITE = {
     "inf phi": (nested_spec(phi=math.inf), "phase must be finite, got inf at op 2 (phase_shifter)"),
     "phi grid with a nan": (nested_spec(phi=np.array([0.0, math.nan, 1.0])),
                             "phase must be finite, got nan at batch index 1 at op 2 (phase_shifter)"),
+    **{f"{value} mzi_phi, {mode.value}": (mzi_spec(mzi_phi=value, modulation_mode=mode),
+                                         f"phase must be finite, got {value} at op 2 (phase_shifter)")
+       for value in (math.inf, -math.inf, math.nan) for mode in q.ModulationMode},
 }
 
 
@@ -653,6 +717,16 @@ def test_a_non_finite_element_parameter_is_refused_at_its_op(case):
         with pytest.raises(q.ValidationError) as info:
             q.monitor_stats(q.build_circuit(spec))
     assert str(info.value) == message
+
+
+def test_a_grid_displacement_with_an_infinite_part_is_refused_at_its_op():
+    op = CircuitOp("displace", (0,), (np.zeros(3), np.array([0.0, math.inf, 1.0])))
+    circuit = q.CompiledCircuit(1, (op,), (Monitor("x", 0, 0.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic meets the inf
+        with pytest.raises(q.ValidationError) as info:
+            q.evaluate_circuit(circuit)
+    assert str(info.value) == "displacement must be finite at batch index 1 at op 0 (displace)"
 
 
 #: Parameters inside each kind's oracle envelope.

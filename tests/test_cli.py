@@ -163,24 +163,25 @@ def test_json_writer_refuses_what_json_dumps_refuses(document, error):
         cli._json_text(document)
 
 
-def _count_evaluations(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """A list that grows by one at each call of ``circuits.<name>``."""
     from qdmsim import circuits
 
     calls = []
-    original = circuits.evaluate_circuit
+    original = getattr(circuits, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(circuits, "evaluate_circuit", counting)
+    monkeypatch.setattr(circuits, name, counting)
     return calls
 
 
 @pytest.mark.parametrize("payload", [mzi_payload(), dsui_payload(modulation_mode="EXACT")])
 def test_one_evaluation_per_operating_point(tmp_path, capsys, monkeypatch, payload):
     path = write(tmp_path, "scenario.json", payload)
-    calls = _count_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, "evaluate_circuit")
     assert main(["run", path]) == 0
     assert len(calls) == 1
     calls.clear()
@@ -194,6 +195,28 @@ def test_one_evaluation_per_operating_point(tmp_path, capsys, monkeypatch, paylo
     assert len(calls) == 1
     calls.clear()
     # one evaluation per chunk
+    monkeypatch.setattr(cli, "CHUNK_POINTS", 4)
+    assert main(argv) == 0
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "export-states", "validate"])
+def test_a_command_compiles_its_circuit_once(capsys, monkeypatch, command):
+    # loading the scenario compiles nothing; every builder ends in _compiled
+    path = str(SCENARIOS / "dsui_validate.json")
+    calls = _count_calls(monkeypatch, "_compiled")
+    extra = ["--cutoff", "30"] if command == "validate" else []
+    assert main([command, path, *extra]) == 0
+    assert len(calls) == 1
+
+
+def test_a_sweep_compiles_once_per_chunk(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "scenario.json", mzi_payload())
+    calls = _count_calls(monkeypatch, "_compiled")
+    argv = ["sweep", path, "--axis", "detection_loss=0.5:1.0:3", "--axis", "mzi_phi=0:1:4"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    calls.clear()
     monkeypatch.setattr(cli, "CHUNK_POINTS", 4)
     assert main(argv) == 0
     assert len(calls) == 3
@@ -587,7 +610,7 @@ _TWICE = "; a sweep sets each value once"
         "scenario phi twice", "scenario theta2_dark theta1"])
 def test_sweep_setting_one_value_twice_is_refused(tmp_path, monkeypatch, capsys,
                                                   argv, document, message):
-    calls = _count_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, "evaluate_circuit")
     assert main(["sweep", write(tmp_path, "twice.json", document), *argv]) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert calls == []
@@ -696,7 +719,7 @@ def test_sweep_writes_a_device_directly(capsys):
 
 @pytest.mark.parametrize("command", ["run", "sweep", "export-states", "validate"])
 def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
-    calls = _count_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, "evaluate_circuit")
     out = tmp_path / "missing" / "x.json"
     argv = [command, str(SCENARIOS / "dsui_validate.json"), "--out", str(out)]
     if command == "sweep":
@@ -715,7 +738,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command):
 def test_output_in_place_of_a_directory_exits_2(tmp_path, capsys, monkeypatch, command,
                                                 target, reason):
     (tmp_path / "afile").write_text("kept\n")
-    calls = _count_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, "evaluate_circuit")
     out = os.path.join(tmp_path, target)
     assert main([command, str(SCENARIOS / "dsui_validate.json"), "--out", out]) == 2
     assert capsys.readouterr().err == f"error: cannot write output {out}: {reason}\n"
@@ -736,7 +759,7 @@ def test_read_only_output_exits_2(tmp_path, capsys, monkeypatch, command):
         return real_access(path, mode, **kwargs)
 
     monkeypatch.setattr(cli.os, "access", access)
-    calls = _count_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, "evaluate_circuit")
     argv = [command, str(SCENARIOS / "dsui_validate.json"), "--out", str(out)]
     if command == "sweep":
         argv += ["--axis", "G2=1.1:2:3"]
