@@ -123,25 +123,32 @@ def _cmd_sweep(args) -> int:
         axis_columns = [(ax.name, v[i]) for ax, v, i in zip(axes, values, indices)]
         return _sweep_columns(spec, start, axis_columns, labels)
 
-    with _streamed_output(args.out) as out:
+    def pieces():
         chunks = map(chunk, range(0, points, CHUNK_POINTS))
-        # write nothing before the first chunk is done: a sweep that fails
-        # there prints nothing, as a sweep of one chunk always did
+        # yield nothing before the first chunk is done: a sweep that fails
+        # there writes nothing, whatever its size
         if (args.format or options.fmt or "csv") == "json":
             # the text of json.dumps(records, indent=2), one chunk at a time
             for number, columns in enumerate(chunks):
                 records = [dict(zip(header, row)) for row in zip(*(c.tolist() for c in columns))]
-                out.write((",\n" if number else "[\n") + _json_text(records)[2:-2])
-            out.write("\n]\n")
+                yield (",\n" if number else "[\n") + _json_text(records)[2:-2]
+            yield "\n]\n"
         else:
             # '%.12g' % v is f"{v:.12g}"; no field, axis name or output label needs
             # CSV quoting; a chunk is one format call: the row template once per row
             template = ",".join(["%.12g"] * len(header)) + "\n"
             for number, columns in enumerate(chunks):
                 if not number:
-                    out.write(",".join(header) + "\n")
+                    yield ",".join(header) + "\n"
                 rows = np.stack(columns, axis=-1)
-                out.write(template * len(rows) % tuple(rows.ravel().tolist()))
+                yield template * len(rows) % tuple(rows.ravel().tolist())
+
+    if points <= CHUNK_POINTS:  # the whole output exists before --out is opened
+        _write_output(args.out, "".join(pieces()))
+    else:
+        with _streamed_output(args.out) as out:
+            for piece in pieces():
+                out.write(piece)
     return 0
 
 
@@ -236,8 +243,10 @@ def _write_output(path, text: str) -> None:
     error cuts a regular file to 0 bytes.  A kill or a crash during the
     rewrite gets no such cut: it can leave new bytes in front of the old
     tail, and after a crash the file can hold old data at the new length.
-    Only a sweep, which writes while it can still fail, replaces its output
-    whole through a temporary sibling (:func:`_streamed_output`)."""
+    Every command that has its whole output before it opens ``path``
+    writes it here, a sweep of one chunk included.  Only a longer sweep,
+    which writes rows while a later chunk can still fail, replaces its
+    output whole through a temporary sibling (:func:`_streamed_output`)."""
     if not path:
         with _stdout() as out:
             out.write(text)
@@ -313,12 +322,12 @@ def _stdout():
 
 @contextlib.contextmanager
 def _streamed_output(path):
-    """A text sink for output written piece by piece while the command can
-    still fail: stdout without ``path``, else a temporary sibling of
-    ``path`` that replaces it once everything is written, so a failing
-    command leaves ``path`` as it was and no partial file.  An existing
-    ``path`` that is not a regular file (a device or pipe such as
-    /dev/stdout) is written directly."""
+    """A text sink for a sweep of more than one chunk, which writes the rows
+    of a chunk while a later one can still fail: stdout without ``path``,
+    else a temporary sibling of ``path`` that replaces it once everything
+    is written, so a failing sweep leaves ``path`` as it was and no partial
+    file.  An existing ``path`` that is not a regular file (a device or
+    pipe such as /dev/stdout) is written directly."""
     if not path:
         with _stdout() as out:
             yield out

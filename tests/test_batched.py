@@ -553,3 +553,49 @@ def test_accepted_axis_moves_a_report_column(topology, mode, name):
             first, second = np.broadcast_to(value, (2,))
             moved.append(first != second)
     assert any(moved), f"{name} moves no column of {topology} ({mode.value})"
+
+
+# ---------------------------------------------------------------------------
+# a one-point grid gives the bits of its scalar spec
+# ---------------------------------------------------------------------------
+
+
+def _scalar_value(spec, name):
+    """The value of the scalar ``spec`` that axis ``name`` sets."""
+    values = {"alpha_re": spec.alpha.real, "alpha_im": spec.alpha.imag}
+    for k, splitter in enumerate(spec.splitters, 1):
+        values[f"T{k}"] = splitter.T
+    for k, gain in enumerate(spec.gains, 1):
+        values[f"G{k}"], values[f"theta{k}"] = gain.G, gain.phase
+    return values[name] if name in values else getattr(spec, name)
+
+
+def one_point_grid(spec):
+    """``spec`` with every value a sweep may set on it a one-point grid: the
+    axes ``check_axes`` accepts together, in ``SWEEPABLE`` order (so not
+    theta2_dark, which sets theta1 and theta2 again)."""
+    names = []
+    for name in SWEEPABLE:
+        try:
+            check_axes(spec, [SweepAxis(axis, 0.0, 0.0, 1) for axis in (*names, name)])
+        except q.ValidationError:
+            continue
+        names.append(name)
+    grid_spec = spec
+    for name in names:
+        grid_spec = apply_axis_value(grid_spec, name, np.array([_scalar_value(spec, name)]))
+    return grid_spec, names
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_one_point_grid_reports_the_bits_of_its_scalar_spec(name):
+    # the scalar and the grid branches of evaluation and reporting are twins
+    spec, options = load_scenario(SCENARIOS / name)
+    grid_spec, names = one_point_grid(spec)
+    assert len(names) >= 8
+    for label in options.outputs:
+        scalar, grid_report = q.channel_report(spec, label), q.channel_report(grid_spec, label)
+        for field in ("snr", "enhancement", "noise_var", "i_ps"):
+            want, got = getattr(scalar, field), getattr(grid_report, field)
+            assert np.ndim(want) == 0 and np.shape(got) == (1,), (label, field)
+            assert np.float64(want).tobytes() == got.tobytes(), (label, field, want, got)

@@ -580,6 +580,11 @@ def test_a_scenario_refuses_an_unknown_output_as_a_report_does():
     assert str(info.value) == message
 
 
+def test_a_scenario_without_alpha_loads_at_zero_amplitude():
+    spec, _ = parse_scenario(json.dumps({"topology": "MZI", "splitters": [0.99, 0.99]}))
+    assert spec.alpha == 0j
+
+
 @st.composite
 def drawn_specs(draw):
     """``CircuitSpec`` arguments on any topology, in either mode, with a

@@ -1043,6 +1043,9 @@ def _document_argv(command):
         "run": ["run", str(SCENARIOS / "mzi_basic.json")],
         "export-states": ["export-states", str(SCENARIOS / "degenerate_sui_states.json")],
         "validate": ["validate", DSUI_VALIDATE, "--cutoff", "30"],
+        # the shipped 629-point phi sweep, one chunk
+        "sweep": ["sweep", NESTED_SWEEP],
+        "sweep json": ["sweep", NESTED_SWEEP, "--format", "json"],
     }[command]
 
 
@@ -1054,14 +1057,15 @@ def _fresh_document(tmp_path, command):
     return fresh.read_bytes()
 
 
-DOCUMENT_COMMANDS = ["run", "export-states", "validate"]
+#: Commands that have their whole output before they open --out
+DOCUMENT_COMMANDS = ["run", "export-states", "validate", "sweep", "sweep json"]
 
 
 @pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
 @pytest.mark.parametrize("longer", [True, False], ids=["longer", "shorter"])
 def test_rewritten_output_holds_the_bytes_of_a_fresh_write(tmp_path, command, longer):
     fresh = _fresh_document(tmp_path, command)
-    earlier = b"x" * 65536 if longer else b"{}\n"
+    earlier = b"x" * (len(fresh) + 65536) if longer else b"{}\n"
     assert (len(earlier) > len(fresh)) == longer
     out = tmp_path / "out"
     out.write_bytes(earlier)
@@ -1087,10 +1091,30 @@ def test_rewritten_output_keeps_its_file_links_and_mode(tmp_path, command):
     assert target.stat().st_mode & 0o777 == 0o640
 
 
+@pytest.mark.parametrize("command, chunk_points", [
+    *((command, None) for command in DOCUMENT_COMMANDS), ("sweep", 300),
+], ids=[*DOCUMENT_COMMANDS, "sweep in chunks"])
+def test_fresh_output_takes_the_mode_the_umask_leaves(tmp_path, monkeypatch, command,
+                                                      chunk_points):
+    if chunk_points is not None:
+        monkeypatch.setattr(cli, "CHUNK_POINTS", chunk_points)
+    out = tmp_path / "out"
+    umask = os.umask(0o022)
+    try:
+        assert main([*_document_argv(command), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o7777 == 0o644
+    assert os.listdir(tmp_path) == ["out"]
+
+
 @pytest.mark.parametrize("command, payload", [
     ("run", dsui_payload(modulation_mode="EXACT", delta=0.2)),  # refused at report time
     ("export-states", mzi_payload()),
     ("validate", mzi_payload()),
+    # a one-chunk grid refused while its reports are computed
+    ("sweep", dsui_payload(modulation_mode="EXACT", delta=0.2,
+                           sweep={"axes": [{"name": "G2", "start": 1.1, "stop": 2, "count": 3}]})),
 ])
 def test_failed_command_leaves_an_existing_output_as_it_was(tmp_path, capsys, command, payload):
     scenario = write(tmp_path, "scenario.json", payload)
@@ -1103,10 +1127,9 @@ def test_failed_command_leaves_an_existing_output_as_it_was(tmp_path, capsys, co
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("command", [*DOCUMENT_COMMANDS, "sweep"])
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
 def test_full_device_output_exits_2(capsys, command):
-    argv = ["sweep", NESTED_SWEEP] if command == "sweep" else _document_argv(command)
-    assert main([*argv, "--out", "/dev/full"]) == 2
+    assert main([*_document_argv(command), "--out", "/dev/full"]) == 2
     assert capsys.readouterr() == ("", "error: cannot write output /dev/full: "
                                        "No space left on device\n")
 
@@ -1128,6 +1151,8 @@ class _FullDiskFile:
 
 
 def test_failed_sweep_write_keeps_the_output_and_directory(tmp_path, capsys, monkeypatch):
+    # the shipped 629-point sweep in three chunks, streamed to a temporary sibling
+    monkeypatch.setattr(cli, "CHUNK_POINTS", 300)
     out = tmp_path / "sweep.csv"
     out.write_text("earlier output\n")
     monkeypatch.setattr(cli, "open", lambda *args: _FullDiskFile(open(*args)), raising=False)
