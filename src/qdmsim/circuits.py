@@ -76,6 +76,7 @@ from .gaussian import (
     GaussianMap,
     GaussianState,
     _apply_to_arrays,
+    _check_finite,
     _selected_modes,
     displacement_map,
     quadrature_direction,
@@ -221,16 +222,18 @@ class CircuitSpec:
 class ElementKind:
     """One kind of circuit element: its Gaussian map, its Fock unitary
     (``unitary(*params, cutoff, basis)``, where ``basis(family, cutoff)``
-    gives a :class:`qdmsim.elements.LadderBasis`), the oracle's envelope
-    check, all called with the op's parameters, the number of modes an op
-    of the kind names, whether the oracle runs it on its mode and a fresh
-    vacuum ancilla (loss), whether its unitary is diagonal in the number
-    basis (the phase shifter), and the scalar parameters at which its map
-    is exactly the identity (None if there are none worth naming)."""
+    gives a :class:`qdmsim.elements.LadderBasis`), the checks its map runs
+    on its parameters, which the oracle runs before its envelope check,
+    all called with the op's parameters; the number of modes an op of the
+    kind names, whether the oracle runs it on its mode and a fresh vacuum
+    ancilla (loss), whether its unitary is diagonal in the number basis
+    (the phase shifter), and the scalar parameters at which its map is
+    exactly the identity (None if there are none worth naming)."""
 
     name: str
     gaussian_map: Callable[..., GaussianMap]
     unitary: Callable[..., elements.BlockUnitary]
+    check_params: Callable[..., object]
     oracle_envelope: Callable[..., None] = lambda *params: None
     n_modes: int = 1
     ancilla: bool = False
@@ -244,20 +247,35 @@ class ElementKind:
                 and params == self.identity)
 
 
+def _check_gain(G, phase) -> None:
+    """The checks an amplifier's map runs: those of PaGain, and a finite phase."""
+    elements._check_angle(PaGain(G, phase).phase, "amplifier phase")
+
+
+def _check_displacement(re, im) -> None:
+    """The check a displacement's map runs: a finite amplitude.  The sum of
+    squares it starts from may overflow on a finite one, which the oracle's
+    envelope then refuses."""
+    with np.errstate(over="ignore"):
+        _check_finite(np.array((re, im), dtype=float), 1, "displacement")
+
+
 #: Every element kind by name.  The lambdas look the element functions up
 #: in this module when called, where a caller may have wrapped them.
 ELEMENT_KINDS = {kind.name: kind for kind in (
     ElementKind("beam_splitter", lambda T: beam_splitter(SplitterSpec(T)),
-                elements.splitter_unitary, n_modes=2),
+                elements.splitter_unitary, SplitterSpec, n_modes=2),
     ElementKind("phase_shifter", lambda phi: phase_shifter(phi), elements.phase_unitary,
-                diagonal=True, identity=(0.0,)),
-    ElementKind("loss_channel", lambda t: loss_channel(t), elements.splitter_unitary, ancilla=True),
+                lambda phi: elements._check_angle(phi, "phase"), diagonal=True, identity=(0.0,)),
+    ElementKind("loss_channel", lambda t: loss_channel(t), elements.splitter_unitary,
+                elements._check_transmission, ancilla=True),
     ElementKind("two_mode_squeezer", lambda G, phase: two_mode_squeezer(PaGain(G, phase)),
-                elements.two_mode_squeezer_unitary, elements.gain_envelope, n_modes=2),
+                elements.two_mode_squeezer_unitary, _check_gain, elements.gain_envelope, n_modes=2),
     ElementKind("single_mode_squeezer", lambda G, theta: single_mode_squeezer(PaGain(G, theta)),
-                elements.single_mode_squeezer_unitary, elements.gain_envelope),
+                elements.single_mode_squeezer_unitary, _check_gain, elements.gain_envelope),
     ElementKind("displace", lambda re, im: displacement_map(_complex(re, im)),
-                elements.displacement_unitary, elements.alpha_envelope, identity=(0.0, 0.0)),
+                elements.displacement_unitary, _check_displacement, elements.alpha_envelope,
+                identity=(0.0, 0.0)),
 )}
 
 

@@ -32,8 +32,8 @@ the real chain of such matrix elements, the same chain for every element
 of one ladder family: a :class:`LadderBasis` diagonalises a family's
 chains once, and each element then only exponentiates their eigenvalues.
 A palindromic chain, as every photon-sum chain is, splits by its reversal
-symmetry into two half-size problems (one for an even length), and all
-problems of one size are solved in one stacked call.
+symmetry into two half-size problems (one for an even length), and the
+chains of one size are solved together, one stacked call per part.
 """
 
 from __future__ import annotations
@@ -116,6 +116,10 @@ def _check_angle(angle, name: str) -> None:
     check(np.isfinite(angle), angle, ValidationError, f"{name} must be finite, got {{}}")
 
 
+def _check_transmission(t) -> None:
+    check((0.0 < t) & (t <= 1.0), t, ValidationError, "transmission must lie in (0, 1], got {}")
+
+
 def _lossless(linear: np.ndarray) -> GaussianMap:
     size = linear.shape[-1]
     return GaussianMap._from_formula(linear, np.zeros((size, size)), np.zeros(size))
@@ -140,8 +144,7 @@ def loss_channel(transmission: float) -> GaussianMap:
     through the unused splitter port.
     """
     t = transmission
-    check((0.0 < t) & (t <= 1.0), t, ValidationError,
-          "transmission must lie in (0, 1], got {}")
+    _check_transmission(t)
     return GaussianMap._from_formula(_scale(np.sqrt(t), _EYE2), _scale(1.0 - t, _EYE2), np.zeros(2))
 
 
@@ -310,33 +313,19 @@ def _unfold(m: int, symmetric, antisymmetric=None) -> tuple[np.ndarray, np.ndarr
 
 def _eigenpairs(chains: dict) -> dict:
     """(eigenvalues, eigenvectors) of the real symmetric chain of each of
-    ``chains``' raising amplitudes, by key.  Chains of one size that are
-    all palindromic are solved as their :func:`_halves`, others at full
-    size; all problems of one size go into one stacked ``eigh`` call."""
+    ``chains``' raising amplitudes, by key.  The chains of one size are
+    stacked: solved as their :func:`_halves` if all of them are
+    palindromic, else whole, with one stacked ``eigh`` call per part."""
     by_size = {}
     for key, raising in chains.items():
         by_size.setdefault(len(raising) + 1, []).append(key)
-    posed = {}  # problem size -> stacks of its problems
-    plan = []  # (keys, chain size, split, (problem size, stack index) per part)
-    for m, keys in by_size.items():
-        split = m > 1 and all(key == chains[key][::-1].tobytes() for key in keys)
-        raising = np.array([chains[key] for key in keys]).reshape(len(keys), m - 1)
-        refs = []
-        for part in _halves(raising) if split else (_chains(raising),):
-            stacks = posed.setdefault(part.shape[-1], [])
-            refs.append((part.shape[-1], len(stacks)))
-            stacks.append(part)
-        plan.append((keys, m, split, refs))
-    solved = {}
-    for size, stacks in posed.items():
-        values, vectors = np.linalg.eigh(np.concatenate(stacks))
-        lo = 0
-        for index, part in enumerate(stacks):
-            solved[size, index] = values[lo : lo + len(part)], vectors[lo : lo + len(part)]
-            lo += len(part)
     eigen = {}
-    for keys, m, split, refs in plan:
-        values, vectors = _unfold(m, *map(solved.get, refs)) if split else solved[refs[0]]
+    for m, keys in by_size.items():
+        raising = np.array([chains[key] for key in keys]).reshape(len(keys), m - 1)
+        if m > 1 and all(key == chains[key][::-1].tobytes() for key in keys):
+            values, vectors = _unfold(m, *map(np.linalg.eigh, _halves(raising)))
+        else:
+            values, vectors = np.linalg.eigh(_chains(raising))
         eigen.update(zip(keys, zip(values, vectors)))
     return eigen
 

@@ -76,7 +76,9 @@ def check(holds, margins, error: type, message: str) -> None:
     if holds.all():
         return
     index = int(np.argmin(holds)) if holds.ndim else None
-    at = () if index is None else index
+    # a 0-d view, not an element: an object array's element, such as an
+    # int beyond 64 bits, has no .item()
+    at = (...,) if index is None else (index, ...)
     margins = margins if isinstance(margins, tuple) else (margins,)
     values = tuple(np.broadcast_to(m, holds.shape)[at].item() for m in margins)
     exc = error(message.format(*values))

@@ -2,7 +2,7 @@
 Gaussian engine on small instances.
 
 Each op's kind (:class:`qdmsim.circuits.ElementKind`) supplies its unitary
-and its oracle envelope.  Unitaries are block-sparse
+and the oracle's check of its parameters.  Unitaries are block-sparse
 (:class:`qdmsim.elements.BlockUnitary`) and are applied block by block to
 the state's target-mode entries, so no operator over the whole two-mode
 basis is formed.  A run keeps the unitaries it builds for its own repeated
@@ -45,10 +45,13 @@ one that later ancillas have grown.  After every other op a check reads
 the norm and the tail mass of the op's own modes and of the ancilla it
 adds; the reduced state of every other mode is unchanged, so its tail was
 checked before.  A diagonal op changes no modulus, so no check follows
-it; one with a parameter that is not finite stays in place and is
-checked.  What :func:`qdmsim.circuits.check_wiring` or an envelope
-refuses is refused before any buffer is allocated, and a failure names
-the op's index and kind in the circuit.
+it.
+
+Before any buffer is allocated, a run refuses what
+:func:`qdmsim.circuits.check_wiring` refuses, a grid parameter, and what
+an op's check refuses: the checks its Gaussian map runs, in their words,
+then the oracle's envelope.  So no parameter that is not finite reaches
+the run, and a failure names the op's index and kind in the circuit.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .circuits import (
     CircuitSpec,
     CompiledCircuit,
     ModulationMode,
+    _is_grid,
     _is_int,
     build_circuit,
     check_wiring,
@@ -219,21 +223,15 @@ def _moments(diagonals: tuple[np.ndarray, ...], angle: float) -> tuple[float, fl
     return float(mean), float(second)
 
 
-def _moves(op) -> bool:
-    """Whether ``op`` is diagonal in the number basis with finite parameters:
-    it then commutes with every op on other modes and changes no norm or
-    tail mass, so a run may apply it early and check nothing after it."""
-    return op.kind.diagonal and bool(np.all(np.isfinite(op.params)))
-
-
 def _schedule(ops) -> list[int]:
-    """The order in which a run applies ``ops``: an op that :func:`_moves`
-    right after the last earlier op on its mode, or first if there is none,
-    so it acts on the smallest state; every other op in circuit order."""
+    """The order in which a run applies ``ops``: an op diagonal in the
+    number basis, which commutes with every op on other modes, right after
+    the last earlier op on its mode, or first if there is none, so it acts
+    on the smallest state; every other op in circuit order."""
     anchor = {}  # mode -> index of the last op on it that stays in place
     keys = []
     for index, op in enumerate(ops):
-        if _moves(op):
+        if op.kind.diagonal:
             keys.append((anchor.get(op.modes[0], -1), 1, index))
         else:
             anchor.update(dict.fromkeys(op.modes, index))
@@ -243,9 +241,12 @@ def _schedule(ops) -> list[int]:
 
 class _FockRun:
     def __init__(self, circuit: CompiledCircuit, config: FockConfig):
-        check_wiring(circuit)  # first: the envelopes need the parameter counts it checks
+        check_wiring(circuit)  # first: the checks need the parameter counts it checks
         for index, op in enumerate(circuit.ops):
             try:
+                if any(map(_is_grid, op.params)):
+                    raise ValidationError("the oracle runs one operating point, got a grid parameter")
+                op.kind.check_params(*op.params)
                 op.kind.oracle_envelope(*op.params)
             except ValidationError as exc:
                 raise annotate(exc, f"at op {index} ({op.kind.name})")
@@ -300,7 +301,7 @@ class _FockRun:
             op = ops[index]
             try:
                 self._apply_op(op)
-                if not _moves(op):
+                if not op.kind.diagonal:  # a diagonal op changes no norm or tail mass
                     # an op changes only its own modes' reduced states and adds its ancilla
                     self._check_state(op.modes + ((self.psi.ndim - 1,) if op.kind.ancilla else ()))
             except (ValidationError, NumericalError) as exc:

@@ -222,21 +222,26 @@ def test_every_chain_gets_orthonormal_eigenpairs(family, d):
         assert np.linalg.norm(vectors.T @ vectors - np.eye(len(values)), 2) <= 1e-13
 
 
-def test_photon_sum_basis_makes_one_half_size_eigh_call_per_size(monkeypatch):
+def test_photon_sum_basis_makes_one_eigh_call_per_chain_size_and_half(monkeypatch):
     d = 40
-    sizes = []
+    shapes = []
     eigh = np.linalg.eigh
 
     def counting(stack):
-        sizes.append(stack.shape[-1])
+        shapes.append(stack.shape)
         return eigh(stack)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     elements.LadderBasis(elements.photon_sum_family, d)
-    # photon sums 0 ... 2d - 2 give chains of sizes 1 ... d: every one
-    # palindromic, so each problem is at most half a chain's size
-    assert len(sizes) == len(set(sizes))
-    assert set(sizes) == set(range(1, d // 2 + 1))
+    # photon sums 0 ... 2d - 2 give two distinct chains of each size
+    # 2 ... d - 1 and one of sizes 1 and d, every one palindromic: a chain
+    # of even size m is solved as one half of size m / 2, one of odd size
+    # as halves of sizes (m + 1) / 2 and (m - 1) / 2, each stacked over the
+    # chains of its size
+    halves = [(m, n) for m in range(1, d + 1)
+              for n in (((m + 1) // 2, m // 2) if m % 2 else (m // 2,)) if n]
+    assert shapes == [(1 if m in (1, d) else 2, n, n) for m, n in halves]
+    assert {n for _, n, _ in shapes} == set(range(1, d // 2 + 1))
 
 
 def test_mirror_photon_difference_blocks_share_one_diagonalisation():

@@ -743,6 +743,20 @@ ENVELOPE_PARAMS = {
     "single_mode_squeezer": st.tuples(st.floats(1.0, 1.3), st.floats(-4.0, 4.0)),
     "displace": st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
 }
+_NON_FINITE = st.sampled_from((math.inf, -math.inf, math.nan))
+_OUT_OF_GAIN = st.one_of(st.tuples(st.sampled_from((0.5, 2e6, math.inf, math.nan)), st.floats(-4.0, 4.0)),
+                         st.tuples(st.floats(1.0, 1.3), _NON_FINITE))
+#: Parameters outside each kind's domain, or not finite: refused by the
+#: element's own check, which both engines run.
+OUT_OF_DOMAIN = {
+    "beam_splitter": st.tuples(st.sampled_from((-0.1, 1.5, math.inf, math.nan))),
+    "phase_shifter": st.tuples(_NON_FINITE),
+    "loss_channel": st.tuples(st.sampled_from((0.0, -0.5, 1.5, math.inf, math.nan))),
+    "two_mode_squeezer": _OUT_OF_GAIN,
+    "single_mode_squeezer": _OUT_OF_GAIN,
+    "displace": st.one_of(st.tuples(_NON_FINITE, st.floats(-0.7, 0.7)),
+                          st.tuples(st.floats(-0.7, 0.7), _NON_FINITE)),
+}
 
 
 @st.composite
@@ -750,8 +764,9 @@ def hand_built_circuits(draw):
     """Circuits on 1-3 modes.  Half are wired by the rules; in the others an
     op may name repeated modes, modes out of range, one mode too few or too
     many and one parameter too few or too many, any op may carry the
-    modulation, and 0-2 monitors may lie out of range.  Every parameter lies
-    inside the oracle envelope."""
+    modulation, and 0-2 monitors may lie out of range.  An op's parameters
+    lie inside the oracle envelope, or, one time in five, outside the
+    element's domain or not finite."""
     n_modes, sloppy = draw(st.integers(1, 3)), draw(st.booleans())
     mode = st.integers(-1, n_modes) if sloppy else st.integers(0, n_modes - 1)
     off_by_one = st.sampled_from((0, 0, 0, -1, 1) if sloppy else (0,))
@@ -763,7 +778,8 @@ def hand_built_circuits(draw):
             continue
         arity = n + draw(off_by_one)
         modes = draw(st.lists(mode, min_size=arity, max_size=arity, unique=not sloppy))
-        params = draw(ENVELOPE_PARAMS[name]) + (0.5,)
+        params = draw(OUT_OF_DOMAIN[name] if draw(st.integers(0, 4)) == 0 else ENVELOPE_PARAMS[name])
+        params += (0.5,)
         params = params[: len(params) - 1 + draw(off_by_one)]
         carriers = (None, None, OWN_FIELD, 0.3 - 0.2j) if sloppy or n == 1 else (None,)
         ops.append(CircuitOp(name, tuple(modes), params, draw(st.sampled_from(carriers))))
@@ -778,5 +794,16 @@ def hand_built_circuits(draw):
 @example(miswired("carrier on a beam splitter"))
 @example(miswired("parameter missing"))
 def test_both_engines_accept_the_same_hand_built_circuits(circuit):
-    # nothing but a QdmsimError, and a refusal of the wiring in the same words
+    # nothing but a QdmsimError, and a refusal of the wiring or of a
+    # parameter in the same words
     assert refusal(q.evaluate_circuit, circuit) == refusal(fock_at_cutoff_5, circuit)
+
+
+@pytest.mark.parametrize("op", [CircuitOp("displace", (0,), (np.array([0.1, 0.2]), 0.0)),
+                                CircuitOp("phase_shifter", (0,), (np.array([0.0, 1.0]),))],
+                         ids=["displace", "phase_shifter"])
+def test_the_oracle_refuses_a_grid_parameter_the_gaussian_engine_evaluates(op):
+    circuit = q.CompiledCircuit(1, (op,), (Monitor("x", 0, 0.0),))
+    assert q.evaluate_circuit(circuit).batch_shape == (2,)
+    assert refusal(fock_at_cutoff_5, circuit) == (
+        f"the oracle runs one operating point, got a grid parameter at op 0 ({op.kind.name})")

@@ -930,6 +930,8 @@ FAILURES = {
     "tail mass at op 0": (["validate", DSUI_VALIDATE, "--cutoff", "6"], None, 4,
         "tail mass 1.878e-02 in the top two levels of mode 1 exceeds 1.0e-06; "
         "raise the cutoff at op 0 (displace)"),
+    "cutoff beyond 64 bits": (["validate", DSUI_VALIDATE, "--cutoff", str(2**70)], None, 3,
+        "cutoff^modes = 1180591620717411303424^3 exceeds the dimension guard 2000000"),
     "infinite tolerance": (["validate", DSUI_VALIDATE, "--tolerance", "inf"], None, 3,
         "tolerance must be finite and positive, got inf"),
     "NaN token": (["run", "{nan_token}"], None, 2,

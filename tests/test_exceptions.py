@@ -37,6 +37,15 @@ def test_a_stacked_check_names_its_first_failing_slice():
     assert math.isnan(info.value.margins[0])
 
 
+@pytest.mark.parametrize("holds", [False, np.array([True, False])])
+def test_a_margin_beyond_64_bits_is_formatted(holds):
+    # numpy keeps such an int as an object, whose element has no .item()
+    with pytest.raises(q.ValidationError) as info:
+        check(holds, (2**70, 3), q.ValidationError, "{}^{} is too large")
+    assert str(info.value).startswith("1180591620717411303424^3 is too large")
+    assert info.value.margins == (2**70, 3)
+
+
 def test_location_survives_pickling():
     with pytest.raises(q.NumericalError) as info:
         check(np.array([True, False]), (), q.NumericalError, "failed")

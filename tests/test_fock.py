@@ -120,22 +120,54 @@ def test_oracle_rejects_large_gain():
         q.simulate_fock(circuit, q.FockConfig(cutoff=20))
 
 
-def test_oracle_rejects_large_displacement():
-    circuit = tiny_circuit([CircuitOp("displace", (0,), (3.0, 0.0))])
+@pytest.mark.parametrize("params", [(3.0, 0.0), (1e200, 0.0), (1e308, -1e308)])
+def test_oracle_rejects_large_displacement(params):
+    # a finite check's sum of squares overflows at 1e200 without a warning
+    circuit = tiny_circuit([CircuitOp("displace", (0,), params)])
     with pytest.raises(q.ValidationError, match=r"^oracle restricted to \|alpha\| <= 2.0 at op 0 \(displace\)$"):
         q.simulate_fock(circuit, q.FockConfig(cutoff=20))
 
 
 @pytest.mark.parametrize(
-    "kind, params",
-    [("single_mode_squeezer", (math.nan, 0.0)), ("two_mode_squeezer", (math.nan, 0.0)),
-     ("displace", (math.nan, 0.0)), ("displace", (0.0, math.nan))],
+    "kind, params, message",
+    [("single_mode_squeezer", (math.nan, 0.0), "amplifier gain must be >= 1, got nan"),
+     ("two_mode_squeezer", (math.nan, 0.0), "amplifier gain must be >= 1, got nan"),
+     ("displace", (math.nan, 0.0), "displacement must be finite"),
+     ("displace", (0.0, math.nan), "displacement must be finite")],
 )
-def test_oracle_envelope_refuses_nan(kind, params):
+def test_the_oracle_refuses_nan_as_the_gaussian_map_does(kind, params, message):
+    # the element's own check refuses it, in its words, before the envelope
     modes = (0, 1) if kind == "two_mode_squeezer" else (0,)
     circuit = tiny_circuit([CircuitOp(kind, modes, params)], n_modes=len(modes))
-    with pytest.raises(q.ValidationError, match=rf"^oracle restricted to .* at op 0 \({kind}\)$"):
+    with pytest.raises(q.ValidationError) as info:
         q.simulate_fock(circuit, q.FockConfig(cutoff=20))
+    assert str(info.value) == f"{message} at op 0 ({kind})"
+
+
+#: Inputs far outside an oracle envelope, each with that envelope's
+#: constant, its cutoff, the monitored field (0 mean, 1 variance) and its
+#: refusal: the truncated generator revives there, so a run passes the
+#: tail and norm checks and returns a wrong number.
+REVIVALS = {
+    "displacement": (CircuitOp("displace", (0,), (8.757, 0.0)), "MAX_ORACLE_ALPHA", 20, 0,
+                     "oracle restricted to |alpha| <= 2.0"),
+    "squeezing": (CircuitOp("single_mode_squeezer", (0,), (273.45, 0.0)), "MAX_ORACLE_GAIN", 24, 1,
+                  "oracle restricted to gains <= 1.6, got 273.45"),
+}
+
+
+@pytest.mark.parametrize("case", REVIVALS)
+def test_an_envelope_refuses_what_the_tail_check_would_pass_wrongly(monkeypatch, case):
+    op, envelope, cutoff, field, message = REVIVALS[case]
+    circuit, config = tiny_circuit([op]), q.FockConfig(cutoff=cutoff)
+    with pytest.raises(q.ValidationError) as info:
+        q.simulate_fock(circuit, config)
+    assert str(info.value) == f"{message} at op 0 ({op.kind.name})"
+    exact = q.monitor_stats(circuit)["x"][field]  # <X> = 17.514, Var X = 3.0e5
+    monkeypatch.setattr(elements, envelope, math.inf)
+    # no refusal, and a number off by most of its size (<X> = -0.488, Var X = 2.2)
+    got = q.simulate_fock(circuit, config)["x"][field]
+    assert abs(got - exact) > 0.9 * abs(exact)
 
 
 def test_oracle_rejects_linearized_specs():
@@ -412,7 +444,7 @@ def in_circuit_order(circuit, config):
 def outcome(simulate, circuit, config):
     try:
         return simulate(circuit, config)
-    except q.NumericalError as exc:
+    except (q.NumericalError, q.ValidationError) as exc:
         return type(exc), str(exc)
 
 
@@ -591,11 +623,11 @@ def test_mass_that_is_not_finite_keeps_every_level(populations):
     assert fock._ancilla_levels(np.array(populations), columns, fock.ANCILLA_TAIL) == 8
 
 
-def test_a_nan_loss_keeps_its_refusal_and_every_level(monkeypatch):
+def test_a_nan_loss_is_refused_before_any_ancilla_level_is_kept(monkeypatch):
     kept = kept_levels(monkeypatch)
     circuit = tiny_circuit([CircuitOp("displace", (0,), (0.5, 0.0)),
                             CircuitOp("loss_channel", (0,), (math.nan,))])
-    with pytest.raises(q.NumericalError) as err:
+    with pytest.raises(q.ValidationError) as err:
         q.simulate_fock(circuit, q.FockConfig(cutoff=8))
-    assert str(err.value) == "state norm drifted to nan at op 1 (loss_channel)"
-    assert kept == [8]
+    assert str(err.value) == "transmission must lie in (0, 1], got nan at op 1 (loss_channel)"
+    assert kept == []
